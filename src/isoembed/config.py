@@ -33,8 +33,6 @@ class Tolerances:
     e_res_tol: float = 1e-3           # composite |E - 1| sup
     f_res_tol: float = 1e-3           # composite |F| sup
     detector_tol: float = 1e-2        # second-difference jump threshold
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     positivity_floor: float = 1e-8    # validate_metric positivity threshold
     slope_bound: float = 1e6          # validate_metric first-difference bound
     gate_isometry: bool = True        # gate composite E/F residuals (G never gated)
@@ -136,9 +134,7 @@ def load_config(path: str) -> RunConfig:
         for key, raw in parser.items("tolerances"):
             if key not in _TOL_FIELDS:
                 raise BadParameter(f"{path}: unknown tolerance '{key}'")
-            if key in ("newton_max_iter",):
-                setattr(cfg.tolerances, key, int(raw))
-            elif key in ("gate_isometry",):
+            if key in ("gate_isometry",):
                 setattr(cfg.tolerances, key, raw.strip().lower() in ("1", "true", "yes", "on"))
             else:
                 setattr(cfg.tolerances, key, float(raw))

@@ -320,9 +320,6 @@ class DefectReport:
     def found(self):
         return bool(self.hits)
 
-    def locus_columns(self):
-        return [(h.v, h.u) for h in self.hits]
-
     def near_initial_u(self):
         """u of the strongest hit on the row closest to v = 0 (or None)."""
         if not self.hits:

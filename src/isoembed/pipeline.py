@@ -60,6 +60,7 @@ class PipelineResult:
     composite: object
     iso: object
     defect: object
+    dg: ScalarField2D
 
     @property
     def passed(self):
@@ -197,7 +198,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # closed form is resolution-limited in the kink cell, so only the
     # E0/F0 identities gate there (the analytic check still covers all
     # three rows); smooth sources gate the full triple
-    chart_smooth = getattr(source, "regularity", "analytic") == "analytic"
+    chart_smooth = source.regularity == "analytic"
     s0_gate_val = max(s0_num) if chart_smooth else max(s0_num[:2])
 
     lifted = lift(chart)
@@ -330,6 +331,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         config=cfg, report=report, metric=metric, grid=grid,
         f_report=f_report, g_report=g_report, pc=pc, sys_report=sys_report,
         chart=chart, lifted=lifted, composite=composite, iso=iso, defect=defect,
+        dg=dg_field,
     )
 
 
@@ -348,7 +350,7 @@ def write_outputs(result: PipelineResult):
         f_res=result.iso.f_res,
         g_res=result.iso.g_res,
         aug_det=result.sys_report.aug_det,
-        dg=compatibility_residual(result.sys_report.g_val, result.chart, result.pc),
+        dg=result.dg,
     )
     write_report(result.report, json_path, csv_path, table)
     if cfg.system_csv:

@@ -7,11 +7,22 @@ geodesic form: E0 = |n|^2 = 1, F0 = n . (c' + u n') = 0, and
     G0(u, v) = (A(v) + B(v) u)^2
 
 where A = |c'| is the base-curve speed and B = -A * kappa its signed
-curvature scaled by speed. Unit-speed named curves give the classical
+curvature scaled by speed. So a chart is fully described by functions of
+v alone, and every chart source (a named `BaseCurve` or a fitted
+`ChartProfile`) offers the same generator interface:
+
+    point(v)    -> (cx, cy), the base point c(v)
+    tangent(v)  -> (tx, ty), the unit tangent; n = (-ty, tx)
+    speed(v)    -> A(v)
+    slope(v)    -> B(v)
+    regularity  -> 'analytic' or 'c1_only' (G0 kinks along a v-line)
+
+Unit-speed named curves have A = 1, B = -kappa, the classical
 G0 = (1 - u kappa)^2. Because every flat geodesic-form coefficient is of
 the (A + B u)^2 shape, a chart can also be synthesized directly from a
 fitted (A, B) profile; that is how the pipeline matches the chart to the
-compatibility target produced by the linear system.
+compatibility target produced by the linear system. `build_chart`
+evaluates the generator once per v-line and broadcasts over u.
 
 Normal convention: n = rotate(c', +90 deg), so kappa > 0 for
 counterclockwise circles.
@@ -41,7 +52,7 @@ _GL_W = np.array([
 
 @dataclass
 class BaseCurve:
-    """Unit-speed plane curve with tangent, normal and curvature accessors."""
+    """Unit-speed plane curve: point, unit tangent and signed curvature."""
 
     name: str
     point: Callable    # v -> (x, y) arrays
@@ -49,14 +60,28 @@ class BaseCurve:
     curvature: Callable
     regularity: str = "analytic"  # 'analytic' | 'c1_only'
 
-    def normal(self, v):
-        tx, ty = self.tangent(v)
-        return -ty, tx
+    def speed(self, v):
+        return np.ones_like(np.asarray(v, dtype=float))
+
+    def slope(self, v):
+        return -np.asarray(self.curvature(v), dtype=float)
 
     def check_unit_speed(self, vs, tol=1e-8):
         tx, ty = self.tangent(np.asarray(vs, dtype=float))
         speed = np.hypot(tx, ty)
         return float(np.max(np.abs(speed - 1.0))) <= tol
+
+
+def _radius(spec: str) -> float:
+    """Radius of a 'circle:R' or 'kinked:R' spec: a finite positive number."""
+    raw = spec.split(":", 1)[1]
+    try:
+        r = float(raw)
+    except ValueError:
+        raise BadParameter(f"base curve '{spec}': radius '{raw}' is not a number") from None
+    if not (np.isfinite(r) and r > 0):
+        raise BadParameter(f"base curve '{spec}': radius must be finite and positive")
+    return r
 
 
 def make_base_curve(spec: str) -> BaseCurve:
@@ -69,9 +94,7 @@ def make_base_curve(spec: str) -> BaseCurve:
             curvature=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
         )
     if spec.startswith("circle:"):
-        r = float(spec.split(":", 1)[1])
-        if r <= 0:
-            raise BadParameter(f"circle radius must be positive: {r}")
+        r = _radius(spec)
         return BaseCurve(
             name=spec,
             point=lambda v: (r * np.sin(v / r), r * (1.0 - np.cos(v / r))),
@@ -79,9 +102,7 @@ def make_base_curve(spec: str) -> BaseCurve:
             curvature=lambda v: np.full_like(np.asarray(v, dtype=float), 1.0 / r),
         )
     if spec.startswith("kinked:"):
-        r = float(spec.split(":", 1)[1])
-        if r <= 0:
-            raise BadParameter(f"kinked arc radius must be positive: {r}")
+        r = _radius(spec)
 
         def point(v):
             v = np.asarray(v, dtype=float)
@@ -179,6 +200,7 @@ class ChartProfile:
     b_coeffs: np.ndarray
     v_center: float = 0.0
     v_scale: float = 1.0
+    regularity = "analytic"  # class attribute, not a field: polynomials are smooth
 
     def _vt(self, v):
         return (np.asarray(v, dtype=float) - self.v_center) / self.v_scale
@@ -196,6 +218,35 @@ class ChartProfile:
         for k, b in enumerate(self.b_coeffs):
             acc = acc - b * vt ** (k + 1) / (k + 1)
         return acc * self.v_scale
+
+    def tangent(self, v):
+        th = self.theta(v)
+        return np.cos(th), np.sin(th)
+
+    def point(self, vs):
+        """c(v) on the v-lines `vs` by composite Gauss quadrature from v_center."""
+        pts = np.concatenate([[self.v_center], vs])
+        order = np.argsort(pts)
+        sorted_pts = pts[order]
+
+        lo = sorted_pts[:-1]
+        hi = sorted_pts[1:]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        vq = mid[:, None] + half[:, None] * _GL_X[None, :]  # (cells, 5)
+        sp = self.speed(vq)
+        th = self.theta(vq)
+        ix = half * np.sum(_GL_W[None, :] * sp * np.cos(th), axis=1)
+        iy = half * np.sum(_GL_W[None, :] * sp * np.sin(th), axis=1)
+        acc = np.zeros((sorted_pts.size, 2))
+        acc[1:, 0] = np.cumsum(ix)
+        acc[1:, 1] = np.cumsum(iy)
+        # rebase so the anchor v_center integrates to zero
+        anchor = int(np.flatnonzero(order == 0)[0])
+        acc = acc - acc[anchor]
+        out = np.empty_like(acc)
+        out[order] = acc
+        return out[1:, 0], out[1:, 1]
 
     @classmethod
     def constant(cls, speed, slope=0.0):
@@ -232,48 +283,13 @@ def fit_chart_profile(u_pts, v_pts, g_target, degree: int = 2,
 
 @dataclass
 class PlaneChart:
-    """Sampled planar chart with closed-form derivative accessors."""
+    """Sampled planar chart and the generator it was built from."""
 
     grid: Grid2D
     x: ScalarField2D
     y: ScalarField2D
     g0: ScalarField2D
     source: object  # BaseCurve | ChartProfile
-    x_u: Callable
-    y_u: Callable
-    x_v: Callable
-    y_v: Callable
-    g0_fn: Callable
-
-    @property
-    def has_analytic(self):
-        return True
-
-
-def _positions_from_profile(profile: ChartProfile, vs):
-    """c(v) on the chart's v-lines by composite Gauss quadrature from v_center."""
-    pts = np.concatenate([[profile.v_center], vs])
-    order = np.argsort(pts)
-    sorted_pts = pts[order]
-
-    lo = sorted_pts[:-1]
-    hi = sorted_pts[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    vq = mid[:, None] + half[:, None] * _GL_X[None, :]  # (cells, 5)
-    sp = profile.speed(vq)
-    th = profile.theta(vq)
-    ix = half * np.sum(_GL_W[None, :] * sp * np.cos(th), axis=1)
-    iy = half * np.sum(_GL_W[None, :] * sp * np.sin(th), axis=1)
-    acc = np.zeros((sorted_pts.size, 2))
-    acc[1:, 0] = np.cumsum(ix)
-    acc[1:, 1] = np.cumsum(iy)
-    # rebase so the anchor v_center integrates to zero
-    anchor = int(np.flatnonzero(order == 0)[0])
-    acc = acc - acc[anchor]
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out[1:, 0], out[1:, 1]
 
 
 def build_chart(source, grid: Grid2D) -> PlaneChart:
@@ -282,88 +298,24 @@ def build_chart(source, grid: Grid2D) -> PlaneChart:
     Raises FocalPoint when the ruling factor A + B u (equivalently
     1 - u kappa for unit-speed curves) is not strictly positive on the grid.
     """
-    us = grid.u_coords
+    us = grid.u_coords[:, None]
     vs = grid.v_coords
-
-    if isinstance(source, BaseCurve):
-        cx, cy = source.point(vs)
-        tx, ty = source.tangent(vs)
-        kap = np.asarray(source.curvature(vs), dtype=float) * np.ones_like(vs)
-        nx, ny = -ty, tx
-        ruling = 1.0 - us[:, None] * kap[None, :]
-
-        def x_u(u, v):
-            _, ty_ = source.tangent(v)
-            return -np.asarray(ty_) * np.ones_like(np.asarray(u, dtype=float))
-
-        def y_u(u, v):
-            tx_, _ = source.tangent(v)
-            return np.asarray(tx_) * np.ones_like(np.asarray(u, dtype=float))
-
-        def x_v(u, v):
-            tx_, _ = source.tangent(v)
-            k = source.curvature(v)
-            return (1.0 - np.asarray(u) * k) * tx_
-
-        def y_v(u, v):
-            _, ty_ = source.tangent(v)
-            k = source.curvature(v)
-            return (1.0 - np.asarray(u) * k) * ty_
-
-        def g0_fn(u, v):
-            k = source.curvature(v)
-            return (1.0 - np.asarray(u) * k) ** 2
-
-        xs = cx[None, :] + us[:, None] * nx[None, :]
-        ys = cy[None, :] + us[:, None] * ny[None, :]
-    elif isinstance(source, ChartProfile):
-        cx, cy = _positions_from_profile(source, vs)
-        th = source.theta(vs)
-        tx, ty = np.cos(th), np.sin(th)
-        nx, ny = -ty, tx
-        a = source.speed(vs)
-        b = source.slope(vs)
-        ruling = a[None, :] + us[:, None] * b[None, :]
-
-        def x_u(u, v):  # n = (-sin th, cos th)
-            return -np.sin(source.theta(v)) * np.ones_like(np.asarray(u, dtype=float))
-
-        def y_u(u, v):
-            return np.cos(source.theta(v)) * np.ones_like(np.asarray(u, dtype=float))
-
-        def x_v(u, v):
-            th_ = source.theta(v)
-            return (source.speed(v) + np.asarray(u) * source.slope(v)) * np.cos(th_)
-
-        def y_v(u, v):
-            th_ = source.theta(v)
-            return (source.speed(v) + np.asarray(u) * source.slope(v)) * np.sin(th_)
-
-        def g0_fn(u, v):
-            return (source.speed(v) + np.asarray(u) * source.slope(v)) ** 2
-
-        xs = cx[None, :] + us[:, None] * nx[None, :]
-        ys = cy[None, :] + us[:, None] * ny[None, :]
-    else:
-        raise TypeError("chart source must be a BaseCurve or ChartProfile")
+    cx, cy = source.point(vs)
+    tx, ty = source.tangent(vs)
+    ruling = source.speed(vs) + us * source.slope(vs)
 
     if np.any(ruling <= 0.0):
         i, j = np.unravel_index(int(np.argmin(ruling)), ruling.shape)
         raise FocalPoint(
-            f"chart folds at (u, v) = ({us[i]:.6g}, {vs[j]:.6g}); shrink the u-range"
+            f"chart folds at (u, v) = ({us[i, 0]:.6g}, {vs[j]:.6g}); shrink the u-range"
         )
 
     return PlaneChart(
         grid=grid,
-        x=ScalarField2D(grid, xs),
-        y=ScalarField2D(grid, ys),
+        x=ScalarField2D(grid, cx - us * ty),
+        y=ScalarField2D(grid, cy + us * tx),
         g0=ScalarField2D(grid, ruling**2),
         source=source,
-        x_u=x_u,
-        y_u=y_u,
-        x_v=x_v,
-        y_v=y_v,
-        g0_fn=g0_fn,
     )
 
 
@@ -372,12 +324,19 @@ def s0_residuals(chart: PlaneChart, derivatives: str = "numeric") -> tuple:
 
     r1 = sup|x_u^2 + y_u^2 - 1|, r2 = sup|x_u x_v + y_u y_v|,
     r3 = sup|x_v^2 + y_v^2 - G0|.
+
+    'analytic' takes the closed-form derivatives of c(v) + u n(v) from the
+    chart's generator: (x_u, y_u) = n = (-ty, tx) and
+    (x_v, y_v) = (A + B u) t. 'numeric' differences the sampled fields.
     """
     if derivatives == "analytic":
-        U, V = chart.grid.meshgrid()
-        xu, yu = chart.x_u(U, V), chart.y_u(U, V)
-        xv, yv = chart.x_v(U, V), chart.y_v(U, V)
-        g0 = chart.g0_fn(U, V)
+        src = chart.source
+        vs = chart.grid.v_coords
+        tx, ty = src.tangent(vs)
+        ruling = src.speed(vs) + chart.grid.u_coords[:, None] * src.slope(vs)
+        xu, yu = -ty, tx
+        xv, yv = ruling * tx, ruling * ty
+        g0 = ruling**2
     elif derivatives == "numeric":
         xu = chart.x.d_u().values
         yu = chart.y.d_u().values

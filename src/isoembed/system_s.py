@@ -134,13 +134,6 @@ class SystemReport:
     row_residuals: tuple  # three ScalarField2D, one per row
     mask: np.ndarray
 
-    def rank_ok_fraction(self):
-        m = self.mask
-        if not m.any():
-            return 0.0
-        ok = (self.rank_coeff.values == 2) & (self.rank_aug.values == 2)
-        return float(ok[m].sum() / m.sum())
-
     def g_match_rel_sup(self):
         """sup of |G_solved - G_closed| / max(1, |G_closed|) over the region."""
         d = np.abs(self.g_val.values - self.g_closed.values)

@@ -45,6 +45,10 @@ def test_config_unknown_key(tmp_path):
     p.write_text("[metric]\nname = flat\nwhatever = 3\n")
     with pytest.raises(BadParameter):
         load_config(str(p))
+    # the Newton keys were read by nothing and are gone
+    p.write_text("[tolerances]\nnewton_tol = 1e-10\n")
+    with pytest.raises(BadParameter, match="unknown tolerance 'newton_tol'"):
+        load_config(str(p))
 
 
 def test_config_missing_file():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from isoembed.errors import BadParameter, FocalPoint, IoFailure
 from isoembed.fields import Grid2D
 from isoembed.plane import (
+    BaseCurve,
     ChartProfile,
     build_chart,
     chart_jacobian_min,
@@ -86,10 +87,9 @@ def test_focal_point_raises():
 
 
 def test_bad_curve_specs():
-    with pytest.raises(BadParameter):
-        make_base_curve("helix")
-    with pytest.raises(BadParameter):
-        make_base_curve("circle:-1")
+    for spec in ("helix", "circle:-1", "circle:abc", "kinked:", "circle:nan", "circle:inf"):
+        with pytest.raises(BadParameter):
+            make_base_curve(spec)
 
 
 def test_perturbed_chart_fails_identities():
@@ -98,6 +98,15 @@ def test_perturbed_chart_fails_identities():
     chart.y.values += 1e-3 * rng.standard_normal(chart.y.values.shape)
     r1, r2, _ = s0_residuals(chart, derivatives="numeric")
     assert r1 > 1e-4 and r2 > 1e-4
+
+
+def test_nonunit_tangent_fails_analytic_identities():
+    # a tangent of speed 1.001 breaks E0 = 1 by 2e-3 in the closed-form route
+    line = make_base_curve("line")
+    fast = BaseCurve(name="fast", point=line.point, curvature=line.curvature,
+                     tangent=lambda v: tuple(1.001 * t for t in line.tangent(v)))
+    chart = build_chart(fast, chart_grid())
+    assert s0_residuals(chart, derivatives="analytic")[0] > 1e-3
 
 
 def test_chart_jacobian_positive():
