@@ -9,6 +9,8 @@ with no flags at all.
 from __future__ import annotations
 
 import configparser
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import BadParameter
@@ -61,6 +63,11 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def validate(self):
+        # NaN fails no comparison below, so it is rejected first
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, numbers.Real) and not math.isfinite(val):
+                raise BadParameter(f"{f.name} must be a finite number: {val}")
         if not (0.0 < self.epsilon < 1.0):
             raise BadParameter(f"epsilon out of (0,1): {self.epsilon}")
         if self.delta <= 0.0:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
+from .errors import BadParameter, GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
 from .fields import Grid2D, ScalarField2D
 
 DEFAULT_HALF_WIDTH = 0.5  # domain half-width when a config omits it
@@ -123,7 +123,7 @@ def make_metric(name: str, domain: Rect = None) -> GeodesicMetric2D:
     if name.startswith("file:"):
         return load_metric_csv(name[len("file:"):])
     if name not in _REGISTRY:
-        raise KeyError(f"unknown metric '{name}'; expected one of {registry_names()} or file:<path>")
+        raise BadParameter(f"unknown metric '{name}'; expected one of {registry_names()} or file:<path>")
     entry = _REGISTRY[name]
     return GeodesicMetric2D(name=name, domain=domain, **entry)
 

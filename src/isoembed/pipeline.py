@@ -25,6 +25,7 @@ from .metric import Rect, curvature_field, make_metric, validate_metric
 from .plane import (
     ChartProfile,
     build_chart,
+    chart_differences,
     chart_jacobian_min,
     fit_chart_profile,
     make_base_curve,
@@ -191,9 +192,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     source = resolve_chart_source(cfg, pc, sys_report)
     cgrid = chart_grid_for(pc, cfg, source)
     chart = build_chart(source, cgrid)
-    s0_num = s0_residuals(chart, derivatives="numeric")
+    # both stencil checks share one differencing of the chart grid, released
+    # before the analytic check allocates its own full-grid arrays
+    diffs = chart_differences(chart)
+    s0_num = s0_residuals(chart, derivatives="numeric", diffs=diffs)
+    chart_jac_min = chart_jacobian_min(chart, diffs)
+    del diffs
     s0_ana = s0_residuals(chart, derivatives="analytic")
-    chart_jac_min = chart_jacobian_min(chart)
     # a C^1-only base curve kinks G0: the stencil comparison against the
     # closed form is resolution-limited in the kink cell, so only the
     # E0/F0 identities gate there (the analytic check still covers all

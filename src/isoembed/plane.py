@@ -319,7 +319,13 @@ def build_chart(source, grid: Grid2D) -> PlaneChart:
     )
 
 
-def s0_residuals(chart: PlaneChart, derivatives: str = "numeric") -> tuple:
+def chart_differences(chart: PlaneChart) -> tuple:
+    """(x_u, y_u, x_v, y_v): stencil derivatives of the sampled chart fields."""
+    return (chart.x.d_u().values, chart.y.d_u().values,
+            chart.x.d_v().values, chart.y.d_v().values)
+
+
+def s0_residuals(chart: PlaneChart, derivatives: str = "numeric", diffs=None) -> tuple:
     """Sup-norms of the three geodesic-form identities of the chart.
 
     r1 = sup|x_u^2 + y_u^2 - 1|, r2 = sup|x_u x_v + y_u y_v|,
@@ -327,7 +333,8 @@ def s0_residuals(chart: PlaneChart, derivatives: str = "numeric") -> tuple:
 
     'analytic' takes the closed-form derivatives of c(v) + u n(v) from the
     chart's generator: (x_u, y_u) = n = (-ty, tx) and
-    (x_v, y_v) = (A + B u) t. 'numeric' differences the sampled fields.
+    (x_v, y_v) = (A + B u) t. 'numeric' differences the sampled fields,
+    or takes `diffs` from chart_differences when the caller already has them.
     """
     if derivatives == "analytic":
         src = chart.source
@@ -338,10 +345,7 @@ def s0_residuals(chart: PlaneChart, derivatives: str = "numeric") -> tuple:
         xv, yv = ruling * tx, ruling * ty
         g0 = ruling**2
     elif derivatives == "numeric":
-        xu = chart.x.d_u().values
-        yu = chart.y.d_u().values
-        xv = chart.x.d_v().values
-        yv = chart.y.d_v().values
+        xu, yu, xv, yv = chart_differences(chart) if diffs is None else diffs
         g0 = chart.g0.values
     else:
         raise ValueError("derivatives must be 'numeric' or 'analytic'")
@@ -351,11 +355,8 @@ def s0_residuals(chart: PlaneChart, derivatives: str = "numeric") -> tuple:
     return r1, r2, r3
 
 
-def chart_jacobian_min(chart: PlaneChart) -> float:
+def chart_jacobian_min(chart: PlaneChart, diffs=None) -> float:
     """min |x_u y_v - x_v y_u| over the grid (equals sqrt(G0); > 0 iff injective)."""
-    xu = chart.x.d_u().values
-    yu = chart.y.d_u().values
-    xv = chart.x.d_v().values
-    yv = chart.y.d_v().values
+    xu, yu, xv, yv = chart_differences(chart) if diffs is None else diffs
     jac = xu * yv - xv * yu
     return float(np.nanmin(np.abs(jac)))

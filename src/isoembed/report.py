@@ -20,7 +20,7 @@ from .errors import IoFailure
 from .fields import ScalarField2D
 from .metric import GeodesicMetric2D, curvature_field
 from .reparam import ParamChange
-from .surface import EmbeddedSurface, induced_metric
+from .surface import EmbeddedSurface, induced_metric, row_blocks, write_rows
 
 CSV_COLUMNS = ("ubar", "vbar", "f", "g", "J", "E_res", "F_res", "G_res", "aug_det", "dG")
 
@@ -182,17 +182,40 @@ class NodeTable:
                 self.aug_det, self.dg)
 
 
-def _cell(fld, i, j):
-    if fld is None or not fld.mask[i, j]:
-        return "NA"
-    v = fld.values[i, j]
-    if not np.isfinite(v):
-        return "NA"
-    return f"{v:.17g}"
+# per-column texts of a residual CSV line, where the cell has a value and
+# where it reads NA
+_CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 1) + ("%.17g\n",)
+_CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 1) + ("NA\n",)
+# system_s.csv: node (i;j), E, G, G closed form, two ranks, aug det
+_SYSTEM_TEXT = ("(%d;", "%d),", "%.17g,", "%.17g,", "%.17g,", "%d,", "%d,", "%.17g\n")
+_SYSTEM_NA = ("", "", "NA,", "NA,", "NA,", "NA,", "NA,", "NA\n")
+
+
+def _column(fld, rows, sel):
+    """(values, ok) of fld at the nodes `sel` picks out of u-rows `rows`.
+
+    Row-major; ok is false for a None field, a masked node or a value that
+    is not finite.
+    """
+    if fld is None:
+        n = int(np.count_nonzero(sel))
+        return np.zeros(n), np.zeros(n, dtype=bool)
+    vals = fld.values[rows][sel]
+    return vals, fld.mask[rows][sel] & np.isfinite(vals)
+
+
+def _write_columns(fh, columns, ok_text, na_text):
+    values, ok = zip(*columns)
+    write_rows(fh, np.column_stack(values), np.column_stack(ok), ok_text, na_text)
 
 
 def write_report(report: VerificationReport, json_path, csv_path, table: NodeTable = None):
-    """Emit the JSON verdict document and (when a table is given) the node CSV."""
+    """Emit the JSON verdict document and (when a table is given) the node CSV.
+
+    The CSV is formatted and written in blocks of ROW_BLOCK u-rows, one
+    %-format per block; a cell reads NA where its field is absent or
+    masked or its value is not finite.
+    """
     try:
         with open(json_path, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -202,40 +225,39 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
     if csv_path is None or table is None:
         return
     grid = table.grid
-    us = grid.u_coords
-    vs = grid.v_coords
+    us, vs = grid.u_coords, grid.v_coords
     try:
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i in range(grid.nu):
-                for j in range(grid.nv):
-                    row = [f"{us[i]:.17g}", f"{vs[j]:.17g}"]
-                    row += [_cell(fld, i, j) for fld in table.fields_in_order()]
-                    fh.write(",".join(row) + "\n")
+            for rows in row_blocks(grid.nu):
+                n_rows = rows.stop - rows.start
+                sel = np.ones((n_rows, grid.nv), dtype=bool)
+                columns = [(np.repeat(us[rows], grid.nv), sel.ravel()),
+                           (np.tile(vs, n_rows), sel.ravel())]
+                columns += [_column(fld, rows, sel) for fld in table.fields_in_order()]
+                _write_columns(fh, columns, _CSV_TEXT, _CSV_NA)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {csv_path}: {exc}") from exc
 
 
 def write_system_csv(path, grid, sys_report):
-    """Side table of the per-node linear-system solve."""
+    """Side table of the per-node linear-system solve: one line per node of
+    the system mask, row-major, written in blocks of ROW_BLOCK u-rows."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write("node,E_val,G_val,G_closed_form,rank_coeff,rank_aug,aug_det\n")
-            for i in range(grid.nu):
-                for j in range(grid.nv):
-                    if not sys_report.mask[i, j]:
-                        continue
-                    cells = [
-                        f"({i};{j})",
-                        _cell(sys_report.e_val, i, j),
-                        _cell(sys_report.g_val, i, j),
-                        _cell(sys_report.g_closed, i, j),
-                    ]
-                    rc = sys_report.rank_coeff.values[i, j]
-                    ra = sys_report.rank_aug.values[i, j]
-                    cells.append("NA" if not np.isfinite(rc) else str(int(rc)))
-                    cells.append("NA" if not np.isfinite(ra) else str(int(ra)))
-                    cells.append(_cell(sys_report.aug_det, i, j))
-                    fh.write(",".join(cells) + "\n")
+            for rows in row_blocks(grid.nu):
+                sel = sys_report.mask[rows]
+                ii, jj = np.nonzero(sel)
+                every = np.ones(ii.size, dtype=bool)
+                columns = [(ii + rows.start, every), (jj, every)]
+                columns += [_column(fld, rows, sel) for fld in
+                            (sys_report.e_val, sys_report.g_val, sys_report.g_closed)]
+                # a rank reads NA only where it is not finite
+                ranks = (sys_report.rank_coeff.values[rows][sel],
+                         sys_report.rank_aug.values[rows][sel])
+                columns += [(r, np.isfinite(r)) for r in ranks]
+                columns.append(_column(sys_report.aug_det, rows, sel))
+                _write_columns(fh, columns, _SYSTEM_TEXT, _SYSTEM_NA)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {path}: {exc}") from exc

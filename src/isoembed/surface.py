@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImageOutsideChart
+from .errors import ImageOutsideChart, IoFailure
 from .fields import Grid2D, ScalarField2D
 from .plane import PlaneChart
 from .reparam import ParamChange
+
+# u-rows the file writers format per write: bounds the text held in memory
+ROW_BLOCK = 16
+# per-column texts of an OBJ vertex line, valid and masked, and of the two
+# triangle lines of a cell
+_VERTEX = ("v %.17g", " %.17g", " %.17g\n")
+_MASKED_VERTEX = ("v 0", " 0", " 0\n")
+_FACE_PAIR = ("f %d", " %d", " %d\n", "f %d", " %d", " %d\n")
 
 
 @dataclass
@@ -147,35 +155,61 @@ def _mask_runs(row):
     return list(zip(starts, ends))
 
 
+def row_blocks(n):
+    """Consecutive slices of at most ROW_BLOCK rows covering range(n)."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, min(start + ROW_BLOCK, n))
+
+
+def write_rows(fh, values, ok, ok_text, na_text):
+    """Write one line per row of the 2-D array `values` with a single %-format.
+
+    Column c reads ok_text[c] % value where `ok` holds and na_text[c] where
+    it does not; the texts carry their own separators and line ends.
+    """
+    if ok.all():
+        template = "".join(ok_text) * len(values)
+    else:
+        cells = np.array([ok_text, na_text])[(~ok).astype(np.intp), np.arange(len(ok_text))]
+        template = "".join(cells.ravel().tolist())
+    fh.write(template % tuple(values[ok].tolist()))
+
+
 def export_obj(surface: EmbeddedSurface, path: str):
     """Wavefront OBJ: all grid vertices row-major, faces for fully valid cells.
 
     Masked vertices are written as the origin and simply not referenced by
     any face; the exact validity mask is preserved in '# valid' comment
     lines (run-length per u-row) so re-verification sees the same node set.
-    %.17g formatting keeps round-trips bit-exact.
+    %.17g formatting keeps round-trips bit-exact. Vertices and faces are
+    formatted and written in blocks of ROW_BLOCK u-rows, so memory does not
+    grow with the file.
     """
     grid = surface.grid
+    nv = grid.nv
     pos = surface.position
     m = surface.mask
-    lines = [f"# isoembed surface provenance={surface.provenance} nu={grid.nu} nv={grid.nv}"]
+    head = [f"# isoembed surface provenance={surface.provenance} nu={grid.nu} nv={grid.nv}"]
     for i in range(grid.nu):
         runs = " ".join(f"{a}:{b}" for a, b in _mask_runs(m[i]))
-        lines.append(f"# valid {i} {runs}".rstrip())
-    flat_m = m.ravel()
-    flat_p = pos.reshape(-1, 3)
-    lines.extend(
-        f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" if ok else "v 0 0 0"
-        for ok, p in zip(flat_m, flat_p)
-    )
+        head.append(f"# valid {i} {runs}".rstrip())
     cell_ok = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
-    for i, j in np.argwhere(cell_ok):
-        a = i * grid.nv + j + 1  # OBJ indices are 1-based
-        b = (i + 1) * grid.nv + j + 1
-        lines.append(f"f {a} {b} {b + 1}")
-        lines.append(f"f {a} {b + 1} {a + 1}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(head) + "\n")
+            for rows in row_blocks(grid.nu):
+                xyz = pos[rows].reshape(-1, 3)
+                ok = np.repeat(m[rows].reshape(-1, 1), 3, axis=1)
+                write_rows(fh, xyz, ok, _VERTEX, _MASKED_VERTEX)
+            for rows in row_blocks(grid.nu - 1):
+                ci, cj = np.nonzero(cell_ok[rows])
+                a = (ci + rows.start) * nv + cj + 1  # OBJ indices are 1-based
+                b = a + nv
+                corners = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1)
+                write_rows(fh, corners, np.ones(corners.shape, dtype=bool),
+                           _FACE_PAIR, _FACE_PAIR)
+    except OSError as exc:
+        raise IoFailure(f"cannot write mesh {path}: {exc}") from exc
 
 
 def load_obj_positions(path: str, nu: int, nv: int):

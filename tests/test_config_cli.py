@@ -29,6 +29,17 @@ def test_even_row_count_rejected():
         RunConfig(n_v=200).validate()
 
 
+@pytest.mark.parametrize("name", ["metric_u_half", "metric_v_half", "epsilon", "delta",
+                                  "u_half", "v_half", "n_u", "n_v", "chart_n_u",
+                                  "chart_n_v"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_rejected(name, value):
+    cfg = RunConfig()
+    setattr(cfg, name, value)
+    with pytest.raises(BadParameter, match=f"{name} must be a finite number"):
+        cfg.validate()
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = RunConfig(metric="cos2", family="c1_not_c2", epsilon=0.2, delta=0.3,
                     v_half=0.05, n_u=101, n_v=101, base_curve="circle:2")
@@ -90,6 +101,13 @@ def test_cli_bad_epsilon(cli_run):
     out = run_cli(["run", "--epsilon", "1.5"], cwd=wd)
     assert out.returncode == 1
     assert "epsilon out of (0,1)" in out.stderr
+
+
+def test_cli_unknown_metric(tmp_path):
+    out = run_cli(["run", "--metric", "nosuch"], cwd=tmp_path)
+    assert out.returncode == 1
+    # a typed error prints its message as is, not the repr of a KeyError
+    assert out.stderr.startswith("error: unknown metric 'nosuch'; expected one of")
 
 
 def test_cli_verdict_failure_exit_code(cli_run):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isoembed.errors import GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
+from isoembed.errors import BadParameter, GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
 from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.metric import (
     GeodesicMetric2D,
@@ -48,7 +48,7 @@ def test_eval_nonpositive():
 
 
 def test_unknown_metric_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(BadParameter, match="unknown metric 'nope'"):
         make_metric("nope")
 
 
