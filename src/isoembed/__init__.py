@@ -41,7 +41,6 @@ from .reparam import (
     ParamChange,
     build_param_change,
     certify_invertible,
-    invert,
     jacobian,
     jacobian_initial_closed_form,
 )

@@ -4,8 +4,9 @@
     isoembed example-cos2 [--out-dir DIR]      built-in non-analytic scenario
     isoembed verify MESH --metric NAME --fields CSV   re-check a surface
 
-Exit codes: 0 all gated verdicts pass, 1 execution/config error, 2 verdict
-failure. The pipeline is fully deterministic; there is no seed anywhere.
+Exit codes: 0 all gated verdicts pass, 1 execution/config error (a typed
+IsoembedError; nothing else is caught), 2 verdict failure. The pipeline is
+fully deterministic; there is no seed anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import RunConfig, Tolerances, example_cos2_config, load_config
-from .errors import IsoembedError
+from .errors import BadParameter, IoFailure, IsoembedError
 from .fields import Grid2D, ScalarField2D
 from .metric import Rect, make_metric
 from .pipeline import run_pipeline, write_outputs
@@ -151,43 +152,48 @@ def _load_fields_csv(path):
     """
     import csv as _csv
 
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["ubar", "vbar", "f", "g"]:
-            raise IsoembedError(f"{path}: expected columns ubar,vbar,f,g,...")
-        try:
-            e_res_col = header.index("E_res")
-        except ValueError:
-            e_res_col = None
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = _csv.reader(fh)
+            header = next(reader, [])
+            rows = list(reader)
+    except OSError as exc:
+        raise IoFailure(f"cannot read fields {path}: {exc}") from exc
+    except (_csv.Error, UnicodeDecodeError) as exc:
+        raise BadParameter(f"{path}: not a CSV file: {exc}") from None
+    if header[:4] != ["ubar", "vbar", "f", "g"]:
+        raise BadParameter(f"{path}: expected columns ubar,vbar,f,g,...")
     if not rows:
-        raise IsoembedError(f"{path}: no data rows")
-    ub = np.array([float(r[0]) for r in rows])
-    vb = np.array([float(r[1]) for r in rows])
+        raise BadParameter(f"{path}: no data rows")
+    if any(len(r) != len(header) for r in rows):
+        raise BadParameter(f"{path}: every row needs {len(header)} cells")
+    try:
+        ub = np.array([float(r[0]) for r in rows])
+        vb = np.array([float(r[1]) for r in rows])
+        fv, gv = (np.array([np.nan if r[c] == "NA" else float(r[c]) for r in rows])
+                  for c in (2, 3))
+    except ValueError as exc:
+        raise BadParameter(f"{path}: {exc}") from None
     us = np.unique(ub)
     vs = np.unique(vb)
     nu, nv = us.size, vs.size
     if nu * nv != len(rows):
-        raise IsoembedError(f"{path}: rows do not form a complete {nu}x{nv} grid")
+        raise BadParameter(f"{path}: rows do not form a complete {nu}x{nv} grid")
     # span-based spacing reproduces the generating grid's du = span/(n-1)
     # to the bit, so re-verification divides by identical stencil widths
     grid = Grid2D(u0=float(us[0]), v0=float(vs[0]),
                   du=float((us[-1] - us[0]) / (nu - 1)),
                   dv=float((vs[-1] - vs[0]) / (nv - 1)), nu=nu, nv=nv)
-    fv = np.full((nu, nv), np.nan)
-    gv = np.full((nu, nv), np.nan)
-    surf_ok = np.zeros((nu, nv), dtype=bool)
-    for ridx, r in enumerate(rows):
-        i, j = divmod(ridx, nv)
-        if r[2] != "NA":
-            fv[i, j] = float(r[2])
-        if r[3] != "NA":
-            gv[i, j] = float(r[3])
-        if e_res_col is not None:
-            surf_ok[i, j] = r[e_res_col] != "NA"
+    # row-major rows: reshaping puts row i * nv + j at node (i, j)
+    fv = fv.reshape(nu, nv)
+    gv = gv.reshape(nu, nv)
     field_mask = np.isfinite(fv) & np.isfinite(gv)
-    mask = surf_ok if e_res_col is not None and surf_ok.any() else field_mask
+    mask = field_mask
+    if "E_res" in header:
+        col = header.index("E_res")
+        surf_ok = np.array([r[col] != "NA" for r in rows]).reshape(nu, nv)
+        if surf_ok.any():
+            mask = surf_ok
     return grid, ScalarField2D(grid, fv, mask=field_mask), ScalarField2D(grid, gv, mask=field_mask), mask
 
 
@@ -226,9 +232,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except IsoembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

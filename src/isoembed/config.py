@@ -63,16 +63,18 @@ class RunConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def validate(self):
-        # NaN fails no comparison below, so it is rejected first
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, numbers.Real) and not math.isfinite(val):
-                raise BadParameter(f"{f.name} must be a finite number: {val}")
+        # NaN fails no comparison below, nor any tolerance gate, so it is
+        # rejected first
+        for obj in (self, self.tolerances):
+            for f in fields(obj):
+                val = getattr(obj, f.name)
+                if isinstance(val, numbers.Real) and not math.isfinite(val):
+                    raise BadParameter(f"{f.name} must be a finite number: {val}")
         if not (0.0 < self.epsilon < 1.0):
             raise BadParameter(f"epsilon out of (0,1): {self.epsilon}")
         if self.delta <= 0.0:
             raise BadParameter(f"delta must be positive: {self.delta}")
-        if self.n_u < 3 or self.n_v < 3:
+        if min(self.n_u, self.n_v, self.chart_n_u, self.chart_n_v) < 3:
             raise BadParameter("grid counts must be at least 3")
         if self.u_half <= 0 or self.v_half <= 0:
             raise BadParameter("grid half-widths must be positive")
@@ -122,14 +124,16 @@ _TOL_FIELDS = {f.name: f.type for f in fields(Tolerances)}
 def load_config(path: str) -> RunConfig:
     """Parse an INI-style config file into a RunConfig."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise BadParameter(f"{path}: not a valid config file: {exc}") from None
     if not read:
         raise BadParameter(f"cannot read config file {path}")
     cfg = RunConfig()
     for section, keys in _SECTION_KEYS.items():
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
+        for key, raw in sections.get(section, ()):
             if key not in keys:
                 raise BadParameter(f"{path}: unknown key '{key}' in [{section}]")
             attr, cast = keys[key]
@@ -137,14 +141,16 @@ def load_config(path: str) -> RunConfig:
                 setattr(cfg, attr, cast(raw))
             except ValueError as exc:
                 raise BadParameter(f"{path}: bad value for {section}.{key}: {raw}") from exc
-    if parser.has_section("tolerances"):
-        for key, raw in parser.items("tolerances"):
-            if key not in _TOL_FIELDS:
-                raise BadParameter(f"{path}: unknown tolerance '{key}'")
-            if key in ("gate_isometry",):
-                setattr(cfg.tolerances, key, raw.strip().lower() in ("1", "true", "yes", "on"))
-            else:
+    for key, raw in sections.get("tolerances", ()):
+        if key not in _TOL_FIELDS:
+            raise BadParameter(f"{path}: unknown tolerance '{key}'")
+        if key in ("gate_isometry",):
+            setattr(cfg.tolerances, key, raw.strip().lower() in ("1", "true", "yes", "on"))
+        else:
+            try:
                 setattr(cfg.tolerances, key, float(raw))
+            except ValueError as exc:
+                raise BadParameter(f"{path}: bad value for tolerances.{key}: {raw}") from exc
     return cfg
 
 

@@ -39,14 +39,6 @@ class NoCertifiedRegion(IsoembedError):
     """Jacobian certificate failed at the initial node."""
 
 
-class NoConvergence(IsoembedError):
-    """Newton iteration exhausted max_iter without meeting tolerance."""
-
-
-class LeftRegion(IsoembedError):
-    """Newton iterate stepped outside the certified region."""
-
-
 class UncertifiedNode(IsoembedError):
     """Per-node operation requested at a node outside the certificate."""
 

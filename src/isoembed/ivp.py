@@ -46,6 +46,8 @@ class SolveReport:
     max_residual: float
     steps: int
     intervals: np.ndarray  # (nv, 2) valid column interval [L, R] per level, L > R = empty
+    d_u: np.ndarray  # the field's stencil derivatives, taken once here for every consumer
+    d_v: np.ndarray
 
     @property
     def mask(self):
@@ -206,9 +208,10 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
         raise ValidityLoss("f lost validity immediately off the initial line")
 
     f = ScalarField2D(grid, values, mask=mask)
-    res = residual_f(metric, f, guard=guard)
+    fu, fv = f.d_u().values, f.d_v().values
+    res = residual_f(metric, f, fu, fv, guard=guard)
     return SolveReport(field=f, residual=res, max_residual=res.sup(), steps=steps,
-                       intervals=intervals)
+                       intervals=intervals, d_u=fu, d_v=fv)
 
 
 def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
@@ -227,8 +230,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     u = grid.u_coords
     init.check_grid(u)
 
-    fu_f = f_report.field.d_u().values
-    lam_rows, _ = slope_to_lambda(fu_f, guard=opts.guard)
+    lam_rows, _ = slope_to_lambda(f_report.d_u, guard=opts.guard)
 
     def lam_at(v, L, R):
         """Linear interpolation of lam between the two bracketing levels."""
@@ -268,15 +270,15 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     mask &= f_report.mask
 
     g = ScalarField2D(grid, values, mask=mask)
-    res = residual_g(metric, f_report.field, g, guard=opts.guard)
+    gu, gv = g.d_u().values, g.d_v().values
+    res = residual_g(metric, f_report.field, f_report.d_u, g, gu, gv, guard=opts.guard)
     return SolveReport(field=g, residual=res, max_residual=res.sup(), steps=steps,
-                       intervals=intervals)
+                       intervals=intervals, d_u=gu, d_v=gv)
 
 
-def residual_f(metric: GeodesicMetric2D, f: ScalarField2D, guard=1e-6) -> ScalarField2D:
-    """Substitution residual sqrt(G) f_u + lam f_v from the field's own stencils."""
-    fu = f.d_u().values
-    fv = f.d_v().values
+def residual_f(metric: GeodesicMetric2D, f: ScalarField2D, fu, fv,
+               guard=1e-6) -> ScalarField2D:
+    """Substitution residual sqrt(G) f_u + lam f_v from f's stencils fu, fv."""
     lam, ok = slope_to_lambda(fu, guard=guard)
     U, V = f.grid.meshgrid()
     sqrt_g = np.sqrt(np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U))
@@ -285,13 +287,10 @@ def residual_f(metric: GeodesicMetric2D, f: ScalarField2D, guard=1e-6) -> Scalar
     return ScalarField2D(f.grid, np.abs(res), mask=valid & np.isfinite(res))
 
 
-def residual_g(metric: GeodesicMetric2D, f: ScalarField2D, g: ScalarField2D,
+def residual_g(metric: GeodesicMetric2D, f: ScalarField2D, fu, g: ScalarField2D, gu, gv,
                guard=1e-6) -> ScalarField2D:
-    """Substitution residual lam sqrt(G) g_u - g_v with lam frozen from f."""
-    fu = f.d_u().values
+    """Substitution residual lam sqrt(G) g_u - g_v; lam frozen from f's stencil fu."""
     lam, ok = slope_to_lambda(fu, guard=guard)
-    gu = g.d_u().values
-    gv = g.d_v().values
     U, V = g.grid.meshgrid()
     sqrt_g = np.sqrt(np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U))
     res = lam * sqrt_g * gu - gv

@@ -133,12 +133,14 @@ def load_metric_csv(path: str) -> GeodesicMetric2D:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if [c.strip() for c in header] != ["ubar", "vbar", "G"]:
                 raise IoFailure(f"{path}: expected header 'ubar,vbar,G'")
             rows = [(float(a), float(b), float(c)) for a, b, c in reader]
     except OSError as exc:
         raise IoFailure(f"cannot read metric file {path}: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise BadParameter(f"{path}: malformed metric row: {exc}") from None
     if not rows:
         raise IoFailure(f"{path}: no data rows")
     us = np.array(sorted({r[0] for r in rows}))

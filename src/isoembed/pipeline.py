@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import NonPositiveMetric
+from .errors import IoFailure, NonPositiveMetric
 from .fields import Grid2D, ScalarField2D
 from .initial import make_initial
 from .ivp import SolveOptions, c2_defect_scan, solve_f, solve_g
@@ -42,7 +42,7 @@ from .report import (
     write_system_csv,
 )
 from .reparam import build_param_change, jacobian_initial_closed_form
-from .surface import compose, downsample_surface, export_obj, induced_metric, lift
+from .surface import compose, downsample_surface, export_obj, lift, lift_metric
 from .system_s import solve_system_grid
 
 
@@ -84,11 +84,6 @@ def _interior_mask(mask, grid):
 def _sup_on(values, mask):
     sel = np.where(mask, values, np.nan)
     return float(np.nanmax(sel)) if mask.any() else float("nan")
-
-
-def _mean_on(values, mask):
-    sel = np.where(mask, values, np.nan)
-    return float(np.nanmean(np.abs(sel))) if mask.any() else float("nan")
 
 
 def resolve_chart_source(cfg: RunConfig, pc, sys_report):
@@ -192,11 +187,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     source = resolve_chart_source(cfg, pc, sys_report)
     cgrid = chart_grid_for(pc, cfg, source)
     chart = build_chart(source, cgrid)
-    # both stencil checks share one differencing of the chart grid, released
-    # before the analytic check allocates its own full-grid arrays
+    # the stencil checks and the lift's metric share one differencing of the
+    # chart grid, released before the analytic check allocates its own
+    # full-grid arrays
     diffs = chart_differences(chart)
     s0_num = s0_residuals(chart, derivatives="numeric", diffs=diffs)
     chart_jac_min = chart_jacobian_min(chart, diffs)
+    le, lf, lg = lift_metric(chart, diffs)
     del diffs
     s0_ana = s0_residuals(chart, derivatives="analytic")
     # a C^1-only base curve kinks G0: the stencil comparison against the
@@ -206,8 +203,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     chart_smooth = source.regularity == "analytic"
     s0_gate_val = max(s0_num) if chart_smooth else max(s0_num[:2])
 
-    lifted = lift(chart)
-    le, lf, lg = induced_metric(lifted)
     lift_parts = (
         _sup_on(np.abs(le.values - 1.0), le.mask),
         _sup_on(np.abs(lf.values), lf.mask),
@@ -221,6 +216,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     reg_min = _sup_on(-(le.values * lg.values - lf.values**2), le.mask)
     reg_min = -reg_min if np.isfinite(reg_min) else float("nan")
 
+    lifted = lift(chart)
     composite = compose(lifted, pc)
     iso = isometry_residual(composite, metric)
 
@@ -343,7 +339,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 def write_outputs(result: PipelineResult):
     """Write report JSON, residual CSV, system CSV and optional meshes."""
     cfg = result.config
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     json_path = os.path.join(cfg.out_dir, cfg.report_json)
     csv_path = os.path.join(cfg.out_dir, cfg.residual_csv)
     table = NodeTable(

@@ -141,12 +141,14 @@ def load_polyline_curve(path: str) -> BaseCurve:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if [c.strip() for c in header] != ["v", "x", "y"]:
                 raise IoFailure(f"{path}: expected header 'v,x,y'")
             data = np.array([[float(a), float(b), float(c)] for a, b, c in reader])
     except OSError as exc:
         raise IoFailure(f"cannot read polyline {path}: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise BadParameter(f"{path}: malformed polyline row: {exc}") from None
     if data.shape[0] < 3:
         raise IoFailure(f"{path}: need at least 3 polyline points")
     order = np.argsort(data[:, 0])

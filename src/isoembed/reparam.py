@@ -1,11 +1,10 @@
-"""The parameter change (u, v) = (f, g)(ubar, vbar): Jacobian, certificate,
-and numerical inversion.
+"""The parameter change (u, v) = (f, g)(ubar, vbar): Jacobian and certificate.
 
-The Jacobian J = f_u g_v - f_v g_u is computed from the solved fields'
-stencils. A certificate (largest grid-connected region around the initial
-node where |J| stays above tolerance with constant sign) realizes the
-construction's "some neighborhood of the initial point" as a computed
-mask. Inversion is a 2x2 Newton iteration on the bilinear interpolants.
+The Jacobian J = f_u g_v - f_v g_u is formed from the stencil derivatives
+the solver took of f and g. A certificate (largest grid-connected region
+around the initial node where |J| stays above tolerance with constant
+sign) realizes the construction's "some neighborhood of the initial point"
+as a computed mask.
 
 Two independent routes exist for J on the initial line: the stencil value
 and a closed-form determinant in terms of (h', k', G(u,0)); their
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, LeftRegion, NoCertifiedRegion, NoConvergence
+from .errors import BadParameter, NoCertifiedRegion
 from .fields import ScalarField2D
 
 
@@ -26,6 +25,7 @@ from .fields import ScalarField2D
 class ParamChange:
     f: ScalarField2D
     g: ScalarField2D
+    derivs: tuple  # (f_u, f_v, g_u, g_v) stencil arrays, as the solver took them
     jac: ScalarField2D
     certified: np.ndarray  # bool mask, subset of jac.mask
     orientation: int  # sign of J on the certified region
@@ -36,12 +36,9 @@ class ParamChange:
         return self.f.grid
 
 
-def jacobian(f: ScalarField2D, g: ScalarField2D) -> ScalarField2D:
-    """J = f_u g_v - f_v g_u per node from the fields' own stencils."""
-    fu = f.d_u().values
-    fv = f.d_v().values
-    gu = g.d_u().values
-    gv = g.d_v().values
+def jacobian(f: ScalarField2D, g: ScalarField2D, derivs) -> ScalarField2D:
+    """J = f_u g_v - f_v g_u per node from derivs = (f_u, f_v, g_u, g_v)."""
+    fu, fv, gu, gv = derivs
     jac = fu * gv - fv * gu
     mask = f.mask & g.mask & np.isfinite(jac)
     return ScalarField2D(f.grid, jac, mask=mask)
@@ -103,58 +100,8 @@ def build_param_change(f_report, g_report, jac_tol: float = 1e-8) -> ParamChange
     grid = f.grid
     j0 = grid.row_index_of_v(0.0)
     i0 = grid.nu // 2
-    jac = jacobian(f, g)
+    derivs = (f_report.d_u, f_report.d_v, g_report.d_u, g_report.d_v)
+    jac = jacobian(f, g, derivs)
     certified, orientation = certify_invertible(jac, jac_tol, (i0, j0))
-    return ParamChange(f=f, g=g, jac=jac, certified=certified,
+    return ParamChange(f=f, g=g, derivs=derivs, jac=jac, certified=certified,
                        orientation=orientation, init_node=(i0, j0))
-
-
-def invert(pc: ParamChange, target, seed, tol: float = 1e-10, max_iter: int = 50):
-    """Solve (f, g)(p) = target by Newton iteration from seed.
-
-    Fields are interpolated bilinearly; the Newton matrix is the analytic
-    Jacobian of the bilinear surrogate inside the current cell. Iterates
-    must stay inside the certified region.
-    """
-    u_t, v_t = float(target[0]), float(target[1])
-    p = np.array([float(seed[0]), float(seed[1])])
-    grid = pc.grid
-
-    def certified_at(q):
-        su = (q[0] - grid.u0) / grid.du
-        sv = (q[1] - grid.v0) / grid.dv
-        i = int(np.clip(np.floor(su), 0, grid.nu - 2))
-        j = int(np.clip(np.floor(sv), 0, grid.nv - 2))
-        inside = 0 <= su <= grid.nu - 1 and 0 <= sv <= grid.nv - 1
-        cell_ok = pc.certified[i : i + 2, j : j + 2].all()
-        return inside and cell_ok, (i, j, su - i, sv - j)
-
-    for _ in range(max_iter):
-        ok, (i, j, au, av) = certified_at(p)
-        if not ok:
-            raise LeftRegion(f"Newton iterate left the certified region at {tuple(p)}")
-        fv = pc.f.values
-        gv = pc.g.values
-
-        def bil(w):
-            c00, c10 = w[i, j], w[i + 1, j]
-            c01, c11 = w[i, j + 1], w[i + 1, j + 1]
-            val = (c00 * (1 - au) * (1 - av) + c10 * au * (1 - av)
-                   + c01 * (1 - au) * av + c11 * au * av)
-            d_u = ((c10 - c00) * (1 - av) + (c11 - c01) * av) / grid.du
-            d_v = ((c01 - c00) * (1 - au) + (c11 - c10) * au) / grid.dv
-            return val, d_u, d_v
-
-        fval, fu, fvv = bil(fv)
-        gval, gu, gvv = bil(gv)
-        r = np.array([fval - u_t, gval - v_t])
-        if abs(r[0]) + abs(r[1]) < tol:
-            return float(p[0]), float(p[1])
-        det = fu * gvv - fvv * gu
-        if det == 0.0:
-            raise NoConvergence("singular Newton matrix")
-        step = np.array([(gvv * r[0] - fvv * r[1]) / det,
-                         (-gu * r[0] + fu * r[1]) / det])
-        p = p - step
-
-    raise NoConvergence(f"no convergence after {max_iter} iterations")

@@ -60,8 +60,7 @@ def pullback_curvature(g_unbarred: ScalarField2D, pc: ParamChange) -> ScalarFiel
     d/du = (g_v d/dubar - g_u d/dvbar) / J, entirely on the solve grid.
     """
     grid = g_unbarred.grid
-    gu = pc.g.d_u().values
-    gv = pc.g.d_v().values
+    _, _, gu, gv = pc.derivs
     jac = pc.jac.values
 
     vals = g_unbarred.values

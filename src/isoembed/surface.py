@@ -3,9 +3,12 @@
 The lift places a plane chart at height equal to its second parameter:
 X(u, v) = (x(u, v), y(u, v), v). Its induced first fundamental form is
 then E = 1, F = 0, G = G0 + 1, so EG - F^2 >= 1 and the lift is always an
-immersion. A composite surface re-parametrizes any surface through a
-certified parameter change by bilinear interpolation of positions; its
-metric is taken by finite differences on the new parameter grid.
+immersion. lift_metric forms that metric from the chart's one differencing
+(plane.chart_differences) and the stencils of the height v, which depends
+on v alone; the lifted surface is never differenced again. A composite
+surface re-parametrizes any surface through a certified parameter change
+by bilinear interpolation of positions; its metric is taken by finite
+differences on the new parameter grid (induced_metric).
 
 embed_planar places the chart at height zero instead (induced metric
 (1, 0, G0)); it is the control surface for identity-change checks.
@@ -13,11 +16,11 @@ embed_planar places the chart at height zero instead (induced metric
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ImageOutsideChart, IoFailure
+from .errors import BadParameter, ImageOutsideChart, IoFailure
 from .fields import Grid2D, ScalarField2D
 from .plane import PlaneChart
 from .reparam import ParamChange
@@ -51,6 +54,31 @@ def lift(chart: PlaneChart) -> EmbeddedSurface:
     return EmbeddedSurface(grid=grid, position=pos,
                            mask=np.ones((grid.nu, grid.nv), dtype=bool),
                            provenance="lifted", chart=chart)
+
+
+def lift_metric(chart: PlaneChart, diffs) -> tuple:
+    """(E, F, G) fields of lift(chart) from diffs = chart_differences(chart).
+
+    The height z = v has the same stencils on every u-row but the two edge
+    rows, where z_u is a one-sided stencil of a u-constant and need not
+    round to 0; so z_u and z_v are taken on a 3-row slab and broadcast
+    over u. The result equals induced_metric(lift(chart)) to the bit.
+    """
+    xu, yu, xv, yv = diffs
+    grid = chart.grid
+    slab = ScalarField2D(replace(grid, nu=3), np.broadcast_to(grid.v_coords, (3, grid.nv)))
+    zu = np.repeat(slab.d_u().values, (1, grid.nu - 2, 1), axis=0)
+    zv = slab.d_v().values[0]
+    e = xu * xu + yu * yu + zu * zu
+    f = xu * xv + yu * yv + zu * zv
+    del zu  # a full chart-grid array: freed before g's temporaries, which set the peak
+    g = xv * xv + yv * yv + zv * zv
+    mask = np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
+    return (
+        ScalarField2D(grid, e, mask=mask),
+        ScalarField2D(grid, f, mask=mask),
+        ScalarField2D(grid, g, mask=mask),
+    )
 
 
 def embed_planar(chart: PlaneChart) -> EmbeddedSurface:
@@ -219,21 +247,26 @@ def load_obj_positions(path: str, nu: int, nv: int):
     """
     verts = []
     mask = None
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                _, x, y, z = line.split()
-                verts.append((float(x), float(y), float(z)))
-            elif line.startswith("# valid "):
-                if mask is None:
-                    mask = np.zeros((nu, nv), dtype=bool)
-                parts = line.split()
-                i = int(parts[2])
-                if i >= nu:
-                    raise ValueError(f"{path}: mask row {i} out of range for nu={nu}")
-                for run in parts[3:]:
-                    a, b = run.split(":")
-                    mask[i, int(a): int(b) + 1] = True
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if line.startswith("v "):
+                    _, x, y, z = line.split()
+                    verts.append((float(x), float(y), float(z)))
+                elif line.startswith("# valid "):
+                    if mask is None:
+                        mask = np.zeros((nu, nv), dtype=bool)
+                    parts = line.split()
+                    i = int(parts[2])
+                    if not 0 <= i < nu:
+                        raise BadParameter(f"{path}: mask row {i} out of range for nu={nu}")
+                    for run in parts[3:]:
+                        a, b = run.split(":")
+                        mask[i, int(a): int(b) + 1] = True
+    except OSError as exc:
+        raise IoFailure(f"cannot read mesh {path}: {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise BadParameter(f"{path}: malformed vertex or '# valid' line: {exc}") from None
     if len(verts) != nu * nv:
-        raise ValueError(f"{path}: expected {nu * nv} vertices, found {len(verts)}")
+        raise BadParameter(f"{path}: expected {nu * nv} vertices, found {len(verts)}")
     return np.array(verts).reshape(nu, nv, 3), mask

@@ -34,19 +34,6 @@ from .reparam import ParamChange
 RANK_REL_TOL = 1e-6
 
 
-def _deriv_arrays(pc: ParamChange):
-    cache = getattr(pc, "_deriv_cache", None)
-    if cache is None:
-        cache = (
-            pc.f.d_u().values,
-            pc.f.d_v().values,
-            pc.g.d_u().values,
-            pc.g.d_v().values,
-        )
-        pc._deriv_cache = cache
-    return cache
-
-
 @dataclass
 class SystemS:
     node: tuple  # (i, j) grid indices
@@ -63,7 +50,7 @@ def assemble(pc: ParamChange, metric: GeodesicMetric2D, node) -> SystemS:
     i, j = node
     if not pc.certified[i, j]:
         raise UncertifiedNode(f"node {node} is outside the certified region")
-    fu, fv, gu, gv = (a[i, j] for a in _deriv_arrays(pc))
+    fu, fv, gu, gv = (a[i, j] for a in pc.derivs)
     u = pc.grid.u_coords[i]
     v = pc.grid.v_coords[j]
     gbar = float(metric.eval(u, v))
@@ -145,7 +132,7 @@ class SystemReport:
 def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport:
     """Vectorized assemble + rank check + solve at every certified node."""
     grid = pc.grid
-    fu, fv, gu, gv = _deriv_arrays(pc)
+    fu, fv, gu, gv = pc.derivs
     U, V = grid.meshgrid()
     gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from isoembed.config import RunConfig
-from isoembed.fields import Grid2D
+from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.initial import make_initial
 from isoembed.ivp import solve_f, solve_g
 from isoembed.metric import make_metric
 from isoembed.pipeline import run_pipeline
-from isoembed.reparam import build_param_change
+from isoembed.reparam import ParamChange, build_param_change, jacobian
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,6 +27,21 @@ def run_cli(args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "isoembed", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def param_change_of(grid, f_fn=lambda u, v: u, g_fn=lambda u, v: v):
+    """Hand-built change (u, v) = (f_fn, g_fn)(ubar, vbar) on `grid`, the
+    identity by default, certified wherever J is valid.
+
+    Its stencil derivatives are taken here, as solve_f and solve_g take
+    them for a solved change.
+    """
+    f = ScalarField2D.from_function(grid, f_fn)
+    g = ScalarField2D.from_function(grid, g_fn)
+    derivs = (f.d_u().values, f.d_v().values, g.d_u().values, g.d_v().values)
+    jac = jacobian(f, g, derivs)
+    return ParamChange(f=f, g=g, derivs=derivs, jac=jac, certified=jac.mask.copy(),
+                       orientation=1, init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
 
 
 @pytest.fixture(scope="session")

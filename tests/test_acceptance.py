@@ -9,16 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import interior_of, run_cli
+from conftest import interior_of, param_change_of, run_cli
 from isoembed.config import RunConfig
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D
 from isoembed.initial import make_initial
 from isoembed.ivp import c2_defect_scan, solve_f, solve_g
 from isoembed.metric import curvature_field, make_metric
 from isoembed.pipeline import run_pipeline
 from isoembed.plane import build_chart, make_base_curve, s0_residuals
 from isoembed.report import isometry_residual
-from isoembed.reparam import ParamChange, jacobian, jacobian_initial_closed_form
+from isoembed.reparam import jacobian_initial_closed_form
 from isoembed.surface import compose, embed_planar, induced_metric, lift
 from isoembed.system_s import from_derivatives, augmented_det_residual, solve_system_grid
 
@@ -161,12 +161,7 @@ def test_c06_chart_and_lift():
 def test_c07_identity_change_control():
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 201, 201))
     surface = embed_planar(chart)
-    grid = chart.grid
-    f = ScalarField2D.from_function(grid, lambda u, v: u)
-    g = ScalarField2D.from_function(grid, lambda u, v: v)
-    jac = jacobian(f, g)
-    pc = ParamChange(f=f, g=g, jac=jac, certified=jac.mask.copy(), orientation=1,
-                     init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
+    pc = param_change_of(chart.grid)
     comp = compose(surface, pc)
     iso = isometry_residual(comp, make_metric("flat"))
     sup = max(iso.sups())

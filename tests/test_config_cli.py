@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -24,6 +25,11 @@ def test_grid_must_fit_metric_domain():
         RunConfig(u_half=0.7).validate()
 
 
+def test_chart_grid_count_below_three_rejected():
+    with pytest.raises(BadParameter, match="grid counts must be at least 3"):
+        RunConfig(chart_n_v=1).validate()
+
+
 def test_even_row_count_rejected():
     with pytest.raises(BadParameter):
         RunConfig(n_v=200).validate()
@@ -31,11 +37,13 @@ def test_even_row_count_rejected():
 
 @pytest.mark.parametrize("name", ["metric_u_half", "metric_v_half", "epsilon", "delta",
                                   "u_half", "v_half", "n_u", "n_v", "chart_n_u",
-                                  "chart_n_v"])
+                                  "chart_n_v"]
+                         + [f.name for f in dataclasses.fields(Tolerances)
+                            if f.name != "gate_isometry"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_numbers_rejected(name, value):
     cfg = RunConfig()
-    setattr(cfg, name, value)
+    setattr(cfg.tolerances if hasattr(cfg.tolerances, name) else cfg, name, value)
     with pytest.raises(BadParameter, match=f"{name} must be a finite number"):
         cfg.validate()
 
@@ -174,6 +182,45 @@ def test_cli_verify_wrong_size_fields(cli_run, tmp_path):
     assert out.returncode == 1
     assert re.search(r"^error: .*: rows do not form a complete 2x2 grid$", out.stderr, re.M), \
         out.stderr
+
+
+# a 3x3 fields table (f = ubar, g = vbar) and its mesh, valid for `verify`
+_FIELDS_3X3 = "ubar,vbar,f,g\n" + "".join(f"{u},{v},{u},{v}\n"
+                                           for u in range(3) for v in range(3))
+_MESH_3X3 = "".join(f"v {u} {v} 0\n" for u in range(3) for v in range(3))
+_VERIFY = ["verify", "mesh.obj", "--metric", "flat", "--fields", "fields.csv"]
+
+
+@pytest.mark.parametrize("files, args, message", [
+    ({"bad.cfg": "[metric\nname = flat\n"}, ["run", "--config", "bad.cfg"],
+     "bad.cfg: not a valid config file"),
+    ({"bad.cfg": "[tolerances]\ns0_tol = abc\n"}, ["run", "--config", "bad.cfg"],
+     "bad.cfg: bad value for tolerances.s0_tol: abc"),
+    ({}, ["run", "--s0-tol", "nan"], "s0_tol must be a finite number"),
+    ({"fields.csv": _FIELDS_3X3.replace("0,1,0,1", "0,1,x,1"), "mesh.obj": _MESH_3X3},
+     _VERIFY, "fields.csv: could not convert string to float: 'x'"),
+    ({"fields.csv": _FIELDS_3X3.replace("0,1,0,1", "0,1,0"), "mesh.obj": _MESH_3X3},
+     _VERIFY, "fields.csv: every row needs 4 cells"),
+    ({"mesh.obj": _MESH_3X3}, _VERIFY, "cannot read fields fields.csv"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": _MESH_3X3.replace("v 1 1 0", "v 1 1")},
+     _VERIFY, "mesh.obj: malformed vertex or '# valid' line"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": "# valid \n" + _MESH_3X3},
+     _VERIFY, "mesh.obj: malformed vertex or '# valid' line"),
+    ({"fields.csv": _FIELDS_3X3}, _VERIFY, "cannot read mesh mesh.obj"),
+    ({"afile": ""}, ["run", "--grid-n", "41", "--n-v", "41", "--chart-n", "41",
+                     "--out-dir", "afile/out"], "cannot create output directory afile/out"),
+], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
+        "fields_cell_not_a_number", "fields_row_short", "fields_missing",
+        "mesh_vertex_malformed", "mesh_valid_line_without_row", "mesh_missing",
+        "out_dir_under_a_file"])
+def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = run_cli(args, cwd=tmp_path)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: "), out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_gated_verify(cli_run):

@@ -183,3 +183,11 @@ def test_metric_csv_errors(tmp_path):
     p3.write_text("\n".join(rows) + "\n")
     with pytest.raises(NonPositiveMetric):
         load_metric_csv(str(p3))
+    p4 = tmp_path / "text.csv"
+    p4.write_text("ubar,vbar,G\n0,0,one\n")
+    with pytest.raises(BadParameter, match="malformed metric row"):
+        load_metric_csv(str(p4))
+    p5 = tmp_path / "empty.csv"
+    p5.write_text("")
+    with pytest.raises(IoFailure, match="expected header"):
+        load_metric_csv(str(p5))

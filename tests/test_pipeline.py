@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from isoembed import fields
 from isoembed.config import RunConfig
 from isoembed.errors import NonPositiveMetric
 from isoembed.pipeline import chart_grid_for, run_pipeline
@@ -116,3 +119,21 @@ def test_downsample_surface(flat_run):
 def test_masked_count_matches_certificate(flat_run):
     total = flat_run.grid.nu * flat_run.grid.nv
     assert flat_run.report.masked_count == total - flat_run.pc.certified.sum()
+
+
+def test_each_sampled_field_is_differenced_once(monkeypatch):
+    # the solver owns the stencils of f and g (4 one-sided passes on the
+    # 201x201 solve grid; the other 6 are the composite's metric) and one
+    # differencing of the 401x401 chart serves its checks and the lift
+    passes = Counter()
+    first_derivative = fields._masked_first_derivative
+
+    def counted(values, mask, h, axis, one_sided=True):
+        passes[values.shape, one_sided] += 1
+        return first_derivative(values, mask, h, axis, one_sided=one_sided)
+
+    monkeypatch.setattr(fields, "_masked_first_derivative", counted)
+    run_pipeline(RunConfig())
+    assert sum(n for (shape, _), n in passes.items() if shape == (401, 401)) == 4
+    assert passes[(201, 201), True] == 10
+

@@ -191,6 +191,13 @@ def test_polyline_errors(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(IoFailure):
         load_polyline_curve(str(p))
+    for rows in ("0,1\n", "0,1,y\n"):
+        p.write_text("v,x,y\n" + rows)
+        with pytest.raises(BadParameter, match="malformed polyline row"):
+            load_polyline_curve(str(p))
+    p.write_text("")
+    with pytest.raises(IoFailure, match="expected header"):
+        load_polyline_curve(str(p))
 
 
 @settings(max_examples=20, deadline=None)

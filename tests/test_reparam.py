@@ -1,42 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from isoembed.errors import (
-    BadParameter,
-    LeftRegion,
-    NoCertifiedRegion,
-    NoConvergence,
-)
+from conftest import param_change_of
+from isoembed.errors import BadParameter, NoCertifiedRegion
 from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.initial import make_initial
-from isoembed.ivp import solve_f, solve_g
-from isoembed.metric import make_metric
-from isoembed.reparam import (
-    build_param_change,
-    certify_invertible,
-    invert,
-    jacobian,
-    jacobian_initial_closed_form,
-)
+from isoembed.reparam import certify_invertible, jacobian, jacobian_initial_closed_form
 
 EPS = 0.1
 J_FLAT = 0.1 / np.sqrt(0.99)  # delta / sqrt(1 - eps^2) = 0.1005037815...
 
 
-def _identity_fields(grid):
-    f = ScalarField2D.from_function(grid, lambda u, v: u)
-    g = ScalarField2D.from_function(grid, lambda u, v: v)
-    return f, g
-
-
 def test_jacobian_identity_and_swap():
-    grid = Grid2D.centered(0.1, 0.1, 21, 21)
-    f, g = _identity_fields(grid)
-    jac = jacobian(f, g)
-    assert np.allclose(jac.values[jac.mask], 1.0, atol=1e-12)
-    jac2 = jacobian(g, f)
+    pc = param_change_of(Grid2D.centered(0.1, 0.1, 21, 21))
+    assert np.allclose(pc.jac.values[pc.jac.mask], 1.0, atol=1e-12)
+    fu, fv, gu, gv = pc.derivs
+    jac2 = jacobian(pc.g, pc.f, (gu, gv, fu, fv))
     assert np.allclose(jac2.values[jac2.mask], -1.0, atol=1e-12)
 
 
@@ -103,56 +82,6 @@ def test_certify_clips_before_sign_change():
     U, _ = grid.meshgrid()
     assert not mask[U >= 0.05].any()
     assert mask[U <= 0.0495 - 1e-4].all()
-
-
-def test_invert_roundtrip_at_nodes(flat_run):
-    pc = flat_run.pc
-    grid = flat_run.grid
-    tol = 1e-10
-    for (i, j) in [(100, 100), (60, 140), (150, 40), (30, 100)]:
-        assert pc.certified[i, j]
-        target = (pc.f.values[i, j], pc.g.values[i, j])
-        seed = (grid.u_coords[i] + 3.7e-4, grid.v_coords[j] - 2.2e-4)
-        p = invert(pc, target, seed, tol=tol)
-        assert abs(p[0] - grid.u_coords[i]) + abs(p[1] - grid.v_coords[j]) < 10 * tol
-
-
-def test_invert_derived_target_matches_linear_solve():
-    # preimage of (0, 0.01) sits outside the default certified box, so use
-    # a wider u-range; the oracle is the 2x2 linear solve of the closed form
-    grid = Grid2D.centered(0.12, 0.012, 241, 25)
-    metric = make_metric("flat")
-    init = make_initial("linear_ramp", EPS, EPS)
-    fr = solve_f(metric, init, grid)
-    gr = solve_g(metric, fr, init, grid)
-    pc = build_param_change(fr, gr)
-    lam = EPS / np.sqrt(1 - EPS**2)
-    m = np.array([[EPS, -np.sqrt(1 - EPS**2)], [EPS, EPS * lam]])
-    oracle = np.linalg.solve(m, [0.0, 0.01])
-    p = invert(pc, (0.0, 0.01), (0.0, 0.0))
-    assert abs(p[0] - oracle[0]) + abs(p[1] - oracle[1]) < 1e-9
-    # residual contract
-    fval, _ = pc.f.interp(np.array([p[0]]), np.array([p[1]]))
-    gval, _ = pc.g.interp(np.array([p[0]]), np.array([p[1]]))
-    assert abs(fval[0] - 0.0) + abs(gval[0] - 0.01) < 1e-10
-
-
-def test_invert_far_target_fails(flat_run):
-    pc = flat_run.pc
-    with pytest.raises((NoConvergence, LeftRegion)):
-        invert(pc, (5.0, 5.0), (0.0, 0.0), max_iter=8)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(40, 160), st.integers(40, 160))
-def test_invert_roundtrip_property(flat_run, i, j):
-    pc = flat_run.pc
-    grid = flat_run.grid
-    if not pc.certified[i, j]:
-        return
-    target = (pc.f.values[i, j], pc.g.values[i, j])
-    p = invert(pc, target, (grid.u_coords[i], grid.v_coords[j]), tol=1e-10)
-    assert abs(p[0] - grid.u_coords[i]) + abs(p[1] - grid.v_coords[j]) < 1e-9
 
 
 def test_orientation_positive_with_positive_slopes(flat_run, cos2_solved_full):

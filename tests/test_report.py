@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import param_change_of
 from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.metric import make_metric
 from isoembed.plane import build_chart, make_base_curve
@@ -18,16 +19,7 @@ from isoembed.report import (
     isometry_residual,
     write_report,
 )
-from isoembed.reparam import ParamChange, jacobian
 from isoembed.surface import compose, embed_planar
-
-
-def identity_pc(grid):
-    f = ScalarField2D.from_function(grid, lambda u, v: u)
-    g = ScalarField2D.from_function(grid, lambda u, v: v)
-    jac = jacobian(f, g)
-    return ParamChange(f=f, g=g, jac=jac, certified=jac.mask.copy(), orientation=1,
-                       init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
 
 
 def test_identity_control_triple_is_tiny():
@@ -35,7 +27,7 @@ def test_identity_control_triple_is_tiny():
     # metric: the residual triple vanishes to rounding
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
     s = embed_planar(chart)
-    pc = identity_pc(chart.grid)
+    pc = param_change_of(chart.grid)
     comp = compose(s, pc)
     iso = isometry_residual(comp, make_metric("flat"))
     sups = iso.sups()
@@ -45,7 +37,7 @@ def test_identity_control_triple_is_tiny():
 def test_wrong_metric_detected():
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
     s = embed_planar(chart)
-    pc = identity_pc(chart.grid)
+    pc = param_change_of(chart.grid)
     comp = compose(s, pc)
     iso = isometry_residual(comp, make_metric("cos2"))
     # G residual ~ sup|cos^2(u) - 1| ~ u_max^2 over the box
@@ -81,11 +73,8 @@ def test_curvature_match_flat_synthetic():
     grid = Grid2D.centered(0.1, 0.1, 101, 101)
     eps = 0.1
     lam = eps / np.sqrt(1 - eps**2)
-    f = ScalarField2D.from_function(grid, lambda u, v: eps * u - np.sqrt(1 - eps**2) * v)
-    g = ScalarField2D.from_function(grid, lambda u, v: eps * (u + lam * v))
-    jac = jacobian(f, g)
-    pc = ParamChange(f=f, g=g, jac=jac, certified=jac.mask.copy(), orientation=1,
-                     init_node=(50, 50))
+    pc = param_change_of(grid, lambda u, v: eps * u - np.sqrt(1 - eps**2) * v,
+                         lambda u, v: eps * (u + lam * v))
     g_c = ScalarField2D.constant(grid, 99.0)
     sup, fld = curvature_match(make_metric("flat"), g_c, pc)
     assert sup < 1e-6

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from isoembed.errors import ImageOutsideChart
+from conftest import param_change_of
+from isoembed.errors import BadParameter, ImageOutsideChart
 from isoembed.fields import Grid2D, ScalarField2D
-from isoembed.plane import build_chart, make_base_curve
-from isoembed.reparam import ParamChange, jacobian
+from isoembed.plane import build_chart, chart_differences, make_base_curve
 from isoembed.surface import (
     compose,
     embed_planar,
     export_obj,
     induced_metric,
     lift,
+    lift_metric,
     load_obj_positions,
     regularity_check,
 )
@@ -18,14 +19,6 @@ from isoembed.surface import (
 
 def line_chart(n=81, u_half=0.1, v_half=0.2):
     return build_chart(make_base_curve("line"), Grid2D.centered(u_half, v_half, n, n))
-
-
-def identity_pc(grid):
-    f = ScalarField2D.from_function(grid, lambda u, v: u)
-    g = ScalarField2D.from_function(grid, lambda u, v: v)
-    jac = jacobian(f, g)
-    return ParamChange(f=f, g=g, jac=jac, certified=jac.mask.copy(), orientation=1,
-                       init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
 
 
 def test_lift_of_line_chart_is_tilted_plane():
@@ -61,6 +54,18 @@ def test_lift_identity_and_regularity():
     assert regularity_check(e, f, g).sum() == e.mask.sum()
 
 
+@pytest.mark.parametrize("spec", ["line", "circle:2", "kinked:1"])
+def test_lift_metric_from_chart_differences_matches_differenced_lift(spec):
+    # the one-pass route must reproduce the differenced lift to the bit,
+    # one-sided edge rows included (z_u there is a rounded stencil of a
+    # u-constant, not a literal 0)
+    chart = build_chart(make_base_curve(spec), Grid2D.centered(0.1, 0.2, 41, 57))
+    for got, want in zip(lift_metric(chart, chart_differences(chart)),
+                         induced_metric(lift(chart))):
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.values, want.values)
+
+
 def test_planar_embedding_metric():
     chart = line_chart()
     s = embed_planar(chart)
@@ -73,7 +78,7 @@ def test_planar_embedding_metric():
 def test_compose_identity_is_bit_exact():
     chart = line_chart()
     s = lift(chart)
-    pc = identity_pc(chart.grid)
+    pc = param_change_of(chart.grid)
     comp = compose(s, pc)
     sel = comp.mask
     assert sel.sum() > 0
@@ -84,7 +89,7 @@ def test_compose_outside_chart_raises():
     chart = line_chart(u_half=0.05, v_half=0.05)
     s = lift(chart)
     big = Grid2D.centered(0.2, 0.2, 21, 21)
-    pc = identity_pc(big)
+    pc = param_change_of(big)
     with pytest.raises(ImageOutsideChart) as err:
         compose(s, pc)
     assert err.value.nodes
@@ -129,5 +134,7 @@ def test_obj_vertex_count_mismatch(tmp_path):
     s = lift(chart)
     p = tmp_path / "s.obj"
     export_obj(s, str(p))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         load_obj_positions(str(p), 14, 15)
+    with pytest.raises(BadParameter, match="expected 210 vertices, found 225"):
+        load_obj_positions(str(p), 15, 14)

@@ -133,6 +133,29 @@ def test_grid_solve_theorem_identities(fixture_name, request):
     assert np.nanmax(np.where(interior, rel, np.nan)) < 1e-6
 
 
+@pytest.mark.parametrize("fixture_name", ["flat_run", "cos2_solved_full"])
+def test_grid_solve_matches_the_per_node_oracle(fixture_name, request):
+    # the scalar path (assemble, solve_for_EG, rank_checks, ...) is the
+    # reference the batched solve is checked against, node by node
+    art = request.getfixturevalue(fixture_name)
+    if fixture_name == "flat_run":
+        pc, metric = art.pc, art.metric
+    else:
+        metric, _, _, _, _, pc = art
+    sr = solve_system_grid(pc, metric)
+    nodes = np.argwhere(sr.mask)[::97]
+    assert len(nodes) > 100
+    for i, j in nodes:
+        s = assemble(pc, metric, (i, j))
+        e_val, g_val = solve_for_EG(s)
+        assert sr.e_val.values[i, j] == pytest.approx(e_val, rel=1e-12)
+        assert sr.g_val.values[i, j] == pytest.approx(g_val, rel=1e-12)
+        assert sr.g_closed.values[i, j] == pytest.approx(closed_form_G(s), rel=1e-12)
+        assert (sr.rank_coeff.values[i, j], sr.rank_aug.values[i, j]) == rank_checks(s)
+        assert sr.aug_det.values[i, j] == pytest.approx(augmented_det_residual(s),
+                                                        rel=1e-6, abs=1e-15)
+
+
 def test_grid_solve_g_positive(flat_run):
     sr = solve_system_grid(flat_run.pc, flat_run.metric)
     assert np.nanmin(sr.g_val.values[sr.mask]) > 0.0
