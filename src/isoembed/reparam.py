@@ -4,7 +4,12 @@ The Jacobian J = f_u g_v - f_v g_u is formed from the stencil derivatives
 the solver took of f and g. A certificate (largest grid-connected region
 around the initial node where |J| stays above tolerance with constant
 sign) realizes the construction's "some neighborhood of the initial point"
-as a computed mask.
+as a computed mask. It is found by run sweeps: the runs of admissible
+nodes along each row, then along each column, are labelled once with a
+cumulative sum over their starts, and a run joins the region as a whole
+when any of its nodes is in it. Row and column sweeps alternate until a
+pair adds no node, which yields the 4-connected component of the seed in
+a few O(N) passes.
 
 Two independent routes exist for J on the initial line: the stencil value
 and a closed-form determinant in terms of (h', k', G(u,0)); their
@@ -78,19 +83,31 @@ def certify_invertible(jac: ScalarField2D, tol: float, seed_node) -> tuple:
     orientation = 1 if vals[i0, j0] > 0 else -1
     ok &= np.sign(vals) == orientation
 
-    # vectorized flood fill: repeated dilation restricted to `ok`
+    rows, cols = _run_labels(ok), _run_labels(ok.T)
     region = np.zeros_like(ok)
     region[i0, j0] = True
-    frontier = region.copy()
-    while frontier.any():
-        grown = np.zeros_like(ok)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        frontier = grown & ok & ~region
-        region |= frontier
-    return region, orientation
+    count = 1
+    while True:
+        region = _join_runs(rows, ok, region)
+        region = _join_runs(cols, ok.T, region.T).T
+        grown = int(np.count_nonzero(region))
+        if grown == count:
+            return np.ascontiguousarray(region), orientation
+        count = grown
+
+
+def _run_labels(ok):
+    """Label per node: the index of its run of `ok` along the last axis."""
+    starts = ok.copy()
+    starts[:, 1:] &= ~ok[:, :-1]
+    return np.cumsum(starts.ravel()).reshape(ok.shape)
+
+
+def _join_runs(labels, ok, region):
+    """`region` grown by every run of `ok` that meets it."""
+    hit = np.zeros(int(labels[-1, -1]) + 1, dtype=bool)
+    hit[labels[region]] = True
+    return ok & hit[labels]
 
 
 def build_param_change(f_report, g_report, jac_tol: float = 1e-8) -> ParamChange:

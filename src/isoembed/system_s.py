@@ -13,6 +13,22 @@ same metric across the change. The solve picks the two rows with the
 largest 2x2 minor, solves exactly, and keeps the third row as a residual.
 The third row also yields the closed form G = (Gbar - f_v^2)/g_v^2, an
 independent route that must agree with the solved G.
+
+The grid solve takes its ranks from singular-value invariants instead of
+an SVD. For a 3x2 matrix with S = sum of squared entries and P = sum of
+its three squared 2x2 minors (Cauchy-Binet: P = sigma1^2 sigma2^2),
+
+    sigma1^2 = (S + sqrt(S^2 - 4P)) / 2,   sigma2^2 = 2P / (S + sqrt(S^2 - 4P)),
+
+the second being the stable root. The augmented 3x3 matrix takes S_a and
+P_a from its entries and all nine 2x2 minors the same way, then
+sigma3^2 = det^2 / P_a. As P_a = sigma1^2 sigma2^2 + sigma3^2 (sigma1^2 +
+sigma2^2), these are exact up to O(sigma3^2) terms, negligible where the
+rank 2/3 verdict is decided (sigma3 near 1e-6 sigma1). The scalar
+`rank_checks` keeps the SVD and is the oracle these ranks are tested
+against. The grid's `aug_det` stays `np.linalg.det` (LU): a cofactor
+determinant differs from it by up to 3.5e-7 relative, which would change
+the written bytes.
 """
 
 from __future__ import annotations
@@ -30,8 +46,13 @@ from .reparam import ParamChange
 # augmented matrix of a marched solution carries a third singular value of
 # the order of the PDE discretization residual (~1e-8 at default
 # resolution), so the threshold is tied to the solver tolerance rather
-# than machine precision.
+# than machine precision. The grid solve compares squared singular values
+# from the invariants (S, P, det; see the module docstring) against
+# RANK_REL_TOL**2 * sigma1^2, so its entries must stay within about
+# 1e+-75 for the squares to neither overflow nor underflow.
 RANK_REL_TOL = 1e-6
+
+_ROW_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass
@@ -87,17 +108,16 @@ def _svd_rank(mat, tol):
 
 def solve_for_EG(s: SystemS) -> tuple:
     """(E, G) from the two rows with the largest 2x2 minor."""
-    pairs = ((0, 1), (0, 2), (1, 2))
     minors = [
         s.coeff[a, 0] * s.coeff[b, 1] - s.coeff[a, 1] * s.coeff[b, 0]
-        for a, b in pairs
+        for a, b in _ROW_PAIRS
     ]
     k = int(np.argmax(np.abs(minors)))
     m = minors[k]
     scale = np.abs(s.coeff).max()
     if scale <= 0.0 or abs(m) <= RANK_REL_TOL * scale * scale:
         raise RankDeficient(f"all 2x2 minors vanish at node {s.node}")
-    a, b = pairs[k]
+    a, b = _ROW_PAIRS[k]
     e_val = (s.rhs[a] * s.coeff[b, 1] - s.rhs[b] * s.coeff[a, 1]) / m
     g_val = (s.coeff[a, 0] * s.rhs[b] - s.coeff[b, 0] * s.rhs[a]) / m
     return float(e_val), float(g_val)
@@ -106,6 +126,42 @@ def solve_for_EG(s: SystemS) -> tuple:
 def closed_form_G(s: SystemS) -> float:
     """G from the third row alone with E fixed to 1: (Gbar - f_v^2)/g_v^2."""
     return float((s.rhs[2] - s.coeff[2, 0]) / s.coeff[2, 1])
+
+
+def _minor_squares(x, y):
+    """Sum over the three row pairs of the squared 2x2 minors of the
+    columns x, y (each (N, 3))."""
+    return sum((x[:, a] * y[:, b] - x[:, b] * y[:, a]) ** 2 for a, b in _ROW_PAIRS)
+
+
+def _top_sv_squares(s, p):
+    """(sigma1^2, sigma2^2) from S = sum of squares and P = sum of squared
+    2x2 minors, with the stable root for the smaller one."""
+    root = s + np.sqrt(np.maximum(s * s - 4.0 * p, 0.0))
+    return 0.5 * root, np.divide(2.0 * p, root, out=np.zeros_like(root), where=root > 0.0)
+
+
+def _count_above(big, *rest):
+    """1 for big > 0, plus one per square in rest above RANK_REL_TOL^2 * big."""
+    rank = (big > 0.0).astype(np.int64)
+    thr = RANK_REL_TOL * RANK_REL_TOL * big
+    for sq in rest:
+        rank += sq > thr
+    return rank
+
+
+def _invariant_ranks(aug, det):
+    """(rank of coefficient, rank of augmented) for a stack aug (N, 3, 3)
+    of augmented matrices with determinants det, without an SVD."""
+    a, b, r = aug[:, :, 0], aug[:, :, 1], aug[:, :, 2]
+    s = (a * a + b * b).sum(axis=1)
+    p = _minor_squares(a, b)
+    rank_c = _count_above(*_top_sv_squares(s, p))
+    s_a = s + (r * r).sum(axis=1)
+    p_a = p + _minor_squares(a, r) + _minor_squares(b, r)
+    sv1, sv2 = _top_sv_squares(s_a, p_a)
+    sv3 = np.divide(det * det, p_a, out=np.zeros_like(p_a), where=p_a > 0.0)
+    return rank_c, _count_above(sv1, sv2, sv3)
 
 
 @dataclass
@@ -176,32 +232,19 @@ def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport
     res1 = np.abs(e_val * A1 + g_val * B1 - r1)
     res2 = np.abs(e_val * A2 + g_val * B2 - r2)
 
-    # batched determinants and SVD ranks on the certified nodes
+    # determinants (LU) and invariant ranks on the certified nodes
     aug_det = np.full_like(gbar, np.nan)
     rank_c = np.full_like(gbar, np.nan)
     rank_a = np.full_like(gbar, np.nan)
     idx = np.flatnonzero(mask.ravel())
     if idx.size:
-        coeff = np.empty((idx.size, 3, 2))
-        coeff[:, 0, 0] = A0.ravel()[idx]
-        coeff[:, 0, 1] = B0.ravel()[idx]
-        coeff[:, 1, 0] = A1.ravel()[idx]
-        coeff[:, 1, 1] = B1.ravel()[idx]
-        coeff[:, 2, 0] = A2.ravel()[idx]
-        coeff[:, 2, 1] = B2.ravel()[idx]
-        rhs = np.stack(
-            [r0.ravel()[idx], r1.ravel()[idx], r2.ravel()[idx]], axis=1
-        )
-        aug = np.concatenate([coeff, rhs[:, :, None]], axis=2)
+        aug = np.empty((idx.size, 3, 3))
+        for row, cells in enumerate(((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))):
+            for col, cell in enumerate(cells):
+                aug[:, row, col] = cell.ravel()[idx]
         det = np.linalg.det(aug)
-        sv_c = np.linalg.svd(coeff, compute_uv=False)
-        sv_a = np.linalg.svd(aug, compute_uv=False)
-        rc = np.sum(sv_c > RANK_REL_TOL * sv_c[:, :1], axis=1)
-        ra_ = np.sum(sv_a > RANK_REL_TOL * sv_a[:, :1], axis=1)
-        flat = aug_det.ravel()
-        flat[idx] = det
-        rank_c.ravel()[idx] = rc
-        rank_a.ravel()[idx] = ra_
+        aug_det.ravel()[idx] = det
+        rank_c.ravel()[idx], rank_a.ravel()[idx] = _invariant_ranks(aug, det)
 
     def fld(arr):
         return ScalarField2D(grid, np.where(mask, arr, np.nan), mask=mask & np.isfinite(arr))

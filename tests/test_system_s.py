@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import interior_of
+from isoembed.config import RunConfig
 from isoembed.errors import RankDeficient, UncertifiedNode
+from isoembed.pipeline import run_pipeline
 from isoembed.system_s import (
+    RANK_REL_TOL,
+    _invariant_ranks,
     assemble,
     augmented_det_residual,
     closed_form_G,
@@ -170,3 +174,116 @@ def test_cos2_g_value_on_initial_row(cos2_solved_full):
     sel = sr.mask[:, j0]
     vals = sr.g_val.values[sel, j0]
     assert np.allclose(vals, 99.0, atol=1e-3)
+
+
+def invariant_ranks(systems):
+    """The grid solve's closed-form ranks of each system, as it takes them."""
+    aug = np.stack([s.augmented for s in systems])
+    rank_c, rank_a = _invariant_ranks(aug, np.linalg.det(aug))
+    return list(zip(rank_c.tolist(), rank_a.tolist()))
+
+
+def tuned(make, which, k, factor):
+    """Derivatives make(t) whose system has singular value k of its `which`
+    matrix at factor * RANK_REL_TOL of the largest; the ratio is linear in
+    small t."""
+    def ratio(t):
+        sv = np.linalg.svd(getattr(from_derivatives(*make(t)), which), compute_uv=False)
+        return sv[k] / sv[0]
+    t = 1e-3 * factor * RANK_REL_TOL / ratio(1e-3)
+    assert ratio(t) == pytest.approx(factor * RANK_REL_TOL, rel=0.02)
+    return make(t)
+
+
+def near_threshold_derivatives():
+    """(f_u, f_v, g_u, g_v, Gbar) per case."""
+    flat = (EPS, -SQ, EPS, EPS * LAM)
+    cases = {}
+    for factor in (0.5, 2.0):
+        # coefficient columns nearly parallel: g almost proportional to f
+        cases[f"coeff_sv2_{factor}"] = tuned(
+            lambda t: (1.0, 0.3, 1.0, 0.3 + t, 1.0), "coeff", 1, factor)
+        # augmented nearly rank 1: both columns nearly along the rhs (1, 0, 0)
+        cases[f"aug_sv2_{factor}"] = tuned(
+            lambda t: (1.0, 0.0, 1.0, t, 0.0), "augmented", 1, factor)
+        # consistent flat system with Gbar corrupted by t
+        cases[f"aug_sv3_{factor}"] = tuned(
+            lambda t: (*flat, 1.0 + t), "augmented", 2, factor)
+    cases["coeff_rank1"] = (1.0, 0.3, 2.0, 0.6, 1.0)
+    cases["zero"] = (0.0, 0.0, 0.0, 0.0, 1.0)
+    cases["aug_rank3"] = (*flat, 2.0)
+    cases["flat_exact"] = (*flat, 1.0)
+    cases["identity"] = (1.0, 0.0, 0.0, 1.0, 1.0)
+    return cases
+
+
+def test_invariant_ranks_match_the_svd_oracle_near_the_threshold():
+    cases = {name: from_derivatives(*d) for name, d in near_threshold_derivatives().items()}
+    got = dict(zip(cases, invariant_ranks(cases.values())))
+    assert got == {name: rank_checks(s) for name, s in cases.items()}
+    # each case sits on the side of the threshold it was built for
+    assert got["coeff_sv2_0.5"][0] == 1 and got["coeff_sv2_2.0"][0] == 2
+    assert got["aug_sv2_0.5"][1] == 1 and got["aug_sv2_2.0"][1] == 2
+    assert got["aug_sv3_0.5"][1] == 2 and got["aug_sv3_2.0"][1] == 3
+    assert got["coeff_rank1"] == (1, 2)
+    assert got["zero"] == (0, 1)
+    assert got["aug_rank3"] == (2, 3)
+
+
+@pytest.mark.parametrize("col0, col1", [(1e6, 1.0), (1.0, 1e-6), (1e-6, 1e-6),
+                                        (1e6, 1e6), (1e-6, 1e6)])
+def test_invariant_ranks_match_the_svd_oracle_on_scaled_columns(col0, col1):
+    # scaling f by sqrt(col0) scales the first coefficient column by col0
+    r0, r1 = np.sqrt(col0), np.sqrt(col1)
+    systems = [from_derivatives(r0 * fu, r0 * fv, r1 * gu, r1 * gv, gbar)
+               for fu, fv, gu, gv, gbar in near_threshold_derivatives().values()]
+    assert invariant_ranks(systems) == [rank_checks(s) for s in systems]
+
+
+def batched_svd_ranks(pc, metric, mask):
+    """Ranks of every masked node's coefficient and augmented matrices by a
+    batched SVD, assembled here from the derivatives and the metric."""
+    fu, fv, gu, gv = (d[mask] for d in pc.derivs)
+    U, V = pc.grid.meshgrid()
+    gbar = metric.g_fn(U, V) * np.ones_like(U)
+    aug = np.stack([
+        np.stack([fu * fu, gu * gu, np.ones_like(fu)], axis=1),
+        np.stack([fu * fv, gu * gv, np.zeros_like(fu)], axis=1),
+        np.stack([fv * fv, gv * gv, gbar[mask]], axis=1),
+    ], axis=1)
+
+    def rank(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return np.sum(sv > RANK_REL_TOL * sv[:, :1], axis=1)
+    return rank(aug[:, :, :2]), rank(aug)
+
+
+@pytest.mark.parametrize("case", ["flat_run", "cos2_solved_full", "delta_1e6"])
+def test_grid_ranks_equal_batched_svd_ranks_on_every_node(case, request):
+    if case == "cos2_solved_full":
+        metric, _, _, _, _, pc = request.getfixturevalue(case)
+    else:
+        run = (request.getfixturevalue(case) if case == "flat_run"
+               else run_pipeline(RunConfig(delta=1e6)))
+        pc, metric = run.pc, run.metric
+    sr = solve_system_grid(pc, metric)
+    rank_c, rank_a = batched_svd_ranks(pc, metric, sr.mask)
+    assert sr.mask.sum() > 30000
+    np.testing.assert_array_equal(sr.rank_coeff.values[sr.mask], rank_c)
+    np.testing.assert_array_equal(sr.rank_aug.values[sr.mask], rank_a)
+    if case == "delta_1e6":
+        # the unequilibrated columns differ by ~1e12, so both ranks read 1
+        # on every node: a false rank deficiency that the SVD shares
+        assert (rank_c == 1).all() and (rank_a == 1).all()
+
+
+def test_grid_solve_calls_no_svd(cos2_solved_full, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    metric, _, _, _, _, pc = cos2_solved_full
+    sr = solve_system_grid(pc, metric)
+    assert (sr.rank_coeff.values[sr.mask] == 2).all()
+    # the scalar oracle keeps its SVD
+    with pytest.raises(AssertionError, match="svd called"):
+        rank_checks(identity_system())
