@@ -15,8 +15,6 @@ from .metric import (
     GeodesicMetric2D,
     Rect,
     curvature_field,
-    eval_metric,
-    gauss_curvature_geodesic,
     make_metric,
     validate_metric,
 )

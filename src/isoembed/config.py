@@ -76,6 +76,8 @@ class RunConfig:
             raise BadParameter(f"delta must be positive: {self.delta}")
         if min(self.n_u, self.n_v, self.chart_n_u, self.chart_n_v) < 3:
             raise BadParameter("grid counts must be at least 3")
+        if min(self.chart_n_u, self.chart_n_v) < 5:
+            raise BadParameter("chart grid counts must be at least 5 (4th-order chart stencils)")
         if self.u_half <= 0 or self.v_half <= 0:
             raise BadParameter("grid half-widths must be positive")
         if self.u_half > self.metric_u_half or self.v_half > self.metric_v_half:

@@ -7,6 +7,12 @@ interior and fall back to 2nd-order one-sided stencils wherever a
 neighbor is missing (grid edge or masked node). Nodes with no usable
 stencil return NaN rather than a degraded estimate.
 
+Fully valid arrays whose derivatives feed tight identity checks (the
+planar chart and its lift) are differenced with 4th-order stencils by
+first_derivative_4: 5-point central in the interior and 4th-order
+one-sided on the two edge rows at each end (Fornberg, Math. Comp. 51,
+1988).
+
 Index convention: values[i, j] samples (u_i, v_j), i.e. axis 0 is the
 u direction and axis 1 the v direction.
 """
@@ -153,6 +159,26 @@ def _masked_first_derivative(values, mask, h, axis, one_sided=True):
         out = np.where(ok_f, fwd, out)
     out = np.where(ok_c, central, out)
     return out
+
+
+def first_derivative_4(values, h, axis):
+    """4th-order first derivative along axis of a fully valid array.
+
+    Interior nodes take the 5-point central stencil; the two edge rows at
+    each end take the 4th-order stencils over the five samples nearest
+    that end.
+    """
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    if v.shape[0] < 5:
+        raise GridTooSmall("4th-order differences need at least 5 samples")
+    h12 = 12.0 * h
+    out = np.empty(v.shape)
+    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / h12
+    out[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / h12
+    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / h12
+    out[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / h12
+    out[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / h12
+    return np.moveaxis(out, 0, axis)
 
 
 def _masked_second_derivative(values, mask, h, axis):

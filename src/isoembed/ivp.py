@@ -64,10 +64,12 @@ def slope_to_lambda(fu, guard=1e-6):
 
 
 def lambda_field(fu_field: ScalarField2D, guard=1e-6) -> ScalarField2D:
-    """Characteristic-slope field from a sampled f_u field.
+    """Characteristic-slope field from a sampled f_u field (a test oracle).
 
     Raises BranchViolation if f_u <= 0 on a valid node; nodes with
-    f_u >= 1 - guard are masked (validity loss, not fatal).
+    f_u >= 1 - guard are masked (validity loss, not fatal). The solver
+    converts slopes row by row with slope_to_lambda and never calls this;
+    tests use it to pin that conversion and its branch rule on whole fields.
     """
     vals = fu_field.values
     valid = fu_field.mask & np.isfinite(vals)

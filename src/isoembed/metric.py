@@ -84,12 +84,6 @@ class GeodesicMetric2D:
         return self.curvature_fn is not None
 
 
-def eval_metric(m: GeodesicMetric2D, p):
-    """G at a single point p = (u, v)."""
-    u, v = p
-    return float(m.eval(float(u), float(v)))
-
-
 # Registry entries carry sqrt(G) derivatives so the analytic curvature is
 # computed as the actual ratio -(sqrt G)'' / sqrt G, not a stored constant.
 _REGISTRY = {
@@ -208,17 +202,6 @@ def curvature_field(m: GeodesicMetric2D, grid: Grid2D, method="auto") -> ScalarF
         U, V = grid.meshgrid()
         return ScalarField2D(grid, np.asarray(m.curvature_fn(U, V), dtype=float) * np.ones_like(U))
     return curvature_from_samples(m.sample(grid))
-
-
-def gauss_curvature_geodesic(g, grid: Grid2D = None, method="auto") -> ScalarField2D:
-    """Curvature of a geodesic-form metric given as a field or metric object."""
-    if isinstance(g, ScalarField2D):
-        return curvature_from_samples(g)
-    if isinstance(g, GeodesicMetric2D):
-        if grid is None:
-            raise ValueError("grid required when passing a metric object")
-        return curvature_field(g, grid, method=method)
-    raise TypeError("expected ScalarField2D or GeodesicMetric2D")
 
 
 @dataclass(frozen=True)

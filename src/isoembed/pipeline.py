@@ -23,7 +23,6 @@ from .initial import make_initial
 from .ivp import SolveOptions, c2_defect_scan, solve_f, solve_g
 from .metric import Rect, curvature_field, make_metric, validate_metric
 from .plane import (
-    ChartProfile,
     build_chart,
     chart_differences,
     chart_jacobian_min,
@@ -42,7 +41,7 @@ from .report import (
     write_system_csv,
 )
 from .reparam import build_param_change, jacobian_initial_closed_form
-from .surface import compose, downsample_surface, export_obj, lift, lift_metric
+from .surface import compose, export_obj, lift, lift_metric
 from .system_s import solve_system_grid
 
 
@@ -97,36 +96,9 @@ def resolve_chart_source(cfg: RunConfig, pc, sys_report):
     return make_base_curve(cfg.base_curve)
 
 
-def _profile_nv_needed(source, v_lo, v_hi, u_max, v_range, lift_tol):
-    """Chart v-count that keeps the lift-identity stencil error within budget.
-
-    Bounds |d^3/dv^3 (c + u n)| from samples of the profile's speed A and
-    turning angle theta, then sizes dv so the 2nd-order stencil truncation
-    2 |x_v| dv^2/6 * S3 stays a factor 8 under the gate.
-    """
-    vs = np.linspace(v_lo, v_hi, 2001)
-    a = np.asarray(source.speed(vs), dtype=float) * np.ones_like(vs)
-    th = np.asarray(source.theta(vs), dtype=float) * np.ones_like(vs)
-    a1 = np.gradient(a, vs)
-    a2 = np.gradient(a1, vs)
-    t1 = np.gradient(th, vs)
-    t2 = np.gradient(t1, vs)
-    t3 = np.gradient(t2, vs)
-    c3 = np.abs(a2) + 2 * np.abs(a1 * t1) + np.abs(a * t2) + np.abs(a * t1**2)
-    n3 = np.abs(t3) + 3 * np.abs(t1 * t2) + np.abs(t1) ** 3
-    s3 = float(np.max(c3 + u_max * n3))
-    xv_max = float(np.max(a + u_max * np.abs(np.asarray(source.slope(vs)))))
-    if s3 <= 0 or xv_max <= 0:
-        return 0
-    dv_needed = np.sqrt(lift_tol * 6.0 / (8.0 * 2.0 * xv_max * s3))
-    return int(np.ceil(v_range / dv_needed)) + 1
-
-
-def chart_grid_for(pc, cfg: RunConfig, source=None) -> Grid2D:
-    """Chart rectangle: bounding box of the certified image plus 10% margin.
-
-    For fitted profiles the v-resolution is raised as needed to resolve the
-    profile's own curvature at the lift-identity tolerance.
+def chart_grid_for(pc, cfg: RunConfig) -> Grid2D:
+    """Chart rectangle: bounding box of the certified image plus 10% margin,
+    sampled by the configured chart_n_u x chart_n_v lines.
     """
     sel = pc.certified
     u_img = pc.f.values[sel]
@@ -138,11 +110,6 @@ def chart_grid_for(pc, cfg: RunConfig, source=None) -> Grid2D:
     pad_u = 0.1 * du if du > 0 else 1e-6
     pad_v = 0.1 * dv if dv > 0 else 1e-6
     nu, nv = cfg.chart_n_u, cfg.chart_n_v
-    if isinstance(source, ChartProfile):
-        u_max_abs = max(abs(u_lo - pad_u), abs(u_hi + pad_u))
-        needed = _profile_nv_needed(source, v_lo - pad_v, v_hi + pad_v, u_max_abs,
-                                    dv + 2 * pad_v, cfg.tolerances.lift_tol)
-        nv = int(min(max(nv, needed), 8001))
     return Grid2D(
         u0=u_lo - pad_u, v0=v_lo - pad_v,
         du=(du + 2 * pad_u) / (nu - 1), dv=(dv + 2 * pad_v) / (nv - 1),
@@ -185,7 +152,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     interior = _interior_mask(sys_report.mask, grid)
 
     source = resolve_chart_source(cfg, pc, sys_report)
-    cgrid = chart_grid_for(pc, cfg, source)
+    cgrid = chart_grid_for(pc, cfg)
     chart = build_chart(source, cgrid)
     # the stencil checks and the lift's metric share one differencing of the
     # chart grid, released before the analytic check allocates its own
@@ -361,10 +328,6 @@ def write_outputs(result: PipelineResult):
         write_system_csv(os.path.join(cfg.out_dir, cfg.system_csv),
                          result.grid, result.sys_report)
     if cfg.mesh_out:
-        # the lifted surface may live on an auto-refined chart grid; cap the
-        # exported mesh at the configured chart resolution
-        lifted_mesh = downsample_surface(result.lifted,
-                                         max(cfg.chart_n_u, cfg.chart_n_v))
-        export_obj(lifted_mesh, os.path.join(cfg.out_dir, cfg.mesh_out + "_lifted.obj"))
+        export_obj(result.lifted, os.path.join(cfg.out_dir, cfg.mesh_out + "_lifted.obj"))
         export_obj(result.composite, os.path.join(cfg.out_dir, cfg.mesh_out + "_composite.obj"))
     return json_path, csv_path

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, FocalPoint, IoFailure
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D, ScalarField2D, first_derivative_4
 
 # Gauss-Legendre nodes/weights (5-point) on [-1, 1] for position quadrature
 _GL_X = np.array([
@@ -65,11 +65,6 @@ class BaseCurve:
 
     def slope(self, v):
         return -np.asarray(self.curvature(v), dtype=float)
-
-    def check_unit_speed(self, vs, tol=1e-8):
-        tx, ty = self.tangent(np.asarray(vs, dtype=float))
-        speed = np.hypot(tx, ty)
-        return float(np.max(np.abs(speed - 1.0))) <= tol
 
 
 def _radius(spec: str) -> float:
@@ -322,9 +317,11 @@ def build_chart(source, grid: Grid2D) -> PlaneChart:
 
 
 def chart_differences(chart: PlaneChart) -> tuple:
-    """(x_u, y_u, x_v, y_v): stencil derivatives of the sampled chart fields."""
-    return (chart.x.d_u().values, chart.y.d_u().values,
-            chart.x.d_v().values, chart.y.d_v().values)
+    """(x_u, y_u, x_v, y_v): 4th-order stencil derivatives of the chart fields."""
+    g = chart.grid
+    x, y = chart.x.values, chart.y.values
+    return (first_derivative_4(x, g.du, 0), first_derivative_4(y, g.du, 0),
+            first_derivative_4(x, g.dv, 1), first_derivative_4(y, g.dv, 1))
 
 
 def s0_residuals(chart: PlaneChart, derivatives: str = "numeric", diffs=None) -> tuple:

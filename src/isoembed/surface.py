@@ -3,12 +3,13 @@
 The lift places a plane chart at height equal to its second parameter:
 X(u, v) = (x(u, v), y(u, v), v). Its induced first fundamental form is
 then E = 1, F = 0, G = G0 + 1, so EG - F^2 >= 1 and the lift is always an
-immersion. lift_metric forms that metric from the chart's one differencing
-(plane.chart_differences) and the stencils of the height v, which depends
-on v alone; the lifted surface is never differenced again. A composite
-surface re-parametrizes any surface through a certified parameter change
-by bilinear interpolation of positions; its metric is taken by finite
-differences on the new parameter grid (induced_metric).
+immersion. lift_metric forms that metric from the chart's one 4th-order
+differencing (plane.chart_differences) and the same stencils of the
+height v, which depends on v alone; the lifted surface is never
+differenced again. A composite surface re-parametrizes any surface
+through a certified parameter change by bilinear interpolation of
+positions; its metric is taken by 2nd-order finite differences on the new
+parameter grid (induced_metric).
 
 embed_planar places the chart at height zero instead (induced metric
 (1, 0, G0)); it is the control surface for identity-change checks.
@@ -16,12 +17,12 @@ embed_planar places the chart at height zero instead (induced metric
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, ImageOutsideChart, IoFailure
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D, ScalarField2D, first_derivative_4
 from .plane import PlaneChart
 from .reparam import ParamChange
 
@@ -59,16 +60,17 @@ def lift(chart: PlaneChart) -> EmbeddedSurface:
 def lift_metric(chart: PlaneChart, diffs) -> tuple:
     """(E, F, G) fields of lift(chart) from diffs = chart_differences(chart).
 
-    The height z = v has the same stencils on every u-row but the two edge
-    rows, where z_u is a one-sided stencil of a u-constant and need not
-    round to 0; so z_u and z_v are taken on a 3-row slab and broadcast
-    over u. The result equals induced_metric(lift(chart)) to the bit.
+    The height z = v has the same 4th-order stencils on every u-row but
+    the two edge rows at each end, where z_u is a one-sided stencil of a
+    u-constant and need not round to 0; so z_u is taken on a 5-row slab and
+    broadcast over u, and z_v on the v-coordinates once. The result equals
+    first_derivative_4 applied to lift(chart)'s three coordinates, to the bit.
     """
     xu, yu, xv, yv = diffs
     grid = chart.grid
-    slab = ScalarField2D(replace(grid, nu=3), np.broadcast_to(grid.v_coords, (3, grid.nv)))
-    zu = np.repeat(slab.d_u().values, (1, grid.nu - 2, 1), axis=0)
-    zv = slab.d_v().values[0]
+    slab = np.broadcast_to(grid.v_coords, (5, grid.nv))
+    zu = np.repeat(first_derivative_4(slab, grid.du, 0), (1, 1, grid.nu - 4, 1, 1), axis=0)
+    zv = first_derivative_4(grid.v_coords, grid.dv, 0)
     e = xu * xu + yu * yu + zu * zu
     f = xu * xv + yu * yv + zu * zv
     del zu  # a full chart-grid array: freed before g's temporaries, which set the peak
@@ -149,27 +151,13 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
 
 def regularity_check(e: ScalarField2D, f: ScalarField2D, g: ScalarField2D,
                      tol: float = 0.0) -> np.ndarray:
-    """Mask of nodes where EG - F^2 > tol."""
+    """Mask of nodes where EG - F^2 > tol (a test oracle).
+
+    The pipeline takes min(EG - F^2) for its lift_regular verdict instead;
+    tests check that verdict against this node-wise mask.
+    """
     det = e.values * g.values - f.values**2
     return e.mask & f.mask & g.mask & np.isfinite(det) & (det > tol)
-
-
-def downsample_surface(surface: EmbeddedSurface, max_per_axis: int) -> EmbeddedSurface:
-    """Strided view capping each grid axis at max_per_axis nodes.
-
-    Export-quality reduction only; solver-facing surfaces are never strided.
-    """
-    g = surface.grid
-    su = max(1, -(-(g.nu - 1) // (max_per_axis - 1)))
-    sv = max(1, -(-(g.nv - 1) // (max_per_axis - 1)))
-    if su == 1 and sv == 1:
-        return surface
-    pos = surface.position[::su, ::sv]
-    mask = surface.mask[::su, ::sv]
-    grid = Grid2D(u0=g.u0, v0=g.v0, du=g.du * su, dv=g.dv * sv,
-                  nu=pos.shape[0], nv=pos.shape[1])
-    return EmbeddedSurface(grid=grid, position=pos, mask=mask,
-                           provenance=surface.provenance, chart=surface.chart)
 
 
 def _mask_runs(row):

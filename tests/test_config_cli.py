@@ -30,6 +30,14 @@ def test_chart_grid_count_below_three_rejected():
         RunConfig(chart_n_v=1).validate()
 
 
+@pytest.mark.parametrize("key", ["chart_n_u", "chart_n_v"])
+def test_chart_grid_count_below_five_rejected(key):
+    # the chart's 4th-order stencils span five lines
+    with pytest.raises(BadParameter, match="chart grid counts must be at least 5"):
+        RunConfig(**{key: 4}).validate()
+    RunConfig(**{key: 5}).validate()
+
+
 def test_even_row_count_rejected():
     with pytest.raises(BadParameter):
         RunConfig(n_v=200).validate()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoembed.errors import GridTooSmall
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 
 
 def test_grid_validation():
@@ -35,6 +35,23 @@ def test_derivatives_exact_on_quadratics():
     assert np.allclose(dv, -1.5 + U, atol=1e-12)
     duu = fld.d_uu().values
     assert np.allclose(duu, 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_fourth_order_stencil_exact_on_quartics(axis):
+    # every stencil row, central and one-sided, differentiates a degree-4
+    # polynomial exactly; a wrong coefficient anywhere breaks this
+    g = Grid2D.centered(1.0, 0.5, 9, 13)
+    U, V = g.meshgrid()
+    s, h = (U, g.du) if axis == 0 else (V, g.dv)
+    p = 0.7 - 1.3 * s + 0.4 * s**2 + 2.1 * s**3 - 0.9 * s**4
+    dp = -1.3 + 0.8 * s + 6.3 * s**2 - 3.6 * s**3
+    assert np.max(np.abs(first_derivative_4(p + U * V, h, axis) - (dp + (V, U)[axis]))) < 1e-12
+
+
+def test_fourth_order_stencil_needs_five_samples():
+    with pytest.raises(GridTooSmall):
+        first_derivative_4(np.zeros((4, 9)), 0.1, 0)
 
 
 def test_masked_derivative_falls_back_one_sided():

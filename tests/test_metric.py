@@ -8,8 +8,6 @@ from isoembed.metric import (
     Rect,
     curvature_field,
     curvature_from_samples,
-    eval_metric,
-    gauss_curvature_geodesic,
     load_metric_csv,
     make_metric,
     validate_metric,
@@ -18,26 +16,26 @@ from isoembed.metric import (
 
 def test_eval_registry_values():
     cos2 = make_metric("cos2", domain=Rect(-1.0, 1.0, -1.0, 1.0))
-    assert eval_metric(cos2, (0.0, 0.0)) == 1.0
+    assert cos2.eval(0.0, 0.0) == 1.0
     # direct evaluation cos^2(pi/6) = 3/4
-    assert eval_metric(cos2, (np.pi / 6, 0.3)) == pytest.approx(0.75, abs=1e-15)
+    assert cos2.eval(np.pi / 6, 0.3) == pytest.approx(0.75, abs=1e-15)
     flat = make_metric("flat")
-    assert eval_metric(flat, (0.123, -0.4)) == 1.0
+    assert flat.eval(0.123, -0.4) == 1.0
     exp = make_metric("exp")
-    assert eval_metric(exp, (0.1, 0.0)) == pytest.approx(np.exp(0.2), rel=1e-15)
+    assert exp.eval(0.1, 0.0) == pytest.approx(np.exp(0.2), rel=1e-15)
 
 
 def test_eval_is_pure():
     cos2 = make_metric("cos2")
-    a = eval_metric(cos2, (0.07, 0.01))
-    b = eval_metric(cos2, (0.07, 0.01))
+    a = cos2.eval(0.07, 0.01)
+    b = cos2.eval(0.07, 0.01)
     assert a == b  # bit-identical
 
 
 def test_eval_out_of_domain():
     m = make_metric("cos2")
     with pytest.raises(OutOfDomain):
-        eval_metric(m, (0.7, 0.0))
+        m.eval(0.7, 0.0)
 
 
 def test_eval_nonpositive():
@@ -94,12 +92,12 @@ def test_curvature_flat_is_zero_fd():
 def test_gauss_curvature_entry_points():
     grid = Grid2D.centered(0.1, 0.1, 51, 51)
     m = make_metric("cos2")
-    k1 = gauss_curvature_geodesic(m, grid)
+    k1 = curvature_field(m, grid)
     assert np.allclose(k1.values, 1.0, atol=1e-12)
-    k2 = gauss_curvature_geodesic(m.sample(grid))
+    k2 = curvature_from_samples(m.sample(grid))
     assert np.nanmax(np.abs(k2.values - 1.0)) < 1e-4
-    with pytest.raises(TypeError):
-        gauss_curvature_geodesic("cos2")
+    with pytest.raises(ValueError, match="unknown curvature method"):
+        curvature_field(m, grid, method="spectral")
 
 
 def test_curvature_rejects_nonpositive_samples():

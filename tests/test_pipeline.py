@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isoembed import fields
-from isoembed.config import RunConfig
+from isoembed import fields, plane, surface
+from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
 from isoembed.pipeline import chart_grid_for, run_pipeline
-from isoembed.surface import downsample_surface
+from isoembed.plane import chart_differences
+from isoembed.surface import lift_metric, regularity_check
 
 
 def test_flat_run_passes_everything(flat_run):
@@ -104,16 +105,41 @@ def test_chart_grid_covers_certified_image(flat_run):
     assert grid.v0 < v_img.min() and grid.v_max > v_img.max()
 
 
-def test_downsample_surface(flat_run):
-    s = flat_run.composite
-    small = downsample_surface(s, 51)
-    assert small.grid.nu <= 51 and small.grid.nv <= 51
-    assert small.position.shape[:2] == (small.grid.nu, small.grid.nv)
-    # corners of the strided view coincide with the original nodes
-    assert np.array_equal(small.position[0, 0], s.position[0, 0])
-    assert small.grid.u0 == s.grid.u0
-    # stride 1 is a no-op
-    assert downsample_surface(s, 10_000) is s
+def test_example_cos2_chart_is_the_configured_grid():
+    # the fitted profile of the shipped example is differenced on the
+    # configured chart grid itself: no refinement, and the lift identity
+    # still holds at lift_tol
+    cfg = example_cos2_config()
+    res = run_pipeline(cfg)
+    grid = chart_grid_for(res.pc, cfg)
+    assert (grid.nu, grid.nv) == (cfg.chart_n_u, cfg.chart_n_v) == (401, 401)
+    assert res.chart.grid == grid
+    assert res.report.verdicts["lift_identity"]
+    assert res.report.residuals["lift_identity"].sup < 1e-3 * cfg.tolerances.lift_tol
+
+
+@pytest.mark.parametrize("metric", ["cos2", "exp"])
+def test_isometry_e_is_the_compatibility_gap(metric):
+    # E of the composite is f_u^2 + g_u^2 (G0 + 1) at the image node, while
+    # the solved system has f_u^2 + g_u^2 G = 1; so |E - 1| = g_u^2 |dG| up
+    # to the chart's interpolation and stencil error, which must stay a
+    # negligible share of the gated E residual
+    res = run_pipeline(RunConfig(metric=metric, v_half=0.03))
+    gu = res.pc.derivs[2]
+    shared = res.iso.e_res.mask & res.dg.mask
+    e_sup = np.max(res.iso.e_res.values[shared])
+    gap_sup = np.max((res.dg.values * gu**2)[shared])
+    assert e_sup == pytest.approx(gap_sup, rel=1e-3)
+    assert res.report.residuals["isometry_e"].sup == e_sup
+
+
+@pytest.mark.parametrize("run", ["flat_run", "cos2_run"])
+def test_lift_regular_matches_the_node_mask(run, request):
+    res = request.getfixturevalue(run)
+    e, f, g = lift_metric(res.chart, chart_differences(res.chart))
+    assert res.report.meta["lift_eg_f2_min"] == np.min(e.values * g.values - f.values**2)
+    regular = regularity_check(e, f, g, tol=1.0 - 1e-9)
+    assert res.report.verdicts["lift_regular"] == bool(regular.all())
 
 
 def test_masked_count_matches_certificate(flat_run):
@@ -124,16 +150,25 @@ def test_masked_count_matches_certificate(flat_run):
 def test_each_sampled_field_is_differenced_once(monkeypatch):
     # the solver owns the stencils of f and g (4 one-sided passes on the
     # 201x201 solve grid; the other 6 are the composite's metric) and one
-    # differencing of the 401x401 chart serves its checks and the lift
+    # 4th-order differencing of the 401x401 chart serves its checks and the
+    # lift
     passes = Counter()
+    chart_passes = Counter()
     first_derivative = fields._masked_first_derivative
+    first_derivative_4 = fields.first_derivative_4
 
     def counted(values, mask, h, axis, one_sided=True):
         passes[values.shape, one_sided] += 1
         return first_derivative(values, mask, h, axis, one_sided=one_sided)
 
-    monkeypatch.setattr(fields, "_masked_first_derivative", counted)
-    run_pipeline(RunConfig())
-    assert sum(n for (shape, _), n in passes.items() if shape == (401, 401)) == 4
-    assert passes[(201, 201), True] == 10
+    def counted_4(values, h, axis):
+        chart_passes[np.shape(values)] += 1
+        return first_derivative_4(values, h, axis)
 
+    monkeypatch.setattr(fields, "_masked_first_derivative", counted)
+    for module in (plane, surface):
+        monkeypatch.setattr(module, "first_derivative_4", counted_4)
+    run_pipeline(RunConfig())
+    assert chart_passes[401, 401] == 4
+    assert not any(shape == (401, 401) for shape, _ in passes)
+    assert passes[(201, 201), True] == 10

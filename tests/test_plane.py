@@ -9,6 +9,7 @@ from isoembed.plane import (
     BaseCurve,
     ChartProfile,
     build_chart,
+    chart_differences,
     chart_jacobian_min,
     fit_chart_profile,
     load_polyline_curve,
@@ -30,6 +31,35 @@ def test_line_chart_is_canonical():
     assert np.allclose(chart.g0.values, 1.0, atol=1e-14)
     r = s0_residuals(chart, derivatives="numeric")
     assert max(r) < 1e-10
+
+
+def closed_form_differences(chart):
+    """(x_u, y_u, x_v, y_v) from the generator, as s0_residuals' analytic route."""
+    src = chart.source
+    vs = chart.grid.v_coords
+    tx, ty = src.tangent(vs)
+    ruling = src.speed(vs) + chart.grid.u_coords[:, None] * src.slope(vs)
+    return -ty, tx, ruling * tx, ruling * ty
+
+
+@pytest.mark.parametrize("source", [
+    make_base_curve("circle:2"),
+    ChartProfile(a_coeffs=np.array([1.0, 0.3, -0.2]), b_coeffs=np.array([-0.5, 0.8, 0.4])),
+], ids=["circle:2", "profile"])
+def test_chart_stencils_are_fourth_order(source):
+    # halving dv must cut the stencil error of (x_v, y_v) against the closed
+    # form by 2^4, on interior v-lines and on the two one-sided lines at each
+    # end alike; u-lines are straight, so (x_u, y_u) are exact to rounding
+    errs = []
+    for nv in (21, 41, 81):
+        chart = build_chart(source, Grid2D.centered(0.1, 0.5, 9, nv))
+        got = chart_differences(chart)
+        want = closed_form_differences(chart)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], want[:2])) < 1e-13
+        err = np.maximum(np.abs(got[2] - want[2]), np.abs(got[3] - want[3])).max(axis=0)
+        errs.append((err[2:-2].max(), err[[0, 1, -2, -1]].max()))
+    order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((order >= 3.7) & (order <= 4.3)), order
 
 
 def test_circle_chart_g0():
@@ -57,7 +87,7 @@ def test_unit_speed_and_curvature_sign():
     for spec, kappa in (("line", 0.0), ("circle:2", 0.5), ("kinked:1", None)):
         curve = make_base_curve(spec)
         vs = np.linspace(-0.2, 0.2, 41)
-        assert curve.check_unit_speed(vs)
+        assert np.allclose(np.hypot(*curve.tangent(vs)), 1.0, rtol=0, atol=1e-8)
         if kappa is not None:
             assert np.allclose(curve.curvature(vs), kappa)
     # counterclockwise circles carry positive curvature
@@ -178,7 +208,7 @@ def test_polyline_curve(tmp_path):
             fh.write(f"{tt:.17g},{xx:.17g},{yy:.17g}\n")
     curve = load_polyline_curve(str(p))
     vs = np.linspace(-0.3, 0.3, 21)
-    assert curve.check_unit_speed(vs, tol=1e-6)
+    assert np.allclose(np.hypot(*curve.tangent(vs)), 1.0, rtol=0, atol=1e-6)
     # curvature of the radius-2 circle
     assert np.allclose(curve.curvature(vs), 0.5, atol=1e-3)
     chart = build_chart(curve, chart_grid(u_half=0.05, v_half=0.25, n=61))

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import param_change_of
 from isoembed.errors import BadParameter, ImageOutsideChart
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 from isoembed.plane import build_chart, chart_differences, make_base_curve
 from isoembed.surface import (
     compose,
@@ -56,14 +56,27 @@ def test_lift_identity_and_regularity():
 
 @pytest.mark.parametrize("spec", ["line", "circle:2", "kinked:1"])
 def test_lift_metric_from_chart_differences_matches_differenced_lift(spec):
-    # the one-pass route must reproduce the differenced lift to the bit,
-    # one-sided edge rows included (z_u there is a rounded stencil of a
-    # u-constant, not a literal 0)
+    # the one-pass route must reproduce the 4th-order stencils of the lift's
+    # three coordinates to the bit, one-sided edge rows included (z_u there
+    # is a rounded stencil of a u-constant, not a literal 0)
     chart = build_chart(make_base_curve(spec), Grid2D.centered(0.1, 0.2, 41, 57))
-    for got, want in zip(lift_metric(chart, chart_differences(chart)),
-                         induced_metric(lift(chart))):
-        assert np.array_equal(got.mask, want.mask)
-        assert np.array_equal(got.values, want.values)
+    grid = chart.grid
+    pos = lift(chart).position
+    xu, yu, zu = (first_derivative_4(pos[:, :, k], grid.du, 0) for k in range(3))
+    xv, yv, zv = (first_derivative_4(pos[:, :, k], grid.dv, 1) for k in range(3))
+    want = (xu * xu + yu * yu + zu * zu, xu * xv + yu * yv + zu * zv,
+            xv * xv + yv * yv + zv * zv)
+    got = lift_metric(chart, chart_differences(chart))
+    for fld, values in zip(got, want):
+        assert fld.mask.all()
+        assert np.array_equal(fld.values, values)
+    # and the closed form (1, 0, G0 + 1); a kinked chart's F and G are
+    # checked only on v-lines whose stencils do not reach across the kink
+    e, f, g = got
+    smooth = (np.abs(grid.v_coords) > 2.5 * grid.dv) | (chart.source.regularity == "analytic")
+    assert np.max(np.abs(e.values - 1.0)) < 1e-12
+    assert np.max(np.abs(f.values[:, smooth])) < 1e-8
+    assert np.max(np.abs(g.values - (chart.g0.values + 1.0))[:, smooth]) < 1e-8
 
 
 def test_planar_embedding_metric():
