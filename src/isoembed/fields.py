@@ -5,13 +5,14 @@ curvatures, residuals) lives on a ScalarField2D: samples on a uniform
 grid plus a validity mask. Derivatives are 2nd-order central in the
 interior and fall back to 2nd-order one-sided stencils wherever a
 neighbor is missing (grid edge or masked node). Nodes with no usable
-stencil return NaN rather than a degraded estimate.
+stencil return NaN rather than a degraded estimate. One masked kernel
+serves every mask, fully valid or not: it pads the values and the mask
+once by the stencil reach and reads each shifted sample as a view.
 
-Fully valid arrays whose derivatives feed tight identity checks (the
-planar chart and its lift) are differenced with 4th-order stencils by
-first_derivative_4: 5-point central in the interior and 4th-order
-one-sided on the two edge rows at each end (Fornberg, Math. Comp. 51,
-1988).
+The planar chart, whose derivatives feed tight identity checks, is
+differenced with 4th-order stencils by first_derivative_4: 5-point
+central in the interior and 4th-order one-sided on the two edge rows at
+each end (Fornberg, Math. Comp. 51, 1988).
 
 Index convention: values[i, j] samples (u_i, v_j), i.e. axis 0 is the
 u direction and axis 1 the v direction.
@@ -97,21 +98,26 @@ class Grid2D:
         return i
 
 
-def _shift(a, k, axis, fill):
-    """a shifted by k along axis; vacated entries take `fill`."""
-    out = np.full_like(a, fill)
-    src = [slice(None)] * a.ndim
-    dst = [slice(None)] * a.ndim
-    if k > 0:
-        src[axis] = slice(0, a.shape[axis] - k)
-        dst[axis] = slice(k, None)
-    elif k < 0:
-        src[axis] = slice(-k, None)
-        dst[axis] = slice(0, a.shape[axis] + k)
-    else:
-        return a.copy()
-    out[tuple(dst)] = a[tuple(src)]
-    return out
+def _taps(values, mask, axis, reach):
+    """Shifted samples of the values and of the mask along axis.
+
+    Returns dicts v, m with v[k], m[k] the value and validity at index + k
+    for |k| <= reach; samples past either end read NaN and False. Each is a
+    view of one array padded once by `reach` along axis. A stencil is
+    selected only where the mask holds at all of its taps, so values at
+    masked nodes never reach the result.
+    """
+    pad = [(0, 0)] * values.ndim
+    pad[axis] = (reach, reach)
+    vp = np.pad(values, pad, constant_values=np.nan)
+    mp = np.pad(mask, pad, constant_values=False)
+    n = values.shape[axis]
+    v, m = {}, {}
+    for k in range(-reach, reach + 1):
+        idx = [slice(None)] * values.ndim
+        idx[axis] = slice(reach + k, reach + k + n)
+        v[k], m[k] = vp[tuple(idx)], mp[tuple(idx)]
+    return v, m
 
 
 def _masked_first_derivative(values, mask, h, axis, one_sided=True):
@@ -121,43 +127,14 @@ def _masked_first_derivative(values, mask, h, axis, one_sided=True):
     erodes the valid set by one node per side (useful when stacking
     derivatives: no boundary-order pollution feeds the next pass).
     """
-    if mask.all():
-        # fully valid: plain slicing, no mask bookkeeping
-        v = np.moveaxis(values, axis, 0)
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        if one_sided:
-            out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-            out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        else:
-            out[0] = np.nan
-            out[-1] = np.nan
-        return np.moveaxis(out, 0, axis)
-
-    v = np.where(mask, values, np.nan)
-    m = mask
-
-    vm1 = _shift(v, 1, axis, np.nan)   # value at index-1
-    vp1 = _shift(v, -1, axis, np.nan)  # value at index+1
-    vp2 = _shift(v, -2, axis, np.nan)
-    vm2 = _shift(v, 2, axis, np.nan)
-    mm1 = _shift(m, 1, axis, False)
-    mp1 = _shift(m, -1, axis, False)
-    mp2 = _shift(m, -2, axis, False)
-    mm2 = _shift(m, 2, axis, False)
-
-    central = (vp1 - vm1) / (2.0 * h)
-    ok_c = m & mm1 & mp1
-
-    out = np.full_like(v, np.nan)
+    v, m = _taps(values, mask, axis, 2)
+    out = np.full(v[0].shape, np.nan)
     if one_sided:
-        fwd = (-3.0 * v + 4.0 * vp1 - vp2) / (2.0 * h)
-        bwd = (3.0 * v - 4.0 * vm1 + vm2) / (2.0 * h)
-        ok_f = m & mp1 & mp2
-        ok_b = m & mm1 & mm2
-        out = np.where(ok_b, bwd, out)
-        out = np.where(ok_f, fwd, out)
-    out = np.where(ok_c, central, out)
+        np.copyto(out, (3.0 * v[0] - 4.0 * v[-1] + v[-2]) / (2.0 * h),
+                  where=m[0] & m[-1] & m[-2])
+        np.copyto(out, (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
+                  where=m[0] & m[1] & m[2])
+    np.copyto(out, (v[1] - v[-1]) / (2.0 * h), where=m[0] & m[-1] & m[1])
     return out
 
 
@@ -183,44 +160,14 @@ def first_derivative_4(values, h, axis):
 
 def _masked_second_derivative(values, mask, h, axis):
     """2nd-order second derivative along axis (central / one-sided / NaN)."""
-    if mask.all():
-        v = np.moveaxis(values, axis, 0)
-        h2 = h * h
-        out = np.empty_like(v)
-        out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-        return np.moveaxis(out, 0, axis)
-
-    v = np.where(mask, values, np.nan)
-    m = mask
+    v, m = _taps(values, mask, axis, 3)
     h2 = h * h
-
-    vm1 = _shift(v, 1, axis, np.nan)
-    vp1 = _shift(v, -1, axis, np.nan)
-    vp2 = _shift(v, -2, axis, np.nan)
-    vp3 = _shift(v, -3, axis, np.nan)
-    vm2 = _shift(v, 2, axis, np.nan)
-    vm3 = _shift(v, 3, axis, np.nan)
-    mm1 = _shift(m, 1, axis, False)
-    mp1 = _shift(m, -1, axis, False)
-    mp2 = _shift(m, -2, axis, False)
-    mp3 = _shift(m, -3, axis, False)
-    mm2 = _shift(m, 2, axis, False)
-    mm3 = _shift(m, 3, axis, False)
-
-    central = (vm1 - 2.0 * v + vp1) / h2
-    fwd = (2.0 * v - 5.0 * vp1 + 4.0 * vp2 - vp3) / h2
-    bwd = (2.0 * v - 5.0 * vm1 + 4.0 * vm2 - vm3) / h2
-
-    ok_c = m & mm1 & mp1
-    ok_f = m & mp1 & mp2 & mp3
-    ok_b = m & mm1 & mm2 & mm3
-
-    out = np.full_like(v, np.nan)
-    out = np.where(ok_b, bwd, out)
-    out = np.where(ok_f, fwd, out)
-    out = np.where(ok_c, central, out)
+    out = np.full(v[0].shape, np.nan)
+    np.copyto(out, (2.0 * v[0] - 5.0 * v[-1] + 4.0 * v[-2] - v[-3]) / h2,
+              where=m[0] & m[-1] & m[-2] & m[-3])
+    np.copyto(out, (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2,
+              where=m[0] & m[1] & m[2] & m[3])
+    np.copyto(out, (v[-1] - 2.0 * v[0] + v[1]) / h2, where=m[0] & m[-1] & m[1])
     return out
 
 

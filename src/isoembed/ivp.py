@@ -92,83 +92,91 @@ def _interval_slope(row, L, R, du):
     return _interval_slope_from_seg(row[L : R + 1], du)
 
 
-def _march(grid, metric, init_row, rhs, speed_of, cfl, direction, values, mask, intervals,
-           guard_check=None, clamp=None):
-    """Advance one direction from the v = 0 row; returns substep count.
+def _march(grid, seed_row, rhs, speed_of, cfl, guard_check=None, clamp=None):
+    """Advance both directions from the v = 0 row, which holds seed_row.
 
     rhs(v, seg, L, R) -> dv-derivative of the row segment;
     speed_of(v, seg, L, R) -> max characteristic speed (for CFL + cone);
     guard_check(seg, L, R) -> per-column bool of guard violations, or None;
     clamp -> per-level column intervals the march may not exceed (used to
     keep the transport solve inside the coefficient field's support).
+    Returns (values, mask, intervals, substep count).
     """
     nu, nv = grid.nu, grid.nv
     du = grid.du
     j0 = grid.row_index_of_v(0.0)
     vs = grid.v_coords
+    values = np.full((nu, nv), np.nan)
+    mask = np.zeros((nu, nv), dtype=bool)
+    intervals = np.empty((nv, 2), dtype=int)
+    intervals[:, 0] = 1
+    intervals[:, 1] = 0
+    values[:, j0] = seed_row
+    mask[:, j0] = True
+    intervals[j0] = (0, nu - 1)
     steps = 0
 
-    L, R = 0, nu - 1
-    cone = 0.0
-    row = init_row.copy()
-    j = j0
-    while (direction > 0 and j < nv - 1) or (direction < 0 and j > 0):
-        jn = j + direction
-        v_from, v_to = vs[j], vs[jn]
-        dv_level = v_to - v_from
+    for direction in (+1, -1):
+        L, R = 0, nu - 1
+        cone = 0.0
+        row = values[:, j0].copy()
+        j = j0
+        while (direction > 0 and j < nv - 1) or (direction < 0 and j > 0):
+            jn = j + direction
+            v_from, v_to = vs[j], vs[jn]
+            dv_level = v_to - v_from
 
-        smax = speed_of(v_from, row, L, R)
-        n_sub = max(1, int(math.ceil(abs(dv_level) * smax / (cfl * du))) if smax > 0 else 1)
-        h = dv_level / n_sub
-        seg = row[L : R + 1].copy()
-        for s in range(n_sub):
-            v = v_from + s * h
-            k1 = rhs(v, seg, L, R)
-            k2 = rhs(v + 0.5 * h, seg + 0.5 * h * k1, L, R)
-            k3 = rhs(v + 0.5 * h, seg + 0.5 * h * k2, L, R)
-            k4 = rhs(v + h, seg + h * k3, L, R)
-            seg = seg + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            steps += 1
-        row = np.full(nu, np.nan)
-        row[L : R + 1] = seg
+            smax = speed_of(v_from, row, L, R)
+            n_sub = max(1, int(math.ceil(abs(dv_level) * smax / (cfl * du))) if smax > 0 else 1)
+            h = dv_level / n_sub
+            seg = row[L : R + 1].copy()
+            for s in range(n_sub):
+                v = v_from + s * h
+                k1 = rhs(v, seg, L, R)
+                k2 = rhs(v + 0.5 * h, seg + 0.5 * h * k1, L, R)
+                k3 = rhs(v + 0.5 * h, seg + 0.5 * h * k2, L, R)
+                k4 = rhs(v + h, seg + h * k3, L, R)
+                seg = seg + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                steps += 1
+            row = np.full(nu, np.nan)
+            row[L : R + 1] = seg
 
-        # lateral shrink: characteristic cone around the one-sided stencils
-        cone += abs(dv_level) * smax / du
-        cut = int(math.ceil(cone - 1e-12))
-        Ln = max(L, cut)
-        Rn = min(R, nu - 1 - cut)
-        if clamp is not None:
-            Ln = max(Ln, int(clamp[jn, 0]))
-            Rn = min(Rn, int(clamp[jn, 1]))
+            # lateral shrink: characteristic cone around the one-sided stencils
+            cone += abs(dv_level) * smax / du
+            cut = int(math.ceil(cone - 1e-12))
+            Ln = max(L, cut)
+            Rn = min(R, nu - 1 - cut)
+            if clamp is not None:
+                Ln = max(Ln, int(clamp[jn, 0]))
+                Rn = min(Rn, int(clamp[jn, 1]))
 
-        if Rn - Ln + 1 >= 3:
-            viol = ~np.isfinite(row[Ln : Rn + 1])
-            if guard_check is not None:
-                viol |= guard_check(row, Ln, Rn)
-            if viol.any():
-                i_mid = nu // 2
-                for c in np.flatnonzero(viol) + Ln:
-                    if c <= i_mid:
-                        Ln = max(Ln, c + 1)
-                    else:
-                        Rn = min(Rn, c - 1)
+            if Rn - Ln + 1 >= 3:
+                viol = ~np.isfinite(row[Ln : Rn + 1])
+                if guard_check is not None:
+                    viol |= guard_check(row, Ln, Rn)
+                if viol.any():
+                    i_mid = nu // 2
+                    for c in np.flatnonzero(viol) + Ln:
+                        if c <= i_mid:
+                            Ln = max(Ln, c + 1)
+                        else:
+                            Rn = min(Rn, c - 1)
 
-        if Rn - Ln + 1 < 3:
-            break
-        L, R = Ln, Rn
-        values[L : R + 1, jn] = row[L : R + 1]
-        mask[L : R + 1, jn] = True
-        intervals[jn] = (L, R)
-        j = jn
-    return steps
+            if Rn - Ln + 1 < 3:
+                break
+            L, R = Ln, Rn
+            values[L : R + 1, jn] = row[L : R + 1]
+            mask[L : R + 1, jn] = True
+            intervals[jn] = (L, R)
+            j = jn
+    return values, mask, intervals, steps
 
 
 def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
             opts: SolveOptions = None) -> SolveReport:
     """March f from f(u, 0) = h(u) by f_v = -sqrt(G) sqrt(1 - f_u^2)."""
     opts = opts or SolveOptions()
-    j0 = grid.row_index_of_v(0.0)
-    if j0 is None:
+    if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
     if not metric.domain.contains_grid(grid):
         raise OutOfDomain("grid does not fit inside the metric domain")
@@ -192,19 +200,8 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
         fu = _interval_slope(row, L, R, grid.du)
         return (fu >= 1.0 - guard) | (fu <= 0.0)
 
-    values = np.full((grid.nu, grid.nv), np.nan)
-    mask = np.zeros((grid.nu, grid.nv), dtype=bool)
-    intervals = np.empty((grid.nv, 2), dtype=int)
-    intervals[:, 0] = 1
-    intervals[:, 1] = 0
-    values[:, j0] = init.h(u)
-    mask[:, j0] = True
-    intervals[j0] = (0, grid.nu - 1)
-
-    steps = 0
-    for direction in (+1, -1):
-        steps += _march(grid, metric, values[:, j0], rhs, speed_of, opts.cfl, direction,
-                        values, mask, intervals, guard_check=guard_check)
+    values, mask, intervals, steps = _march(grid, init.h(u), rhs, speed_of, opts.cfl,
+                                            guard_check=guard_check)
 
     if mask.sum() <= grid.nu:
         raise ValidityLoss("f lost validity immediately off the initial line")
@@ -224,8 +221,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     at RK4 stage points); g inherits f's validity.
     """
     opts = opts or SolveOptions()
-    j0 = grid.row_index_of_v(0.0)
-    if j0 is None:
+    if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
     if f_report.field.grid != grid:
         raise BadParameter("f was solved on a different grid")
@@ -254,19 +250,8 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
         lam = np.where(np.isfinite(lam), lam, 0.0)
         return float(np.max(np.abs(lam) * metric.sqrt_g(u[L : R + 1], v)))
 
-    values = np.full((grid.nu, grid.nv), np.nan)
-    mask = np.zeros((grid.nu, grid.nv), dtype=bool)
-    intervals = np.empty((grid.nv, 2), dtype=int)
-    intervals[:, 0] = 1
-    intervals[:, 1] = 0
-    values[:, j0] = init.k(u)
-    mask[:, j0] = True
-    intervals[j0] = (0, grid.nu - 1)
-
-    steps = 0
-    for direction in (+1, -1):
-        steps += _march(grid, metric, values[:, j0], rhs, speed_of, opts.cfl, direction,
-                        values, mask, intervals, clamp=f_report.intervals)
+    values, mask, intervals, steps = _march(grid, init.k(u), rhs, speed_of, opts.cfl,
+                                            clamp=f_report.intervals)
 
     # g carries no claim where f carries none
     mask &= f_report.mask

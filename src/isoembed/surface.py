@@ -3,11 +3,13 @@
 The lift places a plane chart at height equal to its second parameter:
 X(u, v) = (x(u, v), y(u, v), v). Its induced first fundamental form is
 then E = 1, F = 0, G = G0 + 1, so EG - F^2 >= 1 and the lift is always an
-immersion. lift_metric forms that metric from the chart's one 4th-order
-differencing (plane.chart_differences) and the same stencils of the
-height v, which depends on v alone; the lifted surface is never
-differenced again. A composite surface re-parametrizes any surface
-through a certified parameter change by bilinear interpolation of
+immersion. The height has z_u = 0 and z_v = 1 exactly, so the pipeline
+takes the lift's metric as the chart's, from its one 4th-order
+differencing (plane.chart_differences), plus dv^2; it differences neither
+the height nor the lifted surface. The lift is ruled by its u-lines, so
+for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
+-B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface re-parametrizes any
+surface through a certified parameter change by bilinear interpolation of
 positions; its metric is taken by 2nd-order finite differences on the new
 parameter grid (induced_metric).
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, ImageOutsideChart, IoFailure
-from .fields import Grid2D, ScalarField2D, first_derivative_4
+from .fields import Grid2D, ScalarField2D
 from .plane import PlaneChart
 from .reparam import ParamChange
 
@@ -55,32 +57,6 @@ def lift(chart: PlaneChart) -> EmbeddedSurface:
     return EmbeddedSurface(grid=grid, position=pos,
                            mask=np.ones((grid.nu, grid.nv), dtype=bool),
                            provenance="lifted", chart=chart)
-
-
-def lift_metric(chart: PlaneChart, diffs) -> tuple:
-    """(E, F, G) fields of lift(chart) from diffs = chart_differences(chart).
-
-    The height z = v has the same 4th-order stencils on every u-row but
-    the two edge rows at each end, where z_u is a one-sided stencil of a
-    u-constant and need not round to 0; so z_u is taken on a 5-row slab and
-    broadcast over u, and z_v on the v-coordinates once. The result equals
-    first_derivative_4 applied to lift(chart)'s three coordinates, to the bit.
-    """
-    xu, yu, xv, yv = diffs
-    grid = chart.grid
-    slab = np.broadcast_to(grid.v_coords, (5, grid.nv))
-    zu = np.repeat(first_derivative_4(slab, grid.du, 0), (1, 1, grid.nu - 4, 1, 1), axis=0)
-    zv = first_derivative_4(grid.v_coords, grid.dv, 0)
-    e = xu * xu + yu * yu + zu * zu
-    f = xu * xv + yu * yv + zu * zv
-    del zu  # a full chart-grid array: freed before g's temporaries, which set the peak
-    g = xv * xv + yv * yv + zv * zv
-    mask = np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
-    return (
-        ScalarField2D(grid, e, mask=mask),
-        ScalarField2D(grid, f, mask=mask),
-        ScalarField2D(grid, g, mask=mask),
-    )
 
 
 def embed_planar(chart: PlaneChart) -> EmbeddedSurface:

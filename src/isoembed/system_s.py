@@ -177,12 +177,14 @@ class SystemReport:
     row_residuals: tuple  # three ScalarField2D, one per row
     mask: np.ndarray
 
-    def g_match_rel_sup(self):
-        """sup of |G_solved - G_closed| / max(1, |G_closed|) over the region."""
+    def g_match_rel_sup(self, mask=None):
+        """sup of |G_solved - G_closed| / max(1, |G_closed|) over `mask`
+        (default: the whole region)."""
+        mask = self.mask if mask is None else mask
         d = np.abs(self.g_val.values - self.g_closed.values)
         rel = d / np.maximum(1.0, np.abs(self.g_closed.values))
-        rel = np.where(self.mask, rel, np.nan)
-        return float(np.nanmax(rel)) if self.mask.any() else float("nan")
+        rel = np.where(mask, rel, np.nan)
+        return float(np.nanmax(rel)) if mask.any() else float("nan")
 
 
 def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport:

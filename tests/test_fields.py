@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoembed import fields
 from isoembed.errors import GridTooSmall
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 
@@ -132,3 +133,106 @@ def test_values_outside_mask_are_nan():
     assert np.isnan(fld.values[0, 0])
     assert fld.values[2, 2] == 3.0
     assert fld.sup() == 3.0
+
+
+# Reference: the earlier shift-copy implementation of the masked stencils,
+# with its separate fully-valid fast paths. The padded-tap kernel must give
+# the same bits, NaNs included, on every mask.
+def _ref_shift(a, k, axis, fill):
+    out = np.full_like(a, fill)
+    src = [slice(None)] * a.ndim
+    dst = [slice(None)] * a.ndim
+    if k > 0:
+        src[axis] = slice(0, a.shape[axis] - k)
+        dst[axis] = slice(k, None)
+    elif k < 0:
+        src[axis] = slice(-k, None)
+        dst[axis] = slice(0, a.shape[axis] + k)
+    else:
+        return a.copy()
+    out[tuple(dst)] = a[tuple(src)]
+    return out
+
+
+def _ref_first(values, mask, h, axis, one_sided=True):
+    if mask.all():
+        v = np.moveaxis(values, axis, 0)
+        out = np.empty_like(v)
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        if one_sided:
+            out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+            out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        else:
+            out[0] = np.nan
+            out[-1] = np.nan
+        return np.moveaxis(out, 0, axis)
+    v = np.where(mask, values, np.nan)
+    m = mask
+    vm1, vp1 = _ref_shift(v, 1, axis, np.nan), _ref_shift(v, -1, axis, np.nan)
+    vm2, vp2 = _ref_shift(v, 2, axis, np.nan), _ref_shift(v, -2, axis, np.nan)
+    mm1, mp1 = _ref_shift(m, 1, axis, False), _ref_shift(m, -1, axis, False)
+    mm2, mp2 = _ref_shift(m, 2, axis, False), _ref_shift(m, -2, axis, False)
+    out = np.full_like(v, np.nan)
+    if one_sided:
+        fwd = (-3.0 * v + 4.0 * vp1 - vp2) / (2.0 * h)
+        bwd = (3.0 * v - 4.0 * vm1 + vm2) / (2.0 * h)
+        out = np.where(m & mm1 & mm2, bwd, out)
+        out = np.where(m & mp1 & mp2, fwd, out)
+    return np.where(m & mm1 & mp1, (vp1 - vm1) / (2.0 * h), out)
+
+
+def _ref_second(values, mask, h, axis):
+    # the fast path reads four samples at each end, so it needs at least 4
+    if mask.all() and values.shape[axis] >= 4:
+        v = np.moveaxis(values, axis, 0)
+        h2 = h * h
+        out = np.empty_like(v)
+        out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+        return np.moveaxis(out, 0, axis)
+    v = np.where(mask, values, np.nan)
+    m = mask
+    h2 = h * h
+    vs = {k: _ref_shift(v, -k, axis, np.nan) for k in range(-3, 4)}
+    ms = {k: _ref_shift(m, -k, axis, False) for k in range(-3, 4)}
+    central = (vs[-1] - 2.0 * v + vs[1]) / h2
+    fwd = (2.0 * v - 5.0 * vs[1] + 4.0 * vs[2] - vs[3]) / h2
+    bwd = (2.0 * v - 5.0 * vs[-1] + 4.0 * vs[-2] - vs[-3]) / h2
+    out = np.full_like(v, np.nan)
+    out = np.where(m & ms[-1] & ms[-2] & ms[-3], bwd, out)
+    out = np.where(m & ms[1] & ms[2] & ms[3], fwd, out)
+    return np.where(m & ms[-1] & ms[1], central, out)
+
+
+def _mask_case(kind, shape, rng):
+    if kind == "all":
+        return np.ones(shape, dtype=bool)
+    if kind == "isolated":
+        mask = np.zeros(shape, dtype=bool)
+        mask[::2, ::2] = True
+        return mask
+    if kind == "holes":
+        mask = np.ones(shape, dtype=bool)
+        mask[rng.integers(0, shape[0], 3), rng.integers(0, shape[1], 3)] = False
+        return mask
+    return rng.random(shape) < rng.uniform(0.3, 0.95)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["all", "isolated", "holes", "random"]),
+    st.integers(3, 9), st.integers(3, 9), st.sampled_from([0, 1]), st.booleans(),
+    st.integers(0, 3), st.integers(0, 2**31 - 1),
+)
+def test_masked_stencils_match_the_shift_reference(kind, n0, n1, axis, one_sided, n_nan, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n0, n1)
+    values = rng.normal(size=shape)
+    mask = _mask_case(kind, shape, rng)
+    values[rng.integers(0, n0, n_nan), rng.integers(0, n1, n_nan)] = np.nan  # NaN inside the mask too
+    h = rng.uniform(0.01, 1.0)
+    got = fields._masked_first_derivative(values, mask, h, axis, one_sided=one_sided)
+    assert np.array_equal(got, _ref_first(values, mask, h, axis, one_sided), equal_nan=True)
+    got = fields._masked_second_derivative(values, mask, h, axis)
+    assert np.array_equal(got, _ref_second(values, mask, h, axis), equal_nan=True)

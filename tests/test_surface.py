@@ -4,14 +4,14 @@ import pytest
 from conftest import param_change_of
 from isoembed.errors import BadParameter, ImageOutsideChart
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
-from isoembed.plane import build_chart, chart_differences, make_base_curve
+from isoembed.pipeline import _lift_checks
+from isoembed.plane import ChartProfile, build_chart, chart_differences, make_base_curve
 from isoembed.surface import (
     compose,
     embed_planar,
     export_obj,
     induced_metric,
     lift,
-    lift_metric,
     load_obj_positions,
     regularity_check,
 )
@@ -56,27 +56,66 @@ def test_lift_identity_and_regularity():
 
 @pytest.mark.parametrize("spec", ["line", "circle:2", "kinked:1"])
 def test_lift_metric_from_chart_differences_matches_differenced_lift(spec):
-    # the one-pass route must reproduce the 4th-order stencils of the lift's
-    # three coordinates to the bit, one-sided edge rows included (z_u there
-    # is a rounded stencil of a u-constant, not a literal 0)
+    # the pipeline forms the lift's metric from the chart's differences
+    # with z_u = 0 and z_v = 1 exact; the 4th-order stencils of all three
+    # coordinates of lift(chart), one-sided edge rows included, must give
+    # the same identity triple
     chart = build_chart(make_base_curve(spec), Grid2D.centered(0.1, 0.2, 41, 57))
     grid = chart.grid
     pos = lift(chart).position
     xu, yu, zu = (first_derivative_4(pos[:, :, k], grid.du, 0) for k in range(3))
     xv, yv, zv = (first_derivative_4(pos[:, :, k], grid.dv, 1) for k in range(3))
-    want = (xu * xu + yu * yu + zu * zu, xu * xv + yu * yv + zu * zv,
-            xv * xv + yv * yv + zv * zv)
-    got = lift_metric(chart, chart_differences(chart))
-    for fld, values in zip(got, want):
-        assert fld.mask.all()
-        assert np.array_equal(fld.values, values)
+    e = xu * xu + yu * yu + zu * zu
+    f = xu * xv + yu * yv + zu * zv
+    g = xv * xv + yv * yv + zv * zv
+    want = (np.max(np.abs(e - 1.0)), np.max(np.abs(f)),
+            np.max(np.abs(g - (chart.g0.values + 1.0))))
+    got, _ = _lift_checks(chart_differences(chart), chart.g0.values)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     # and the closed form (1, 0, G0 + 1); a kinked chart's F and G are
     # checked only on v-lines whose stencils do not reach across the kink
-    e, f, g = got
     smooth = (np.abs(grid.v_coords) > 2.5 * grid.dv) | (chart.source.regularity == "analytic")
-    assert np.max(np.abs(e.values - 1.0)) < 1e-12
-    assert np.max(np.abs(f.values[:, smooth])) < 1e-8
-    assert np.max(np.abs(g.values - (chart.g0.values + 1.0))[:, smooth]) < 1e-8
+    assert np.max(np.abs(e - 1.0)) < 1e-12
+    assert np.max(np.abs(f[:, smooth])) < 1e-8
+    assert np.max(np.abs(g - (chart.g0.values + 1.0))[:, smooth]) < 1e-8
+
+
+def _extrinsic_curvature(surface):
+    """(LN - M^2) / (EG - F^2) of a fully valid surface by 4th-order stencils."""
+    grid = surface.grid
+    x = np.moveaxis(surface.position, 2, 0)
+    xu = first_derivative_4(x, grid.du, 1)
+    xv = first_derivative_4(x, grid.dv, 2)
+    normal = np.cross(xu, xv, axis=0)
+    normal /= np.linalg.norm(normal, axis=0)
+    second = [(first_derivative_4(a, h, axis) * normal).sum(axis=0)
+              for a, h, axis in ((xu, grid.du, 1), (xu, grid.dv, 2), (xv, grid.dv, 2))]
+    l, m, n = second
+    e, f, g = (xu * xu).sum(axis=0), (xu * xv).sum(axis=0), (xv * xv).sum(axis=0)
+    return (l * n - m * m) / (e * g - f * f)
+
+
+@pytest.mark.parametrize("source", [
+    make_base_curve("line"),
+    make_base_curve("circle:2"),
+    ChartProfile(a_coeffs=np.array([1.0, 0.3, -0.2]), b_coeffs=np.array([0.5, -0.4, 0.7])),
+], ids=["line", "circle:2", "profile"])
+def test_lift_is_ruled_with_nonpositive_curvature(source):
+    # the lift (c(v) + u n(v), v) is ruled by its u-lines, so its Gauss
+    # curvature is K = -B^2 / (1 + (A + B u)^2)^2 <= 0 whatever the chart:
+    # no lifted chart carries a metric of positive curvature
+    errs = []
+    for n in (41, 81):
+        chart = build_chart(source, Grid2D.centered(0.1, 0.2, n, n))
+        vs = chart.grid.v_coords
+        a, b = source.speed(vs), source.slope(vs)
+        k_law = -(b**2) / (1.0 + (a + b * chart.grid.u_coords[:, None]) ** 2) ** 2
+        k_ext = _extrinsic_curvature(lift(chart))
+        assert np.all(k_law <= 0.0)
+        errs.append(np.max(np.abs(k_ext - k_law)))
+    assert max(errs) < 1e-8
+    # stencil-limited charts converge at 4th order; the others sit at rounding
+    assert errs[1] < errs[0] / 8 or max(errs) < 1e-10
 
 
 def test_planar_embedding_metric():
