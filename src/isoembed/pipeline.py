@@ -105,6 +105,17 @@ def _lift_checks(diffs, g0):
     return parts, (-reg_min if np.isfinite(reg_min) else float("nan"))
 
 
+def _curvature_stencil_dev(metric, grid):
+    """sup |K_fd - K_analytic| over the grid, NaN without a closed-form K.
+
+    Its curvature fields are released on return."""
+    k_fd = curvature_field(metric, grid, method="fd")
+    if not metric.has_analytic_curvature:
+        return float("nan")
+    k_ref = curvature_field(metric, grid, method="analytic")
+    return _sup_on(np.abs(k_fd.values - k_ref.values), k_fd.mask & k_ref.mask)
+
+
 def resolve_chart_source(cfg: RunConfig, pc, sys_report):
     """Chart generator for the compose step (fitted profile or named curve)."""
     if cfg.base_curve == "auto":
@@ -198,13 +209,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     composite = compose(lifted, pc)
     iso = isometry_residual(composite, metric)
 
-    k_fd = curvature_field(metric, grid, method="fd")
-    if metric.has_analytic_curvature:
-        k_ref = curvature_field(metric, grid, method="analytic")
-        cm = k_fd.mask & k_ref.mask
-        curv_dev = _sup_on(np.abs(k_fd.values - k_ref.values), cm)
-    else:
-        curv_dev = float("nan")
+    curv_dev = _curvature_stencil_dev(metric, grid)
     # restrict the pullback to central-quality values of the solved G: the
     # one-sided boundary ring carries value noise that a second derivative
     # would amplify by 1/(J du)^2

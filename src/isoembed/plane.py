@@ -266,9 +266,11 @@ def fit_chart_profile(u_pts, v_pts, g_target, degree: int = 2,
     v_center = float(v.mean())
     v_scale = float(max(np.max(np.abs(v - v_center)), 1e-30))
     vt = (v - v_center) / v_scale
-    cols = [vt**k for k in range(degree + 1)]
-    cols += [u * vt**k for k in range(degree + 1)]
-    M = np.stack(cols, axis=1)
+    # the design matrix is filled in place: columns vt^k, then u vt^k
+    M = np.empty((u.size, 2 * (degree + 1)))
+    for k in range(degree + 1):
+        M[:, k] = vt**k
+        M[:, degree + 1 + k] = u * vt**k
     sol, *_ = np.linalg.lstsq(M, w, rcond=None)
     return ChartProfile(
         a_coeffs=sol[: degree + 1],

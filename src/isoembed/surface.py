@@ -10,8 +10,10 @@ the height nor the lifted surface. The lift is ruled by its u-lines, so
 for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
 -B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface re-parametrizes any
 surface through a certified parameter change by bilinear interpolation of
-positions; its metric is taken by 2nd-order finite differences on the new
-parameter grid (induced_metric).
+positions; compose walks the new grid in blocks of about NODE_BLOCK nodes
+and takes one bilinear stencil per block for all three coordinates. Its
+metric is taken by 2nd-order finite differences on the new parameter grid
+(induced_metric).
 
 embed_planar places the chart at height zero instead (induced metric
 (1, 0, G0)); it is the control surface for identity-change checks.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, ImageOutsideChart, IoFailure
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D, ScalarField2D, node_blocks
 from .plane import PlaneChart
 from .reparam import ParamChange
 
@@ -69,16 +71,18 @@ def embed_planar(chart: PlaneChart) -> EmbeddedSurface:
 
 
 def induced_metric(surface: EmbeddedSurface) -> tuple:
-    """(E, F, G) fields from finite differences of the position coordinates."""
-    xu = []
-    xv = []
+    """(E, F, G) fields from finite differences of the position coordinates.
+
+    The sums run one coordinate at a time, from 0 as Python's sum does, so
+    only one coordinate's two derivative arrays are live at once.
+    """
+    e = f = g = 0
     for k in range(3):
         c = surface.coordinate_field(k)
-        xu.append(c.d_u().values)
-        xv.append(c.d_v().values)
-    e = sum(a * a for a in xu)
-    f = sum(a * b for a, b in zip(xu, xv))
-    g = sum(b * b for b in xv)
+        xu, xv = c.d_u().values, c.d_v().values
+        e += xu * xu
+        f += xu * xv
+        g += xv * xv
     mask = surface.mask & np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
     grid = surface.grid
     return (
@@ -114,13 +118,15 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
 
     pos = np.full((grid.nu, grid.nv, 3), np.nan)
     ok_all = cert.copy()
-    uq = np.where(cert, u_img, sg.u0)
-    vq = np.where(cert, v_img, sg.v0)
-    for k in range(3):
-        fld = surface.coordinate_field(k)
-        vals, ok = fld.interp(uq, vq)
-        pos[:, :, k] = vals
-        ok_all &= ok
+    coords = [surface.coordinate_field(k) for k in range(3)]
+    for rows in node_blocks(grid.nu, grid.nv):
+        c = cert[rows]
+        st = sg.bilinear_stencil(np.where(c, u_img[rows], sg.u0),
+                                 np.where(c, v_img[rows], sg.v0))
+        for k, fld in enumerate(coords):
+            vals, ok = fld.sample(st)
+            pos[rows, :, k] = vals
+            ok_all[rows] &= ok
     return EmbeddedSurface(grid=grid, position=pos, mask=ok_all,
                            provenance="composite", chart=surface.chart)
 

@@ -29,6 +29,12 @@ rank 2/3 verdict is decided (sigma3 near 1e-6 sigma1). The scalar
 against. The grid's `aug_det` stays `np.linalg.det` (LU): a cofactor
 determinant differs from it by up to 3.5e-7 relative, which would change
 the written bytes.
+
+The grid solve walks the grid in blocks of whole u-rows of about
+fields.NODE_BLOCK nodes, sampling Gbar per block: its twenty-odd
+node-sized temporaries stay bounded, and only the nine result fields grow
+with the grid. Every step is per node, so the bits equal one whole-grid
+pass.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, UncertifiedNode
-from .fields import ScalarField2D
+from .fields import ScalarField2D, node_blocks
 from .metric import GeodesicMetric2D
 from .reparam import ParamChange
 
@@ -187,26 +193,19 @@ class SystemReport:
         return float(np.nanmax(rel)) if mask.any() else float("nan")
 
 
-def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport:
-    """Vectorized assemble + rank check + solve at every certified node."""
-    grid = pc.grid
-    fu, fv, gu, gv = pc.derivs
-    U, V = grid.meshgrid()
-    gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
+def _solve_block(fu, fv, gu, gv, gbar, mask, out):
+    """The system at every node of one block of u-rows: assemble, solve,
+    residuals, LU determinants and invariant ranks on the masked nodes.
 
-    mask = (
-        pc.certified
-        & np.isfinite(fu) & np.isfinite(fv) & np.isfinite(gu) & np.isfinite(gv)
-    )
-
+    Writes into the block views out = (e_val, g_val, g_closed, rank_coeff,
+    rank_aug, aug_det, res0, res1, res2), which arrive filled with NaN.
+    """
+    e_val, g_val, g_closed, rank_c, rank_a, aug_det, res0, res1, res2 = out
     A0, B0 = fu * fu, gu * gu
     A1, B1 = fu * fv, gu * gv
     A2, B2 = fv * fv, gv * gv
 
-    m01 = A0 * B1 - B0 * A1
-    m02 = A0 * B2 - B0 * A2
-    m12 = A1 * B2 - B1 * A2
-    minors = np.stack([m01, m02, m12])
+    minors = np.stack([A0 * B1 - B0 * A1, A0 * B2 - B0 * A2, A1 * B2 - B1 * A2])
     pick = np.argmax(np.abs(minors), axis=0)
 
     r0 = np.ones_like(gbar)
@@ -217,47 +216,53 @@ def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport
         (A0, B0, r0, A2, B2, r2),
         (A1, B1, r1, A2, B2, r2),
     )
-    e_val = np.full_like(gbar, np.nan)
-    g_val = np.full_like(gbar, np.nan)
     for k, (Aa, Ba, ra, Ab, Bb, rb) in enumerate(rows_a):
         m = minors[k]
         safe = np.where(m == 0.0, 1.0, m)
-        ek = (ra * Bb - rb * Ba) / safe
-        gk = (Aa * rb - Ab * ra) / safe
         sel = (pick == k) & (m != 0.0)
-        e_val = np.where(sel, ek, e_val)
-        g_val = np.where(sel, gk, g_val)
+        np.copyto(e_val, (ra * Bb - rb * Ba) / safe, where=sel)
+        np.copyto(g_val, (Aa * rb - Ab * ra) / safe, where=sel)
 
-    g_closed = (gbar - A2) / np.where(B2 == 0.0, np.nan, B2)
+    g_closed[...] = (gbar - A2) / np.where(B2 == 0.0, np.nan, B2)
 
-    res0 = np.abs(e_val * A0 + g_val * B0 - r0)
-    res1 = np.abs(e_val * A1 + g_val * B1 - r1)
-    res2 = np.abs(e_val * A2 + g_val * B2 - r2)
+    res0[...] = np.abs(e_val * A0 + g_val * B0 - r0)
+    res1[...] = np.abs(e_val * A1 + g_val * B1 - r1)
+    res2[...] = np.abs(e_val * A2 + g_val * B2 - r2)
 
     # determinants (LU) and invariant ranks on the certified nodes
-    aug_det = np.full_like(gbar, np.nan)
-    rank_c = np.full_like(gbar, np.nan)
-    rank_a = np.full_like(gbar, np.nan)
-    idx = np.flatnonzero(mask.ravel())
-    if idx.size:
-        aug = np.empty((idx.size, 3, 3))
+    n = int(mask.sum())
+    if n:
+        aug = np.empty((n, 3, 3))
         for row, cells in enumerate(((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))):
             for col, cell in enumerate(cells):
-                aug[:, row, col] = cell.ravel()[idx]
+                aug[:, row, col] = cell[mask]
         det = np.linalg.det(aug)
-        aug_det.ravel()[idx] = det
-        rank_c.ravel()[idx], rank_a.ravel()[idx] = _invariant_ranks(aug, det)
+        aug_det[mask] = det
+        rank_c[mask], rank_a[mask] = _invariant_ranks(aug, det)
 
-    def fld(arr):
-        return ScalarField2D(grid, np.where(mask, arr, np.nan), mask=mask & np.isfinite(arr))
 
-    return SystemReport(
-        e_val=fld(e_val),
-        g_val=fld(g_val),
-        g_closed=fld(g_closed),
-        rank_coeff=fld(rank_c),
-        rank_aug=fld(rank_a),
-        aug_det=fld(aug_det),
-        row_residuals=(fld(res0), fld(res1), fld(res2)),
-        mask=mask,
+def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport:
+    """Vectorized assemble + rank check + solve at every certified node.
+
+    The grid is walked in blocks of whole u-rows of about NODE_BLOCK nodes,
+    Gbar sampled per block, so the transients do not grow with the grid.
+    """
+    grid = pc.grid
+    fu, fv, gu, gv = pc.derivs
+    mask = (
+        pc.certified
+        & np.isfinite(fu) & np.isfinite(fv) & np.isfinite(gu) & np.isfinite(gv)
     )
+    out = [np.full((grid.nu, grid.nv), np.nan) for _ in range(9)]
+    us, vs = grid.u_coords, grid.v_coords
+    for rows in node_blocks(grid.nu, grid.nv):
+        U, V = np.meshgrid(us[rows], vs, indexing="ij")
+        gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
+        _solve_block(fu[rows], fv[rows], gu[rows], gv[rows], gbar, mask[rows],
+                     [a[rows] for a in out])
+
+    results = []
+    while out:  # each raw array is dropped once its field holds a masked copy
+        arr = out.pop(0)
+        results.append(ScalarField2D(grid, arr, mask=mask & np.isfinite(arr)))
+    return SystemReport(*results[:6], row_residuals=tuple(results[6:]), mask=mask)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_interp
 from isoembed import fields
 from isoembed.errors import GridTooSmall
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
@@ -123,6 +126,57 @@ def test_interp_stays_in_corner_hull(uq, vq, seed):
     out, ok = fld.interp(np.array([uq]), np.array([vq]))
     assert ok[0]
     assert fld.values.min() - 1e-12 <= out[0] <= fld.values.max() + 1e-12
+
+
+# query coordinates on the 11-line grid over [-0.5, 0.5]: anywhere inside
+# or outside it, non-finite, on a grid line, or within and just beyond the
+# snapping distance of one
+GRID_LINE = st.integers(0, 10).map(lambda i: -0.5 + 0.1 * i)
+QUERY = st.one_of(
+    st.floats(-0.7, 0.7),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    GRID_LINE,
+    st.tuples(GRID_LINE, st.sampled_from([-2e-9, -1e-11, 1e-11, 2e-9]))
+    .map(lambda t: t[0] + t[1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=st.integers(1, 6), seed=st.integers(0, 2**31 - 1),
+       kind=st.sampled_from(["0-d", "1-d", "2-d", "1-d u, scalar v"]))
+def test_interp_matches_the_whole_grid_reference(data, block, seed, kind):
+    # the blocked interp against one whole-array pass, NaNs and all, with
+    # a block of `block` queries so that counts fall on both sides of a
+    # block boundary; masked corners come from random holes in the mask
+    g = Grid2D.centered(0.5, 0.5, 11, 11)
+    rng = np.random.default_rng(seed)
+    fld = ScalarField2D(g, rng.normal(size=(11, 11)), mask=rng.random((11, 11)) > 0.2)
+    if kind == "0-d":
+        u, v = data.draw(QUERY), data.draw(QUERY)
+    elif kind == "1-d u, scalar v":  # the sampled metric's g_fn(us, v)
+        n = data.draw(st.integers(0, 3 * block + 1))
+        u, v = np.array(data.draw(st.lists(QUERY, min_size=n, max_size=n))), data.draw(QUERY)
+    else:
+        shape = ((data.draw(st.integers(0, 3 * block + 1)),) if kind == "1-d"
+                 else (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))))
+        n = int(np.prod(shape))
+        u, v = (np.array(data.draw(st.lists(QUERY, min_size=n, max_size=n))).reshape(shape)
+                for _ in range(2))
+    with mock.patch.object(fields, "NODE_BLOCK", block):
+        out, ok = fld.interp(u, v)
+    ref_out, ref_ok = reference_interp(fld, u, v)
+    assert np.shape(out) == np.shape(ref_out) and np.shape(ok) == np.shape(ref_ok)
+    assert np.array_equal(out, ref_out, equal_nan=True)
+    assert np.array_equal(ok, ref_ok)
+
+
+def test_node_blocks_cover_the_range_in_order(monkeypatch):
+    monkeypatch.setattr(fields, "NODE_BLOCK", 10)
+    assert list(fields.node_blocks(7, row_len=3)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    # a row longer than a block still goes one row at a time
+    assert list(fields.node_blocks(2, row_len=11)) == [slice(0, 1), slice(1, 2)]
+    assert list(fields.node_blocks(20)) == [slice(0, 10), slice(10, 20)]
+    assert list(fields.node_blocks(0)) == []
 
 
 def test_values_outside_mask_are_nan():

@@ -1,0 +1,46 @@
+"""Bounded transients of the per-node stages.
+
+tracemalloc counts numpy's array buffers deterministically, so these bounds
+do not depend on the host's speed or allocator. The blocked stages peak at
+about 130 (system) and 90 (compose) bytes per node on cos2 at 401^2; their
+whole-grid forms peaked at about 420 and 205.
+"""
+
+import tracemalloc
+
+import pytest
+
+from isoembed.config import RunConfig
+from isoembed.pipeline import run_pipeline
+from isoembed.surface import compose
+from isoembed.system_s import solve_system_grid
+
+
+@pytest.fixture(scope="module")
+def cos2_401():
+    return run_pipeline(RunConfig(metric="cos2", v_half=0.03, n_u=401, n_v=401))
+
+
+def peak_bytes_per_node(call, nodes):
+    """tracemalloc peak of call() above its entry, per node."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - entry) / nodes
+
+
+def test_system_solve_peak_per_node(cos2_401):
+    nodes = cos2_401.grid.nu * cos2_401.grid.nv
+    per_node = peak_bytes_per_node(
+        lambda: solve_system_grid(cos2_401.pc, cos2_401.metric), nodes)
+    assert per_node <= 250.0
+
+
+def test_compose_peak_per_node(cos2_401):
+    nodes = cos2_401.grid.nu * cos2_401.grid.nv
+    per_node = peak_bytes_per_node(lambda: compose(cos2_401.lifted, cos2_401.pc), nodes)
+    assert per_node <= 150.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import param_change_of
+from conftest import param_change_of, reference_interp
+from isoembed import fields
 from isoembed.errors import BadParameter, ImageOutsideChart
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 from isoembed.pipeline import _lift_checks
@@ -135,6 +136,26 @@ def test_compose_identity_is_bit_exact():
     sel = comp.mask
     assert sel.sum() > 0
     assert np.array_equal(comp.position[sel], s.position[sel])
+
+
+@pytest.mark.parametrize("node_block", [None, 7 * 201 + 5])
+@pytest.mark.parametrize("run", ["flat_run", "cos2_run"])
+def test_blocked_compose_matches_whole_grid_interp(run, node_block, request, monkeypatch):
+    # one stencil per block of u-rows for all three coordinates gives the
+    # bits of three whole-grid interpolations
+    res = request.getfixturevalue(run)
+    if node_block is not None:
+        monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
+    comp = compose(res.lifted, res.pc)
+    cert, sg = res.pc.certified, res.lifted.grid
+    uq = np.where(cert, res.pc.f.values, sg.u0)
+    vq = np.where(cert, res.pc.g.values, sg.v0)
+    ok_all = cert.copy()
+    for k in range(3):
+        vals, ok = reference_interp(res.lifted.coordinate_field(k), uq, vq)
+        assert np.array_equal(comp.position[:, :, k], vals, equal_nan=True)
+        ok_all &= ok
+    assert np.array_equal(comp.mask, ok_all)
 
 
 def test_compose_outside_chart_raises():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import interior_of
+from isoembed import fields
 from isoembed.config import RunConfig
 from isoembed.errors import RankDeficient, UncertifiedNode
+from isoembed.fields import ScalarField2D
 from isoembed.pipeline import run_pipeline
 from isoembed.system_s import (
     RANK_REL_TOL,
+    SystemReport,
     _invariant_ranks,
     assemble,
     augmented_det_residual,
@@ -258,14 +261,23 @@ def batched_svd_ranks(pc, metric, mask):
     return rank(aug[:, :, :2]), rank(aug)
 
 
-@pytest.mark.parametrize("case", ["flat_run", "cos2_solved_full", "delta_1e6"])
-def test_grid_ranks_equal_batched_svd_ranks_on_every_node(case, request):
+@pytest.fixture(scope="module")
+def delta_1e6():
+    """Default run with g's slope scaled up: columns 1e12 apart."""
+    return run_pipeline(RunConfig(delta=1e6))
+
+
+def change_and_metric(case, request):
     if case == "cos2_solved_full":
         metric, _, _, _, _, pc = request.getfixturevalue(case)
-    else:
-        run = (request.getfixturevalue(case) if case == "flat_run"
-               else run_pipeline(RunConfig(delta=1e6)))
-        pc, metric = run.pc, run.metric
+        return pc, metric
+    run = request.getfixturevalue(case)
+    return run.pc, run.metric
+
+
+@pytest.mark.parametrize("case", ["flat_run", "cos2_solved_full", "delta_1e6"])
+def test_grid_ranks_equal_batched_svd_ranks_on_every_node(case, request):
+    pc, metric = change_and_metric(case, request)
     sr = solve_system_grid(pc, metric)
     rank_c, rank_a = batched_svd_ranks(pc, metric, sr.mask)
     assert sr.mask.sum() > 30000
@@ -287,3 +299,106 @@ def test_grid_solve_calls_no_svd(cos2_solved_full, monkeypatch):
     # the scalar oracle keeps its SVD
     with pytest.raises(AssertionError, match="svd called"):
         rank_checks(identity_system())
+
+
+def reference_solve_system_grid(pc, metric):
+    """The system over the whole grid in one pass: the earlier
+    solve_system_grid, kept as the reference for the blocked one."""
+    grid = pc.grid
+    fu, fv, gu, gv = pc.derivs
+    U, V = grid.meshgrid()
+    gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
+
+    mask = (
+        pc.certified
+        & np.isfinite(fu) & np.isfinite(fv) & np.isfinite(gu) & np.isfinite(gv)
+    )
+
+    A0, B0 = fu * fu, gu * gu
+    A1, B1 = fu * fv, gu * gv
+    A2, B2 = fv * fv, gv * gv
+
+    m01 = A0 * B1 - B0 * A1
+    m02 = A0 * B2 - B0 * A2
+    m12 = A1 * B2 - B1 * A2
+    minors = np.stack([m01, m02, m12])
+    pick = np.argmax(np.abs(minors), axis=0)
+
+    r0 = np.ones_like(gbar)
+    r1 = np.zeros_like(gbar)
+    r2 = gbar
+    rows_a = (
+        (A0, B0, r0, A1, B1, r1),
+        (A0, B0, r0, A2, B2, r2),
+        (A1, B1, r1, A2, B2, r2),
+    )
+    e_val = np.full_like(gbar, np.nan)
+    g_val = np.full_like(gbar, np.nan)
+    for k, (Aa, Ba, ra, Ab, Bb, rb) in enumerate(rows_a):
+        m = minors[k]
+        safe = np.where(m == 0.0, 1.0, m)
+        ek = (ra * Bb - rb * Ba) / safe
+        gk = (Aa * rb - Ab * ra) / safe
+        sel = (pick == k) & (m != 0.0)
+        e_val = np.where(sel, ek, e_val)
+        g_val = np.where(sel, gk, g_val)
+
+    g_closed = (gbar - A2) / np.where(B2 == 0.0, np.nan, B2)
+
+    res0 = np.abs(e_val * A0 + g_val * B0 - r0)
+    res1 = np.abs(e_val * A1 + g_val * B1 - r1)
+    res2 = np.abs(e_val * A2 + g_val * B2 - r2)
+
+    aug_det = np.full_like(gbar, np.nan)
+    rank_c = np.full_like(gbar, np.nan)
+    rank_a = np.full_like(gbar, np.nan)
+    idx = np.flatnonzero(mask.ravel())
+    if idx.size:
+        aug = np.empty((idx.size, 3, 3))
+        for row, cells in enumerate(((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))):
+            for col, cell in enumerate(cells):
+                aug[:, row, col] = cell.ravel()[idx]
+        det = np.linalg.det(aug)
+        aug_det.ravel()[idx] = det
+        rank_c.ravel()[idx], rank_a.ravel()[idx] = _invariant_ranks(aug, det)
+
+    def fld(arr):
+        return ScalarField2D(grid, np.where(mask, arr, np.nan), mask=mask & np.isfinite(arr))
+
+    return SystemReport(
+        e_val=fld(e_val),
+        g_val=fld(g_val),
+        g_closed=fld(g_closed),
+        rank_coeff=fld(rank_c),
+        rank_aug=fld(rank_a),
+        aug_det=fld(aug_det),
+        row_residuals=(fld(res0), fld(res1), fld(res2)),
+        mask=mask,
+    )
+
+
+def system_fields(sr):
+    return (sr.e_val, sr.g_val, sr.g_closed, sr.rank_coeff, sr.rank_aug, sr.aug_det,
+            *sr.row_residuals)
+
+
+# node blocks of 163 u-rows (the default at 201 v-lines) and of 7, neither
+# dividing the 201 u-rows, and of one (a block shorter than a row)
+@pytest.mark.parametrize("node_block", [None, 7 * 201 + 5, 100])
+@pytest.mark.parametrize("case", ["flat_run", "cos2_solved_full", "delta_1e6"])
+def test_blocked_grid_solve_matches_the_whole_grid_reference(case, node_block, request,
+                                                             monkeypatch):
+    pc, metric = change_and_metric(case, request)
+    if node_block is not None:
+        monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
+    rows = max(1, fields.NODE_BLOCK // pc.grid.nv)
+    assert rows == 1 or pc.grid.nu % rows
+    # the certified region spans several blocks
+    certified_rows = np.flatnonzero(pc.certified.any(axis=1))
+    assert certified_rows[-1] // rows > certified_rows[0] // rows
+    sr = solve_system_grid(pc, metric)
+    ref = reference_solve_system_grid(pc, metric)
+    assert np.array_equal(sr.mask, ref.mask)
+    for got, want in zip(system_fields(sr), system_fields(ref)):
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+        assert np.array_equal(got.mask, want.mask)
