@@ -14,13 +14,11 @@ differenced with 4th-order stencils by first_derivative_4: 5-point
 central in the interior and 4th-order one-sided on the two edge rows at
 each end (Fornberg, Math. Comp. 51, 1988).
 
-Bilinear sampling comes in two steps: Grid2D.bilinear_stencil turns query
-points into corner indices, weights and snap flags, and
-ScalarField2D.sample reads any field on that grid through them, so fields
-sharing a grid share one stencil. interp walks its flattened queries in
-blocks of NODE_BLOCK, as solve_system_grid walks the solve grid, so the
-temporaries of both stay bounded however large the grid; every operation
-is per query, so the blocks give the same bits as one whole-grid pass.
+ScalarField2D.interp samples a field bilinearly; sampled (file:) metrics
+are its one caller. It walks its flattened queries in blocks of
+NODE_BLOCK, as solve_system_grid and compose walk the solve grid, so the
+temporaries stay bounded however large the grid; every operation is per
+query, so the blocks give the same bits as one whole-grid pass.
 
 Index convention: values[i, j] samples (u_i, v_j), i.e. axis 0 is the
 u direction and axis 1 the v direction.
@@ -29,7 +27,6 @@ u direction and axis 1 the v direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +36,7 @@ from .errors import GridTooSmall
 # onto the nearest grid line; keeps node-exact queries bit-exact.
 SNAP_EPS = 1e-9
 
-# Nodes a per-node stage takes at once (the system solve, bilinear
+# Nodes a per-node stage takes at once (the system solve, compose, bilinear
 # sampling): bounds their temporaries, whatever the grid size
 NODE_BLOCK = 32768
 
@@ -50,20 +47,6 @@ def node_blocks(n, row_len=1):
     step = max(1, NODE_BLOCK // row_len)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
-
-
-class BilinearStencil(NamedTuple):
-    """Corners and weights of bilinear queries on one grid (any shape)."""
-
-    iu: np.ndarray  # lower corner indices, clipped into the grid
-    iv: np.ndarray
-    iu_n: np.ndarray  # upper corner indices; equal to the lower on a snapped line
-    iv_n: np.ndarray
-    fu: np.ndarray  # fractional offsets, 0 on a snapped line
-    fv: np.ndarray
-    on_u: np.ndarray
-    on_v: np.ndarray
-    inside: np.ndarray  # finite query whose corners are all on the grid
 
 
 @dataclass(frozen=True)
@@ -131,48 +114,6 @@ class Grid2D:
         if abs(self.u0 + i * self.du - u) > tol * max(1.0, abs(self.du)):
             return None
         return i
-
-    def bilinear_stencil(self, u, v) -> BilinearStencil:
-        """Stencil of the queries (u, v), arrays of one shape.
-
-        Queries within SNAP_EPS cells of a grid line snap onto it, so
-        node-exact queries read stored values bit-exactly.
-        """
-        finite_q = np.isfinite(u) & np.isfinite(v)
-        su = np.where(finite_q, (u - self.u0) / self.du, 0.0)
-        sv = np.where(finite_q, (v - self.v0) / self.dv, 0.0)
-        iu = np.floor(su).astype(int)
-        iv = np.floor(sv).astype(int)
-        fu = su - iu
-        fv = sv - iv
-
-        # snap to the nearest grid line
-        hi_u = fu > 1.0 - SNAP_EPS
-        iu = np.where(hi_u, iu + 1, iu)
-        fu = np.where(hi_u, 0.0, fu)
-        fu = np.where(fu < SNAP_EPS, 0.0, fu)
-        hi_v = fv > 1.0 - SNAP_EPS
-        iv = np.where(hi_v, iv + 1, iv)
-        fv = np.where(hi_v, 0.0, fv)
-        fv = np.where(fv < SNAP_EPS, 0.0, fv)
-
-        on_u = fu == 0.0
-        on_v = fv == 0.0
-
-        inside = (
-            finite_q
-            & (iu >= 0)
-            & (iv >= 0)
-            & (iu + np.where(on_u, 0, 1) <= self.nu - 1)
-            & (iv + np.where(on_v, 0, 1) <= self.nv - 1)
-        )
-        return BilinearStencil(
-            iu=np.clip(iu, 0, self.nu - 1),
-            iv=np.clip(iv, 0, self.nv - 1),
-            iu_n=np.clip(iu + np.where(on_u, 0, 1), 0, self.nu - 1),
-            iv_n=np.clip(iv + np.where(on_v, 0, 1), 0, self.nv - 1),
-            fu=fu, fv=fv, on_u=on_u, on_v=on_v, inside=inside,
-        )
 
 
 def _taps(values, mask, axis, reach):
@@ -316,35 +257,13 @@ class ScalarField2D:
             return float("nan")
         return float(np.nanmean(np.abs(self.values)))
 
-    def sample(self, st: BilinearStencil):
-        """Bilinear values at a stencil's queries: (values, ok), where ok
-        marks queries whose corners are all valid and inside the grid."""
-        iu, iv, iu_n, iv_n, fu, fv, on_u, on_v, inside = st
-        m = self.mask
-        ok = inside & m[iu, iv] & m[iu_n, iv] & m[iu, iv_n] & m[iu_n, iv_n]
-
-        w = self.values
-        v00 = w[iu, iv]
-        v10 = w[iu_n, iv]
-        v01 = w[iu, iv_n]
-        v11 = w[iu_n, iv_n]
-        out = (
-            v00 * (1 - fu) * (1 - fv)
-            + v10 * fu * (1 - fv)
-            + v01 * (1 - fu) * fv
-            + v11 * fu * fv
-        )
-        # exact pass-through on snapped lines (avoids 0*nan contamination too)
-        out = np.where(on_u & on_v, v00, out)
-        out = np.where(on_u & ~on_v, v00 * (1 - fv) + v01 * fv, out)
-        out = np.where(~on_u & on_v, v00 * (1 - fu) + v10 * fu, out)
-        out = np.where(ok, out, np.nan)
-        return out, ok
-
     def interp(self, u, v):
         """Bilinear interpolation at the broadcast queries (u, v).
 
-        Returns (values, ok) in the broadcast shape, as sample does; the
+        Returns (values, ok) in the broadcast shape: ok marks finite queries
+        whose cell corners are all inside the grid and valid, and values are
+        NaN elsewhere. Queries within SNAP_EPS cells of a grid line snap onto
+        it, so node-exact queries read stored values bit-exactly. The
         queries are taken NODE_BLOCK at a time.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -352,6 +271,48 @@ class ScalarField2D:
         u, v = u.ravel(), v.ravel()
         out = np.empty(u.size)
         ok = np.empty(u.size, dtype=bool)
+        g, m, w = self.grid, self.mask, self.values
         for b in node_blocks(u.size):
-            out[b], ok[b] = self.sample(self.grid.bilinear_stencil(u[b], v[b]))
+            finite_q = np.isfinite(u[b]) & np.isfinite(v[b])
+            su = np.where(finite_q, (u[b] - g.u0) / g.du, 0.0)
+            sv = np.where(finite_q, (v[b] - g.v0) / g.dv, 0.0)
+            iu = np.floor(su).astype(int)
+            iv = np.floor(sv).astype(int)
+            fu = su - iu
+            fv = sv - iv
+
+            # snap to the nearest grid line
+            hi_u = fu > 1.0 - SNAP_EPS
+            iu = np.where(hi_u, iu + 1, iu)
+            fu = np.where(hi_u, 0.0, fu)
+            fu = np.where(fu < SNAP_EPS, 0.0, fu)
+            hi_v = fv > 1.0 - SNAP_EPS
+            iv = np.where(hi_v, iv + 1, iv)
+            fv = np.where(hi_v, 0.0, fv)
+            fv = np.where(fv < SNAP_EPS, 0.0, fv)
+
+            on_u = fu == 0.0
+            on_v = fv == 0.0
+            iu_n = iu + np.where(on_u, 0, 1)
+            iv_n = iv + np.where(on_v, 0, 1)
+            inside = finite_q & (iu >= 0) & (iv >= 0) & (iu_n <= g.nu - 1) & (iv_n <= g.nv - 1)
+            iu, iu_n = np.clip(iu, 0, g.nu - 1), np.clip(iu_n, 0, g.nu - 1)
+            iv, iv_n = np.clip(iv, 0, g.nv - 1), np.clip(iv_n, 0, g.nv - 1)
+            ok[b] = inside & m[iu, iv] & m[iu_n, iv] & m[iu, iv_n] & m[iu_n, iv_n]
+
+            v00 = w[iu, iv]
+            v10 = w[iu_n, iv]
+            v01 = w[iu, iv_n]
+            v11 = w[iu_n, iv_n]
+            val = (
+                v00 * (1 - fu) * (1 - fv)
+                + v10 * fu * (1 - fv)
+                + v01 * (1 - fu) * fv
+                + v11 * fu * fv
+            )
+            # exact pass-through on snapped lines (avoids 0*nan contamination too)
+            val = np.where(on_u & on_v, v00, val)
+            val = np.where(on_u & ~on_v, v00 * (1 - fv) + v01 * fv, val)
+            val = np.where(~on_u & on_v, v00 * (1 - fu) + v10 * fu, val)
+            out[b] = np.where(ok[b], val, np.nan)
         return out.reshape(shape), ok.reshape(shape)

@@ -108,10 +108,12 @@ def _lift_checks(diffs, g0):
 def _curvature_stencil_dev(metric, grid):
     """sup |K_fd - K_analytic| over the grid, NaN without a closed-form K.
 
-    Its curvature fields are released on return."""
-    k_fd = curvature_field(metric, grid, method="fd")
+    Its curvature fields are released on return. Without a closed-form K
+    no field is computed: curvature_match takes the same finite-difference
+    field on the same grid, so its errors still surface there."""
     if not metric.has_analytic_curvature:
         return float("nan")
+    k_fd = curvature_field(metric, grid, method="fd")
     k_ref = curvature_field(metric, grid, method="analytic")
     return _sup_on(np.abs(k_fd.values - k_ref.values), k_fd.mask & k_ref.mask)
 

@@ -210,11 +210,9 @@ class ChartProfile:
 
     def theta(self, v):
         # antiderivative of -B, zero at v_center
-        vt = self._vt(v)
-        acc = np.zeros_like(vt)
-        for k, b in enumerate(self.b_coeffs):
-            acc = acc - b * vt ** (k + 1) / (k + 1)
-        return acc * self.v_scale
+        k = np.arange(1, self.b_coeffs.size + 1)
+        ascending = np.concatenate([[0.0], -self.b_coeffs / k])
+        return np.polyval(ascending[::-1], self._vt(v)) * self.v_scale
 
     def tangent(self, v):
         th = self.theta(v)
@@ -231,10 +229,11 @@ class ChartProfile:
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         vq = mid[:, None] + half[:, None] * _GL_X[None, :]  # (cells, 5)
-        sp = self.speed(vq)
+        w_sp = _GL_W * self.speed(vq)
         th = self.theta(vq)
-        ix = half * np.sum(_GL_W[None, :] * sp * np.cos(th), axis=1)
-        iy = half * np.sum(_GL_W[None, :] * sp * np.sin(th), axis=1)
+        del vq
+        ix = half * np.sum(w_sp * np.cos(th), axis=1)
+        iy = half * np.sum(w_sp * np.sin(th), axis=1)
         acc = np.zeros((sorted_pts.size, 2))
         acc[1:, 0] = np.cumsum(ix)
         acc[1:, 1] = np.cumsum(iy)

@@ -98,12 +98,15 @@ def compatibility_residual(g_cramer: ScalarField2D, chart, pc: ParamChange) -> S
 
     Measures how far the chosen chart is from realizing the solved metric
     coefficient; the construction itself leaves this gap unconstrained.
+    G0 = (A(g) + B(g) f)^2 comes from the chart's generator at each
+    certified node.
     """
-    grid = g_cramer.grid
-    g0_vals, ok = chart.g0.interp(pc.f.values, pc.g.values)
-    dg = np.abs(g_cramer.values - (g0_vals + 1.0))
-    mask = g_cramer.mask & ok & pc.certified & np.isfinite(dg)
-    return ScalarField2D(grid, dg, mask=mask)
+    sel = g_cramer.mask & pc.certified
+    u, v = pc.f.values[sel], pc.g.values[sel]
+    src = chart.source
+    dg = np.full(sel.shape, np.nan)
+    dg[sel] = np.abs(g_cramer.values[sel] - ((src.speed(v) + src.slope(v) * u) ** 2 + 1.0))
+    return ScalarField2D(g_cramer.grid, dg, mask=sel & np.isfinite(dg))
 
 
 @dataclass

@@ -8,12 +8,13 @@ takes the lift's metric as the chart's, from its one 4th-order
 differencing (plane.chart_differences), plus dv^2; it differences neither
 the height nor the lifted surface. The lift is ruled by its u-lines, so
 for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
--B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface re-parametrizes any
-surface through a certified parameter change by bilinear interpolation of
-positions; compose walks the new grid in blocks of about NODE_BLOCK nodes
-and takes one bilinear stencil per block for all three coordinates. Its
-metric is taken by 2nd-order finite differences on the new parameter grid
-(induced_metric).
+-B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface is the chart composed
+with a certified parameter change, X(f, g) = (c(g) + f n(g), g), evaluated
+from the chart's generator at each node's image; compose walks the new grid
+in blocks of about NODE_BLOCK nodes, so its temporaries stay bounded. The
+chart grid enters only through its rectangle, which bounds the images. The
+composite's metric is taken by 2nd-order finite differences on the new
+parameter grid (induced_metric).
 
 embed_planar places the chart at height zero instead (induced metric
 (1, 0, G0)); it is the control surface for identity-change checks.
@@ -93,10 +94,13 @@ def induced_metric(surface: EmbeddedSurface) -> tuple:
 
 
 def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
-    """Surface over pc's grid with positions sampled at (f, g)(node).
+    """The surface's chart composed with pc: X(f, g) at every certified node.
 
-    Every certified node must map inside the surface's parameter rectangle;
-    offenders raise ImageOutsideChart with their indices.
+    Positions come from the chart's generator, (c(g) + f n(g), g) on a lift
+    and (c(g) + f n(g), 0) on a planar surface, so they carry no sampling
+    error of the chart grid. Every certified node must map inside the
+    surface's parameter rectangle, the region build_chart checked for
+    folds; offenders raise ImageOutsideChart with their indices.
     """
     grid = pc.grid
     u_img = pc.f.values
@@ -116,18 +120,19 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
             nodes=nodes,
         )
 
+    source = surface.chart.source
+    planar = surface.provenance == "planar"
     pos = np.full((grid.nu, grid.nv, 3), np.nan)
-    ok_all = cert.copy()
-    coords = [surface.coordinate_field(k) for k in range(3)]
     for rows in node_blocks(grid.nu, grid.nv):
         c = cert[rows]
-        st = sg.bilinear_stencil(np.where(c, u_img[rows], sg.u0),
-                                 np.where(c, v_img[rows], sg.v0))
-        for k, fld in enumerate(coords):
-            vals, ok = fld.sample(st)
-            pos[rows, :, k] = vals
-            ok_all[rows] &= ok
-    return EmbeddedSurface(grid=grid, position=pos, mask=ok_all,
+        u, v = u_img[rows][c], v_img[rows][c]
+        cx, cy = source.point(v)
+        tx, ty = source.tangent(v)
+        block = pos[rows]
+        block[c, 0] = cx - u * ty
+        block[c, 1] = cy + u * tx
+        block[c, 2] = 0.0 if planar else v
+    return EmbeddedSurface(grid=grid, position=pos, mask=cert.copy(),
                            provenance="composite", chart=surface.chart)
 
 

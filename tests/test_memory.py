@@ -2,8 +2,10 @@
 
 tracemalloc counts numpy's array buffers deterministically, so these bounds
 do not depend on the host's speed or allocator. The blocked stages peak at
-about 130 (system) and 90 (compose) bytes per node on cos2 at 401^2; their
-whole-grid forms peaked at about 420 and 205.
+about 130 (system) and 84 (compose) bytes per node on cos2 at 401^2, 24 of
+compose's being its output; their whole-grid forms peaked at about 420 and
+205. compose's per-block temporaries are fixed, so its share falls with the
+grid: about 40 bytes per node at 801^2.
 """
 
 import tracemalloc

@@ -4,10 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isoembed import fields
+from isoembed import fields, pipeline, report
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
 from isoembed.fields import ScalarField2D
+from isoembed.metric import curvature_field
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.plane import chart_differences
 from isoembed.surface import regularity_check
@@ -64,9 +65,8 @@ def test_exp_metric_with_documented_gates():
     assert res.report.residuals["isometry_e"].sup < 1e-3
 
 
-def test_sampled_metric_pipeline(tmp_path):
-    # near-flat sampled metric through the whole pipeline; curvature gate
-    # is reported only (no analytic reference for file metrics)
+def _near_flat_sampled_metric(tmp_path):
+    """file: spec of the sampled metric G = 1 + 0.02 u on a 41^2 lattice."""
     path = tmp_path / "m.csv"
     n = 41
     us = np.linspace(-0.4, 0.4, n)
@@ -76,11 +76,39 @@ def test_sampled_metric_pipeline(tmp_path):
         for u in us:
             for v in vs:
                 fh.write(f"{u:.17g},{v:.17g},{1.0 + 0.02 * u:.17g}\n")
-    cfg = RunConfig(metric=f"file:{path}", n_u=101, n_v=101)
+    return f"file:{path}"
+
+
+def test_sampled_metric_pipeline(tmp_path):
+    # near-flat sampled metric through the whole pipeline; curvature gate
+    # is reported only (no analytic reference for file metrics)
+    cfg = RunConfig(metric=_near_flat_sampled_metric(tmp_path), n_u=101, n_v=101)
     res = run_pipeline(cfg)
     assert "curvature_stencil" not in res.report.verdicts
     assert res.report.residuals["pde_f"].sup < 1e-6
     assert res.report.verdicts["rank_fraction"]
+
+
+def test_sampled_metric_takes_one_curvature_field(tmp_path, monkeypatch):
+    # without a closed-form K the stencil check has nothing to compare, so
+    # only curvature_match's finite-difference field is computed; the
+    # report is the one taken without the counter
+    cfg = RunConfig(metric=_near_flat_sampled_metric(tmp_path), n_u=51, n_v=51)
+    plain = run_pipeline(cfg).report.to_json_dict()
+    calls = []
+
+    def counted(metric, grid, method="auto"):
+        calls.append(method)
+        return curvature_field(metric, grid, method=method)
+
+    monkeypatch.setattr(pipeline, "curvature_field", counted)
+    monkeypatch.setattr(report, "curvature_field", counted)
+    res = run_pipeline(cfg)
+    assert calls == ["fd"]
+    assert res.report.to_json_dict() == plain
+    stencil = res.report.residuals["curvature_stencil"]
+    assert np.isnan(stencil.sup) and not stencil.gated
+    assert np.isfinite(res.report.residuals["curvature_match"].sup)
 
 
 def test_nonpositive_sampled_metric_refused(tmp_path):
@@ -124,15 +152,30 @@ def test_example_cos2_chart_is_the_configured_grid():
 def test_isometry_e_is_the_compatibility_gap(metric):
     # E of the composite is f_u^2 + g_u^2 (G0 + 1) at the image node, while
     # the solved system has f_u^2 + g_u^2 G = 1; so |E - 1| = g_u^2 |dG| up
-    # to the chart's interpolation and stencil error, which must stay a
+    # to the stencil error of the composite's metric, which must stay a
     # negligible share of the gated E residual
     res = run_pipeline(RunConfig(metric=metric, v_half=0.03))
     gu = res.pc.derivs[2]
     shared = res.iso.e_res.mask & res.dg.mask
     e_sup = np.max(res.iso.e_res.values[shared])
     gap_sup = np.max((res.dg.values * gu**2)[shared])
-    assert e_sup == pytest.approx(gap_sup, rel=1e-3)
+    assert e_sup == pytest.approx(gap_sup, rel=1e-4)
     assert res.report.residuals["isometry_e"].sup == e_sup
+
+
+def test_composite_does_not_depend_on_the_chart_grid():
+    # the composite and dG are evaluated from the chart's generator, so the
+    # chart grid's resolution moves none of their bits
+    runs = [run_pipeline(RunConfig(metric="cos2", v_half=0.03, chart_n_u=n, chart_n_v=n))
+            for n in (101, 401)]
+    coarse, fine = runs
+    assert coarse.chart.grid.nu == 101 and fine.chart.grid.nu == 401
+    assert np.array_equal(coarse.composite.mask, fine.composite.mask)
+    assert np.array_equal(coarse.composite.position, fine.composite.position, equal_nan=True)
+    assert np.array_equal(coarse.dg.values, fine.dg.values, equal_nan=True)
+    for name in ("isometry_e", "isometry_f", "isometry_g", "compat_dG"):
+        a, b = coarse.report.residuals[name], fine.report.residuals[name]
+        assert (a.sup, a.mean) == (b.sup, b.mean)
 
 
 @pytest.mark.parametrize("run", ["flat_run", "cos2_run"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import param_change_of, reference_interp
+from conftest import param_change_of
 from isoembed import fields
 from isoembed.errors import BadParameter, ImageOutsideChart
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
@@ -138,24 +138,24 @@ def test_compose_identity_is_bit_exact():
     assert np.array_equal(comp.position[sel], s.position[sel])
 
 
-@pytest.mark.parametrize("node_block", [None, 7 * 201 + 5])
-@pytest.mark.parametrize("run", ["flat_run", "cos2_run"])
-def test_blocked_compose_matches_whole_grid_interp(run, node_block, request, monkeypatch):
-    # one stencil per block of u-rows for all three coordinates gives the
-    # bits of three whole-grid interpolations
-    res = request.getfixturevalue(run)
+@pytest.mark.parametrize("node_block", [None, 7 * 41 + 5])
+def test_compose_on_a_circle_chart_is_the_closed_form(node_block, monkeypatch):
+    # the lifted circle:R chart composed with a non-identity change is
+    # (R sin(g/R) - f sin(g/R), R (1 - cos(g/R)) + f cos(g/R), g), however
+    # the solve grid is split into blocks
     if node_block is not None:
         monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
-    comp = compose(res.lifted, res.pc)
-    cert, sg = res.pc.certified, res.lifted.grid
-    uq = np.where(cert, res.pc.f.values, sg.u0)
-    vq = np.where(cert, res.pc.g.values, sg.v0)
-    ok_all = cert.copy()
-    for k in range(3):
-        vals, ok = reference_interp(res.lifted.coordinate_field(k), uq, vq)
-        assert np.array_equal(comp.position[:, :, k], vals, equal_nan=True)
-        ok_all &= ok
-    assert np.array_equal(comp.mask, ok_all)
+    r = 2.0
+    s = lift(build_chart(make_base_curve(f"circle:{r}"), Grid2D.centered(0.3, 0.3, 21, 21)))
+    pc = param_change_of(Grid2D.centered(0.1, 0.1, 41, 41),
+                         lambda u, v: 0.8 * u + 0.3 * v, lambda u, v: 0.2 * u - 0.9 * v)
+    comp = compose(s, pc)
+    assert np.array_equal(comp.mask, pc.certified) and comp.mask.sum() > 0
+    f, g = pc.f.values[comp.mask], pc.g.values[comp.mask]
+    want = np.stack([r * np.sin(g / r) - f * np.sin(g / r),
+                     r * (1.0 - np.cos(g / r)) + f * np.cos(g / r), g], axis=1)
+    np.testing.assert_allclose(comp.position[comp.mask], want, rtol=0, atol=1e-15)
+    assert np.isnan(comp.position[~comp.mask]).all()
 
 
 def test_compose_outside_chart_raises():
