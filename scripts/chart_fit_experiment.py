@@ -29,7 +29,7 @@ def sweep(metric_name, v_half):
         source = make_base_curve(spec)
         chart = build_chart(source, chart_grid_for(base.pc, cfg))
         comp = compose(lift(chart), base.pc)
-        iso = isometry_residual(comp, base.metric)
+        iso = isometry_residual(comp, base.f_report.gbar)
         dg = compatibility_residual(base.sys_report.g_val, chart, base.pc)
         e_sup, f_sup, _ = iso.sups()
         rows.append((spec, dg.sup(), e_sup, f_sup))

@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
         args.metric,
         domain=Rect(grid.u0 - 1.0, grid.u_max + 1.0, grid.v0 - 1.0, grid.v_max + 1.0),
     )
-    iso = isometry_residual(surface, metric)
+    iso = isometry_residual(surface, metric.sample(grid))
     e_sup, f_sup, g_sup = iso.sups()
     e_mean, f_mean, g_mean = iso.means()
     residuals = {
@@ -179,6 +179,8 @@ def _load_fields_csv(path):
     nu, nv = us.size, vs.size
     if nu * nv != len(rows):
         raise BadParameter(f"{path}: rows do not form a complete {nu}x{nv} grid")
+    if not (np.array_equal(ub, np.repeat(us, nv)) and np.array_equal(vb, np.tile(vs, nu))):
+        raise BadParameter(f"{path}: rows are not the {nu}x{nv} grid in row-major order")
     # span-based spacing reproduces the generating grid's du = span/(n-1)
     # to the bit, so re-verification divides by identical stencil widths
     grid = Grid2D(u0=float(us[0]), v0=float(vs[0]),

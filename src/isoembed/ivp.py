@@ -11,7 +11,10 @@ normal form f_v = -sqrt(G) * sqrt(1 - f_u^2), which is what the solver
 advances: classical RK4 in v (sub-stepped under a CFL bound
 dv <= cfl * du / max|lam sqrt(G)|) with 2nd-order central differences in
 u and one-sided stencils at the interval ends. Both directions away from
-the initial line v = 0 are marched.
+the initial line v = 0 are marched. The march evaluates sqrt(G) at 3
+points per RK4 substep, once per distinct stage point: start, midpoint
+(k2 and k3) and end. solve_f samples G once on the grid's nodes; both
+residuals, and every later stage of a run, read those samples.
 
 The valid region shrinks laterally by the characteristic cone (the
 one-sided boundary stencils are only trustworthy inside the numerical
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BadParameter, BranchViolation, OutOfDomain, ValidityLoss
+from .errors import BadParameter, BranchViolation, ValidityLoss
 from .fields import Grid2D, ScalarField2D
 from .initial import InitialData
 from .metric import GeodesicMetric2D
@@ -42,12 +45,13 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     field: ScalarField2D
-    residual: ScalarField2D
-    max_residual: float
+    max_residual: float  # sup and mean of the substitution residual
+    mean_residual: float
     steps: int
     intervals: np.ndarray  # (nv, 2) valid column interval [L, R] per level, L > R = empty
     d_u: np.ndarray  # the field's stencil derivatives, taken once here for every consumer
     d_v: np.ndarray
+    gbar: ScalarField2D  # the metric's G on the grid's nodes, sampled once by solve_f
 
     @property
     def mask(self):
@@ -79,7 +83,7 @@ def lambda_field(fu_field: ScalarField2D, guard=1e-6) -> ScalarField2D:
     return ScalarField2D(fu_field.grid, lam, mask=valid & ok)
 
 
-def _interval_slope_from_seg(seg, du):
+def _segment_slope(seg, du):
     """2nd-order slope of a row segment: central interior, one-sided ends."""
     fu = np.empty_like(seg)
     fu[1:-1] = (seg[2:] - seg[:-2]) / (2.0 * du)
@@ -88,15 +92,13 @@ def _interval_slope_from_seg(seg, du):
     return fu
 
 
-def _interval_slope(row, L, R, du):
-    return _interval_slope_from_seg(row[L : R + 1], du)
-
-
-def _march(grid, seed_row, rhs, speed_of, cfl, guard_check=None, clamp=None):
+def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=None):
     """Advance both directions from the v = 0 row, which holds seed_row.
 
-    rhs(v, seg, L, R) -> dv-derivative of the row segment;
-    speed_of(v, seg, L, R) -> max characteristic speed (for CFL + cone);
+    coeff(v, L, R) -> the equation's coefficient on columns L..R at v, taken
+    once per distinct stage point;
+    rhs(seg, c) -> dv-derivative of the row segment under coefficient c;
+    speed_of(seg, c) -> max characteristic speed (for CFL + cone);
     guard_check(seg, L, R) -> per-column bool of guard violations, or None;
     clamp -> per-level column intervals the march may not exceed (used to
     keep the transport solve inside the coefficient field's support).
@@ -126,16 +128,20 @@ def _march(grid, seed_row, rhs, speed_of, cfl, guard_check=None, clamp=None):
             v_from, v_to = vs[j], vs[jn]
             dv_level = v_to - v_from
 
-            smax = speed_of(v_from, row, L, R)
+            seg = row[L : R + 1].copy()
+            c = coeff(v_from, L, R)
+            smax = speed_of(seg, c)
             n_sub = max(1, int(math.ceil(abs(dv_level) * smax / (cfl * du))) if smax > 0 else 1)
             h = dv_level / n_sub
-            seg = row[L : R + 1].copy()
             for s in range(n_sub):
                 v = v_from + s * h
-                k1 = rhs(v, seg, L, R)
-                k2 = rhs(v + 0.5 * h, seg + 0.5 * h * k1, L, R)
-                k3 = rhs(v + 0.5 * h, seg + 0.5 * h * k2, L, R)
-                k4 = rhs(v + h, seg + h * k3, L, R)
+                if s:
+                    c = coeff(v, L, R)
+                c_mid = coeff(v + 0.5 * h, L, R)
+                k1 = rhs(seg, c)
+                k2 = rhs(seg + 0.5 * h * k1, c_mid)
+                k3 = rhs(seg + 0.5 * h * k2, c_mid)
+                k4 = rhs(seg + h * k3, coeff(v + h, L, R))
                 seg = seg + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 steps += 1
             row = np.full(nu, np.nan)
@@ -174,33 +180,36 @@ def _march(grid, seed_row, rhs, speed_of, cfl, guard_check=None, clamp=None):
 
 def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
             opts: SolveOptions = None) -> SolveReport:
-    """March f from f(u, 0) = h(u) by f_v = -sqrt(G) sqrt(1 - f_u^2)."""
+    """March f from f(u, 0) = h(u) by f_v = -sqrt(G) sqrt(1 - f_u^2).
+
+    The report keeps G sampled on the grid (metric.sample) for the run."""
     opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
-    if not metric.domain.contains_grid(grid):
-        raise OutOfDomain("grid does not fit inside the metric domain")
+    gbar = metric.sample(grid)
     u = grid.u_coords
     init.check_grid(u)
 
     guard = opts.guard
 
-    def rhs(v, seg, L, R):
-        fu = _interval_slope_from_seg(seg, grid.du)
-        radicand = np.maximum(1.0 - fu**2, 0.0)
-        return -metric.sqrt_g(u[L : R + 1], v) * np.sqrt(radicand)
+    def coeff(v, L, R):
+        return metric.sqrt_g(u[L : R + 1], v)
 
-    def speed_of(v, row, L, R):
-        fu = _interval_slope(row, L, R, grid.du)
-        fu = np.clip(fu, 0.0, 1.0 - guard)
+    def rhs(seg, sqrt_g):
+        fu = _segment_slope(seg, grid.du)
+        radicand = np.maximum(1.0 - fu**2, 0.0)
+        return -sqrt_g * np.sqrt(radicand)
+
+    def speed_of(seg, sqrt_g):
+        fu = np.clip(_segment_slope(seg, grid.du), 0.0, 1.0 - guard)
         lam = fu / np.sqrt(1.0 - fu**2)
-        return float(np.max(lam * metric.sqrt_g(u[L : R + 1], v)))
+        return float(np.max(lam * sqrt_g))
 
     def guard_check(row, L, R):
-        fu = _interval_slope(row, L, R, grid.du)
+        fu = _segment_slope(row[L : R + 1], grid.du)
         return (fu >= 1.0 - guard) | (fu <= 0.0)
 
-    values, mask, intervals, steps = _march(grid, init.h(u), rhs, speed_of, opts.cfl,
+    values, mask, intervals, steps = _march(grid, init.h(u), coeff, rhs, speed_of, opts.cfl,
                                             guard_check=guard_check)
 
     if mask.sum() <= grid.nu:
@@ -208,9 +217,9 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
 
     f = ScalarField2D(grid, values, mask=mask)
     fu, fv = f.d_u().values, f.d_v().values
-    res = residual_f(metric, f, fu, fv, guard=guard)
-    return SolveReport(field=f, residual=res, max_residual=res.sup(), steps=steps,
-                       intervals=intervals, d_u=fu, d_v=fv)
+    sup, mean = residual_f(gbar, f, fu, fv, guard=guard)
+    return SolveReport(field=f, max_residual=sup, mean_residual=mean, steps=steps,
+                       intervals=intervals, d_u=fu, d_v=fv, gbar=gbar)
 
 
 def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
@@ -218,7 +227,8 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     """March the transport equation g_v = lam sqrt(G) g_u with lam from f.
 
     lam is evaluated per level from the stored f (linear interpolation in v
-    at RK4 stage points); g inherits f's validity.
+    at RK4 stage points); g inherits f's validity. The residual reads the
+    G samples of f's report.
     """
     opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
@@ -230,8 +240,8 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
 
     lam_rows, _ = slope_to_lambda(f_report.d_u, guard=opts.guard)
 
-    def lam_at(v, L, R):
-        """Linear interpolation of lam between the two bracketing levels."""
+    def coeff(v, L, R):
+        """lam sqrt(G), lam linear in v between the two bracketing levels."""
         t = (v - grid.v0) / grid.dv
         jlo = int(np.clip(math.floor(t), 0, grid.nv - 2))
         w = t - jlo
@@ -239,18 +249,15 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
         hi = lam_rows[L : R + 1, jlo + 1]
         hi = np.where(np.isfinite(hi), hi, lo)
         lo = np.where(np.isfinite(lo), lo, hi)
-        return lo * (1.0 - w) + hi * w
+        return (lo * (1.0 - w) + hi * w) * metric.sqrt_g(u[L : R + 1], v)
 
-    def rhs(v, seg, L, R):
-        gu = _interval_slope_from_seg(seg, grid.du)
-        return lam_at(v, L, R) * metric.sqrt_g(u[L : R + 1], v) * gu
+    def rhs(seg, c):
+        return c * _segment_slope(seg, grid.du)
 
-    def speed_of(v, row, L, R):
-        lam = lam_at(v, L, R)
-        lam = np.where(np.isfinite(lam), lam, 0.0)
-        return float(np.max(np.abs(lam) * metric.sqrt_g(u[L : R + 1], v)))
+    def speed_of(seg, c):
+        return float(np.max(np.abs(np.where(np.isfinite(c), c, 0.0))))
 
-    values, mask, intervals, steps = _march(grid, init.k(u), rhs, speed_of, opts.cfl,
+    values, mask, intervals, steps = _march(grid, init.k(u), coeff, rhs, speed_of, opts.cfl,
                                             clamp=f_report.intervals)
 
     # g carries no claim where f carries none
@@ -258,31 +265,31 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
 
     g = ScalarField2D(grid, values, mask=mask)
     gu, gv = g.d_u().values, g.d_v().values
-    res = residual_g(metric, f_report.field, f_report.d_u, g, gu, gv, guard=opts.guard)
-    return SolveReport(field=g, residual=res, max_residual=res.sup(), steps=steps,
-                       intervals=intervals, d_u=gu, d_v=gv)
+    sup, mean = residual_g(f_report.gbar, f_report.field, f_report.d_u, g, gu, gv,
+                           guard=opts.guard)
+    return SolveReport(field=g, max_residual=sup, mean_residual=mean, steps=steps,
+                       intervals=intervals, d_u=gu, d_v=gv, gbar=f_report.gbar)
 
 
-def residual_f(metric: GeodesicMetric2D, f: ScalarField2D, fu, fv,
-               guard=1e-6) -> ScalarField2D:
-    """Substitution residual sqrt(G) f_u + lam f_v from f's stencils fu, fv."""
+def residual_f(gbar: ScalarField2D, f: ScalarField2D, fu, fv, guard=1e-6) -> tuple:
+    """(sup, mean) of the substitution residual |sqrt(G) f_u + lam f_v|
+    from G's samples gbar and f's stencils fu, fv."""
     lam, ok = slope_to_lambda(fu, guard=guard)
-    U, V = f.grid.meshgrid()
-    sqrt_g = np.sqrt(np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U))
-    res = sqrt_g * fu + lam * fv
+    res = np.sqrt(gbar.values) * fu + lam * fv
     valid = f.mask & ok & np.isfinite(fv)
-    return ScalarField2D(f.grid, np.abs(res), mask=valid & np.isfinite(res))
+    fld = ScalarField2D(f.grid, np.abs(res), mask=valid & np.isfinite(res))
+    return fld.sup(), fld.mean_abs()
 
 
-def residual_g(metric: GeodesicMetric2D, f: ScalarField2D, fu, g: ScalarField2D, gu, gv,
-               guard=1e-6) -> ScalarField2D:
-    """Substitution residual lam sqrt(G) g_u - g_v; lam frozen from f's stencil fu."""
+def residual_g(gbar: ScalarField2D, f: ScalarField2D, fu, g: ScalarField2D, gu, gv,
+               guard=1e-6) -> tuple:
+    """(sup, mean) of the substitution residual |lam sqrt(G) g_u - g_v|;
+    lam frozen from f's stencil fu, G from its samples gbar."""
     lam, ok = slope_to_lambda(fu, guard=guard)
-    U, V = g.grid.meshgrid()
-    sqrt_g = np.sqrt(np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U))
-    res = lam * sqrt_g * gu - gv
+    res = lam * np.sqrt(gbar.values) * gu - gv
     valid = g.mask & f.mask & ok & np.isfinite(gu) & np.isfinite(gv)
-    return ScalarField2D(g.grid, np.abs(res), mask=valid & np.isfinite(res))
+    fld = ScalarField2D(g.grid, np.abs(res), mask=valid & np.isfinite(res))
+    return fld.sup(), fld.mean_abs()
 
 
 @dataclass

@@ -39,11 +39,6 @@ class Rect:
             & (np.asarray(v) <= self.v_max + tol)
         )
 
-    def contains_grid(self, grid: Grid2D, tol=1e-12):
-        return bool(
-            self.contains(grid.u0, grid.v0, tol) and self.contains(grid.u_max, grid.v_max, tol)
-        )
-
 
 @dataclass
 class GeodesicMetric2D:
@@ -66,8 +61,7 @@ class GeodesicMetric2D:
         v = np.asarray(v, dtype=float)
         if not np.all(self.domain.contains(u, v, tol=1e-12)):
             raise OutOfDomain(f"point outside domain of metric '{self.name}'")
-        g = np.asarray(self.g_fn(u, v), dtype=float)
-        g = g * np.ones_like(u, dtype=float)
+        g = np.asarray(self.g_fn(u, v), dtype=float) * np.ones_like(u, dtype=float)
         if np.any(g <= 0.0):
             raise NonPositiveMetric(f"metric '{self.name}' non-positive at a queried point")
         return g if g.ndim else float(g)
@@ -76,6 +70,8 @@ class GeodesicMetric2D:
         return np.sqrt(self.eval(u, v))
 
     def sample(self, grid: Grid2D) -> ScalarField2D:
+        """G on every node of grid, checked as eval checks it: the one
+        sampling of Gbar a run takes, which every later stage reads."""
         U, V = grid.meshgrid()
         return ScalarField2D(grid, self.eval(U, V))
 
@@ -199,8 +195,7 @@ def curvature_field(m: GeodesicMetric2D, grid: Grid2D, method="auto") -> ScalarF
     if method == "analytic" or (method == "auto" and m.has_analytic_curvature):
         if not m.has_analytic_curvature:
             raise ValueError(f"metric '{m.name}' has no analytic curvature")
-        U, V = grid.meshgrid()
-        return ScalarField2D(grid, np.asarray(m.curvature_fn(U, V), dtype=float) * np.ones_like(U))
+        return ScalarField2D.from_function(grid, m.curvature_fn)
     return curvature_from_samples(m.sample(grid))
 
 
@@ -221,33 +216,24 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_metric(
-    m: GeodesicMetric2D, grid: Grid2D, tol: float = 1e-8, slope_bound: float = 1e6
-) -> ValidationReport:
-    """Positivity (G > tol) and bounded-first-difference checks on grid nodes.
+def validate_metric(gbar: ScalarField2D, tol: float = 1e-8,
+                    slope_bound: float = 1e6) -> ValidationReport:
+    """Positivity floor (G > tol) and bounded-first-difference checks on
+    samples of G, as GeodesicMetric2D.sample takes them.
 
-    The difference bound is a sampling proxy for G being C^1: violations
-    are data for the report, not errors.
+    sample has already refused points outside the domain and G <= 0. The
+    difference bound is a sampling proxy for G being C^1: violations are
+    data for the report, not errors.
     """
-    out = []
-    if not m.domain.contains_grid(grid):
-        out.append(Violation("domain", (-1, -1), (grid.u0, grid.v0), float("nan")))
-        return ValidationReport(out)
-    U, V = grid.meshgrid()
-    g = np.asarray(m.g_fn(U, V), dtype=float) * np.ones_like(U)
-    bad = np.argwhere(g <= tol)
-    for i, j in bad:
-        out.append(
-            Violation("nonpositive", (int(i), int(j)), (float(U[i, j]), float(V[i, j])), float(g[i, j]))
-        )
+    grid = gbar.grid
+    us, vs = grid.u_coords, grid.v_coords
+    g = gbar.values
     su = np.abs(np.diff(g, axis=0)) / grid.du
     sv = np.abs(np.diff(g, axis=1)) / grid.dv
-    for (i, j) in np.argwhere(su >= slope_bound):
-        out.append(
-            Violation("first_difference", (int(i), int(j)), (float(U[i, j]), float(V[i, j])), float(su[i, j]))
-        )
-    for (i, j) in np.argwhere(sv >= slope_bound):
-        out.append(
-            Violation("first_difference", (int(i), int(j)), (float(U[i, j]), float(V[i, j])), float(sv[i, j]))
-        )
-    return ValidationReport(out)
+    return ValidationReport([
+        Violation(kind, (int(i), int(j)), (float(us[i]), float(vs[j])), float(vals[i, j]))
+        for kind, vals, bad in (("nonpositive", g, g <= tol),
+                                ("first_difference", su, su >= slope_bound),
+                                ("first_difference", sv, sv >= slope_bound))
+        for i, j in np.argwhere(bad)
+    ])

@@ -21,7 +21,7 @@ from .errors import IoFailure, NonPositiveMetric
 from .fields import Grid2D, ScalarField2D
 from .initial import make_initial
 from .ivp import SolveOptions, c2_defect_scan, solve_f, solve_g
-from .metric import Rect, curvature_field, make_metric, validate_metric
+from .metric import Rect, curvature_field, curvature_from_samples, make_metric, validate_metric
 from .plane import (
     build_chart,
     chart_differences,
@@ -105,17 +105,15 @@ def _lift_checks(diffs, g0):
     return parts, (-reg_min if np.isfinite(reg_min) else float("nan"))
 
 
-def _curvature_stencil_dev(metric, grid):
-    """sup |K_fd - K_analytic| over the grid, NaN without a closed-form K.
-
-    Its curvature fields are released on return. Without a closed-form K
-    no field is computed: curvature_match takes the same finite-difference
-    field on the same grid, so its errors still surface there."""
+def _reference_curvature(metric, gbar):
+    """(K on gbar's grid, sup |K_fd - K_analytic|), K_fd from the samples
+    gbar. K is the closed form where the metric has one, else K_fd, and
+    the stencil check then reads NaN."""
+    k_fd = curvature_from_samples(gbar)
     if not metric.has_analytic_curvature:
-        return float("nan")
-    k_fd = curvature_field(metric, grid, method="fd")
-    k_ref = curvature_field(metric, grid, method="analytic")
-    return _sup_on(np.abs(k_fd.values - k_ref.values), k_fd.mask & k_ref.mask)
+        return k_fd, float("nan")
+    k_ref = curvature_field(metric, gbar.grid, method="analytic")
+    return k_ref, _sup_on(np.abs(k_fd.values - k_ref.values), k_fd.mask & k_ref.mask)
 
 
 def resolve_chart_source(cfg: RunConfig, pc, sys_report):
@@ -159,17 +157,16 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                                 -cfg.metric_v_half, cfg.metric_v_half)
     )
     grid = Grid2D.centered(cfg.u_half, cfg.v_half, cfg.n_u, cfg.n_v)
-
-    validation = validate_metric(metric, grid, tol=tol.positivity_floor,
-                                 slope_bound=tol.slope_bound)
+    init = make_initial(cfg.family, cfg.epsilon, cfg.delta)
+    opts = SolveOptions(residual_tol=tol.residual_tol, cfl=tol.cfl, guard=tol.guard)
+    # solve_f samples G on the grid once; every stage below reads those samples
+    f_report = solve_f(metric, init, grid, opts)
+    gbar = f_report.gbar
+    validation = validate_metric(gbar, tol=tol.positivity_floor, slope_bound=tol.slope_bound)
     if any(v.kind == "nonpositive" for v in validation.violations):
         raise NonPositiveMetric(
             f"metric '{cfg.metric}' is not positive on the requested grid"
         )
-
-    init = make_initial(cfg.family, cfg.epsilon, cfg.delta)
-    opts = SolveOptions(residual_tol=tol.residual_tol, cfl=tol.cfl, guard=tol.guard)
-    f_report = solve_f(metric, init, grid, opts)
     g_report = solve_g(metric, f_report, init, grid, opts)
 
     pc = build_param_change(f_report, g_report, jac_tol=tol.jacobian_tol)
@@ -181,7 +178,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     row_ok = pc.certified[:, j0] & pc.jac.mask[:, j0]
     oracle_rel = _sup_on(np.abs(pc.jac.values[:, j0] - cf) / np.abs(cf), row_ok)
 
-    sys_report = solve_system_grid(pc, metric)
+    sys_report = solve_system_grid(pc, gbar)
     interior = _interior_mask(sys_report.mask, grid)
 
     source = resolve_chart_source(cfg, pc, sys_report)
@@ -209,15 +206,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     lifted = lift(chart)
     composite = compose(lifted, pc)
-    iso = isometry_residual(composite, metric)
+    iso = isometry_residual(composite, gbar)
 
-    curv_dev = _curvature_stencil_dev(metric, grid)
+    k_bar, curv_dev = _reference_curvature(metric, gbar)
     # restrict the pullback to central-quality values of the solved G: the
     # one-sided boundary ring carries value noise that a second derivative
     # would amplify by 1/(J du)^2
     g_for_pullback = ScalarField2D(grid, sys_report.g_val.values, mask=interior)
-    match_sup, _ = curvature_match(metric, g_for_pullback, pc,
-                                   method="auto" if metric.has_analytic_curvature else "fd")
+    match_sup = curvature_match(k_bar, g_for_pullback, pc)
+    del k_bar
 
     dg_field = compatibility_residual(sys_report.g_val, chart, pc)
 
@@ -235,20 +232,20 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         & (np.abs(sys_report.aug_det.values) < tol.aug_det_tol)
     )
     rank_frac = float(rank_and_det_ok[sys_report.mask].sum() / max(1, sys_report.mask.sum()))
-    pullback_sup = max(r.sup() for r in sys_report.row_residuals)
     e_dev_sup = _sup_on(np.abs(sys_report.e_val.values - 1.0), sys_report.mask)
 
     iso_e_sup, iso_f_sup, iso_g_sup = iso.sups()
     iso_e_mean, iso_f_mean, iso_g_mean = iso.means()
 
     residuals = {
-        "pde_f": ResidualStat(f_report.max_residual, f_report.residual.mean_abs(),
+        "pde_f": ResidualStat(f_report.max_residual, f_report.mean_residual,
                               tol.residual_tol, gated=True),
-        "pde_g": ResidualStat(g_report.max_residual, g_report.residual.mean_abs(),
+        "pde_g": ResidualStat(g_report.max_residual, g_report.mean_residual,
                               tol.residual_tol, gated=True),
         "jacobian_oracle_rel": ResidualStat(oracle_rel, tol=tol.jacobian_oracle_tol, gated=True),
         "aug_det": ResidualStat(sys_report.aug_det.sup(), sys_report.aug_det.mean_abs()),
-        "pullback_rows": ResidualStat(pullback_sup, tol=tol.pullback_tol, gated=True),
+        "pullback_rows": ResidualStat(sys_report.row_residual_sup, tol=tol.pullback_tol,
+                                      gated=True),
         "e_val_dev": ResidualStat(e_dev_sup, tol=tol.e_val_tol, gated=True),
         "g_match_rel_interior": ResidualStat(sys_report.g_match_rel_sup(interior),
                                              tol=tol.g_match_rel_tol, gated=True),

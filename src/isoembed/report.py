@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import IoFailure
 from .fields import ScalarField2D
-from .metric import GeodesicMetric2D, curvature_field
 from .reparam import ParamChange
 from .surface import EmbeddedSurface, induced_metric, row_blocks, write_rows
 
@@ -38,17 +37,16 @@ class IsometryResiduals:
         return self.e_res.mean_abs(), self.f_res.mean_abs(), self.g_res.mean_abs()
 
 
-def isometry_residual(surface: EmbeddedSurface, metric: GeodesicMetric2D) -> IsometryResiduals:
-    """Per-node |E - 1|, |F|, |G_induced - Gbar| of a surface over (ubar, vbar)."""
+def isometry_residual(surface: EmbeddedSurface, gbar: ScalarField2D) -> IsometryResiduals:
+    """Per-node |E - 1|, |F|, |G_induced - Gbar| of a surface over (ubar, vbar),
+    with Gbar the metric's samples on the surface's grid."""
     e, f, g = induced_metric(surface)
-    U, V = surface.grid.meshgrid()
-    gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
     mask = e.mask
     grid = surface.grid
     return IsometryResiduals(
         e_res=ScalarField2D(grid, np.abs(e.values - 1.0), mask=mask),
         f_res=ScalarField2D(grid, np.abs(f.values), mask=mask),
-        g_res=ScalarField2D(grid, np.abs(g.values - gbar), mask=mask),
+        g_res=ScalarField2D(grid, np.abs(g.values - gbar.values), mask=mask),
     )
 
 
@@ -82,15 +80,14 @@ def pullback_curvature(g_unbarred: ScalarField2D, pc: ParamChange) -> ScalarFiel
     return ScalarField2D(grid, k, mask=w_uu.mask & np.isfinite(k))
 
 
-def curvature_match(metric: GeodesicMetric2D, g_unbarred: ScalarField2D,
-                    pc: ParamChange, method="auto") -> tuple:
-    """sup |K(Gbar) - K(G) pulled back| and the difference field."""
-    k_bar = curvature_field(metric, g_unbarred.grid, method=method)
+def curvature_match(k_bar: ScalarField2D, g_unbarred: ScalarField2D,
+                    pc: ParamChange) -> float:
+    """sup |K(Gbar) - K(G) pulled back|, with K(Gbar) given on the solve
+    grid as k_bar."""
     k_pull = pullback_curvature(g_unbarred, pc)
     diff = np.abs(k_bar.values - k_pull.values)
     mask = k_bar.mask & k_pull.mask & np.isfinite(diff)
-    fld = ScalarField2D(g_unbarred.grid, diff, mask=mask)
-    return fld.sup(), fld
+    return ScalarField2D(g_unbarred.grid, diff, mask=mask).sup()
 
 
 def compatibility_residual(g_cramer: ScalarField2D, chart, pc: ParamChange) -> ScalarField2D:

@@ -219,9 +219,10 @@ def load_obj_positions(path: str, nu: int, nv: int):
     """Positions and validity mask from an OBJ written by export_obj.
 
     Returns (positions (nu, nv, 3), mask or None when no '# valid' lines).
+    A '# valid i a:b' run must lie in its row: 0 <= a <= b < nv.
     """
     verts = []
-    mask = None
+    runs = None  # (i, a, b) per '# valid' run, range-checked after the vertex count
     try:
         with open(path) as fh:
             for line in fh:
@@ -229,19 +230,24 @@ def load_obj_positions(path: str, nu: int, nv: int):
                     _, x, y, z = line.split()
                     verts.append((float(x), float(y), float(z)))
                 elif line.startswith("# valid "):
-                    if mask is None:
-                        mask = np.zeros((nu, nv), dtype=bool)
+                    if runs is None:
+                        runs = []
                     parts = line.split()
                     i = int(parts[2])
                     if not 0 <= i < nu:
                         raise BadParameter(f"{path}: mask row {i} out of range for nu={nu}")
                     for run in parts[3:]:
                         a, b = run.split(":")
-                        mask[i, int(a): int(b) + 1] = True
+                        runs.append((i, int(a), int(b)))
     except OSError as exc:
         raise IoFailure(f"cannot read mesh {path}: {exc}") from exc
     except (ValueError, IndexError) as exc:
         raise BadParameter(f"{path}: malformed vertex or '# valid' line: {exc}") from None
     if len(verts) != nu * nv:
         raise BadParameter(f"{path}: expected {nu * nv} vertices, found {len(verts)}")
+    mask = None if runs is None else np.zeros((nu, nv), dtype=bool)
+    for i, a, b in runs or ():
+        if not 0 <= a <= b < nv:
+            raise BadParameter(f"{path}: mask run {a}:{b} of row {i} out of range for nv={nv}")
+        mask[i, a: b + 1] = True
     return np.array(verts).reshape(nu, nv, 3), mask

@@ -31,10 +31,11 @@ determinant differs from it by up to 3.5e-7 relative, which would change
 the written bytes.
 
 The grid solve walks the grid in blocks of whole u-rows of about
-fields.NODE_BLOCK nodes, sampling Gbar per block: its twenty-odd
-node-sized temporaries stay bounded, and only the nine result fields grow
-with the grid. Every step is per node, so the bits equal one whole-grid
-pass.
+fields.NODE_BLOCK nodes, reading each block's slice of the run's Gbar
+samples: its twenty-odd node-sized temporaries stay bounded, and only the
+six result fields grow with the grid. The three row residuals fold into
+their sup block by block. Every step is per node, so the bits equal one
+whole-grid pass.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class SystemReport:
     rank_coeff: ScalarField2D
     rank_aug: ScalarField2D
     aug_det: ScalarField2D
-    row_residuals: tuple  # three ScalarField2D, one per row
+    row_residual_sup: float  # sup over the mask of |row . (E, G) - rhs| on the three rows
     mask: np.ndarray
 
     def g_match_rel_sup(self, mask=None):
@@ -195,12 +196,14 @@ class SystemReport:
 
 def _solve_block(fu, fv, gu, gv, gbar, mask, out):
     """The system at every node of one block of u-rows: assemble, solve,
-    residuals, LU determinants and invariant ranks on the masked nodes.
+    LU determinants and invariant ranks on the masked nodes.
 
     Writes into the block views out = (e_val, g_val, g_closed, rank_coeff,
-    rank_aug, aug_det, res0, res1, res2), which arrive filled with NaN.
+    rank_aug, aug_det), which arrive filled with NaN, and returns the sup
+    of the three row residuals over the block's masked nodes (-inf where
+    none is finite).
     """
-    e_val, g_val, g_closed, rank_c, rank_a, aug_det, res0, res1, res2 = out
+    e_val, g_val, g_closed, rank_c, rank_a, aug_det = out
     A0, B0 = fu * fu, gu * gu
     A1, B1 = fu * fv, gu * gv
     A2, B2 = fv * fv, gv * gv
@@ -225,9 +228,10 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
 
     g_closed[...] = (gbar - A2) / np.where(B2 == 0.0, np.nan, B2)
 
-    res0[...] = np.abs(e_val * A0 + g_val * B0 - r0)
-    res1[...] = np.abs(e_val * A1 + g_val * B1 - r1)
-    res2[...] = np.abs(e_val * A2 + g_val * B2 - r2)
+    sup = -np.inf
+    for A, B, r in ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2)):
+        res = np.abs(e_val * A + g_val * B - r)[mask]
+        sup = max(sup, float(res[np.isfinite(res)].max(initial=-np.inf)))
 
     # determinants (LU) and invariant ranks on the certified nodes
     n = int(mask.sum())
@@ -239,13 +243,15 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
         det = np.linalg.det(aug)
         aug_det[mask] = det
         rank_c[mask], rank_a[mask] = _invariant_ranks(aug, det)
+    return sup
 
 
-def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport:
-    """Vectorized assemble + rank check + solve at every certified node.
+def solve_system_grid(pc: ParamChange, gbar: ScalarField2D) -> SystemReport:
+    """Vectorized assemble + rank check + solve at every certified node,
+    with Gbar read from the samples gbar on pc's grid.
 
     The grid is walked in blocks of whole u-rows of about NODE_BLOCK nodes,
-    Gbar sampled per block, so the transients do not grow with the grid.
+    so the transients do not grow with the grid.
     """
     grid = pc.grid
     fu, fv, gu, gv = pc.derivs
@@ -253,16 +259,14 @@ def solve_system_grid(pc: ParamChange, metric: GeodesicMetric2D) -> SystemReport
         pc.certified
         & np.isfinite(fu) & np.isfinite(fv) & np.isfinite(gu) & np.isfinite(gv)
     )
-    out = [np.full((grid.nu, grid.nv), np.nan) for _ in range(9)]
-    us, vs = grid.u_coords, grid.v_coords
-    for rows in node_blocks(grid.nu, grid.nv):
-        U, V = np.meshgrid(us[rows], vs, indexing="ij")
-        gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
-        _solve_block(fu[rows], fv[rows], gu[rows], gv[rows], gbar, mask[rows],
-                     [a[rows] for a in out])
+    out = [np.full((grid.nu, grid.nv), np.nan) for _ in range(6)]
+    sup = max(_solve_block(fu[rows], fv[rows], gu[rows], gv[rows], gbar.values[rows],
+                           mask[rows], [a[rows] for a in out])
+              for rows in node_blocks(grid.nu, grid.nv))
 
     results = []
     while out:  # each raw array is dropped once its field holds a masked copy
         arr = out.pop(0)
         results.append(ScalarField2D(grid, arr, mask=mask & np.isfinite(arr)))
-    return SystemReport(*results[:6], row_residuals=tuple(results[6:]), mask=mask)
+    return SystemReport(*results, row_residual_sup=sup if np.isfinite(sup) else float("nan"),
+                        mask=mask)

@@ -199,6 +199,12 @@ _MESH_3X3 = "".join(f"v {u} {v} 0\n" for u in range(3) for v in range(3))
 _VERIFY = ["verify", "mesh.obj", "--metric", "flat", "--fields", "fields.csv"]
 
 
+def _swap_lines(text, a, b):
+    lines = text.splitlines(keepends=True)
+    lines[a], lines[b] = lines[b], lines[a]
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("files, args, message", [
     ({"bad.cfg": "[metric\nname = flat\n"}, ["run", "--config", "bad.cfg"],
      "bad.cfg: not a valid config file"),
@@ -209,18 +215,28 @@ _VERIFY = ["verify", "mesh.obj", "--metric", "flat", "--fields", "fields.csv"]
      _VERIFY, "fields.csv: could not convert string to float: 'x'"),
     ({"fields.csv": _FIELDS_3X3.replace("0,1,0,1", "0,1,0"), "mesh.obj": _MESH_3X3},
      _VERIFY, "fields.csv: every row needs 4 cells"),
+    # data rows (0, 1) and (1, 0) swapped: the grid is complete, its order is not
+    ({"fields.csv": _swap_lines(_FIELDS_3X3, 2, 4), "mesh.obj": _MESH_3X3},
+     _VERIFY, "fields.csv: rows are not the 3x3 grid in row-major order"),
     ({"mesh.obj": _MESH_3X3}, _VERIFY, "cannot read fields fields.csv"),
     ({"fields.csv": _FIELDS_3X3, "mesh.obj": _MESH_3X3.replace("v 1 1 0", "v 1 1")},
      _VERIFY, "mesh.obj: malformed vertex or '# valid' line"),
     ({"fields.csv": _FIELDS_3X3, "mesh.obj": "# valid \n" + _MESH_3X3},
      _VERIFY, "mesh.obj: malformed vertex or '# valid' line"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": "# valid 0 -5:2\n" + _MESH_3X3},
+     _VERIFY, "mesh.obj: mask run -5:2 of row 0 out of range for nv=3"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": "# valid 0 0:99\n" + _MESH_3X3},
+     _VERIFY, "mesh.obj: mask run 0:99 of row 0 out of range for nv=3"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": "# valid 0 2:1\n" + _MESH_3X3},
+     _VERIFY, "mesh.obj: mask run 2:1 of row 0 out of range for nv=3"),
     ({"fields.csv": _FIELDS_3X3}, _VERIFY, "cannot read mesh mesh.obj"),
     ({"afile": ""}, ["run", "--grid-n", "41", "--n-v", "41", "--chart-n", "41",
                      "--out-dir", "afile/out"], "cannot create output directory afile/out"),
 ], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
-        "fields_cell_not_a_number", "fields_row_short", "fields_missing",
-        "mesh_vertex_malformed", "mesh_valid_line_without_row", "mesh_missing",
-        "out_dir_under_a_file"])
+        "fields_cell_not_a_number", "fields_row_short", "fields_rows_out_of_order",
+        "fields_missing", "mesh_vertex_malformed", "mesh_valid_line_without_row",
+        "mesh_valid_run_negative", "mesh_valid_run_past_nv", "mesh_valid_run_reversed",
+        "mesh_missing", "out_dir_under_a_file"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -116,13 +116,14 @@ def test_curvature_grid_too_small():
 
 
 def test_validate_flat_empty():
-    rep = validate_metric(make_metric("flat"), Grid2D.centered(0.3, 0.3, 21, 21), tol=1e-8)
+    rep = validate_metric(make_metric("flat").sample(Grid2D.centered(0.3, 0.3, 21, 21)),
+                          tol=1e-8)
     assert rep.ok
 
 
 def test_validate_cos2_positive_inside():
     m = make_metric("cos2", domain=Rect(-1.5, 1.5, -1.5, 1.5))
-    rep = validate_metric(m, Grid2D.centered(1.5, 1.5, 301, 11), tol=1e-8)
+    rep = validate_metric(m.sample(Grid2D.centered(1.5, 1.5, 301, 11)), tol=1e-8)
     assert rep.ok  # cos^2(1.5) ~ 0.0050 > 0
 
 
@@ -131,7 +132,7 @@ def test_validate_cos2_flags_zero_crossing():
     m = make_metric("cos2", domain=Rect(-2.0, 2.0, -1.0, 1.0))
     du = 0.03
     grid = Grid2D(u0=np.pi / 2 - 50 * du, v0=-0.1, du=du, dv=0.1, nu=60, nv=3)
-    rep = validate_metric(m, grid, tol=1e-8)
+    rep = validate_metric(m.sample(grid), tol=1e-8)
     kinds = {v.kind for v in rep.violations}
     assert "nonpositive" in kinds
     worst = min(rep.violations, key=lambda v: v.value)
@@ -141,7 +142,7 @@ def test_validate_cos2_flags_zero_crossing():
 def test_validate_slope_bound():
     steep = GeodesicMetric2D(name="steep", domain=Rect(-1, 1, -1, 1),
                              g_fn=lambda u, v: 1.0 + 1e7 * np.abs(u))
-    rep = validate_metric(steep, Grid2D.centered(0.5, 0.5, 11, 11), tol=1e-8,
+    rep = validate_metric(steep.sample(Grid2D.centered(0.5, 0.5, 11, 11)), tol=1e-8,
                           slope_bound=1e6)
     assert any(v.kind == "first_difference" for v in rep.violations)
 

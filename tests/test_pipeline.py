@@ -4,11 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isoembed import fields, pipeline, report
+from isoembed import fields, pipeline
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
 from isoembed.fields import ScalarField2D
-from isoembed.metric import curvature_field
+from isoembed.metric import curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.plane import chart_differences
 from isoembed.surface import regularity_check
@@ -91,8 +91,9 @@ def test_sampled_metric_pipeline(tmp_path):
 
 def test_sampled_metric_takes_one_curvature_field(tmp_path, monkeypatch):
     # without a closed-form K the stencil check has nothing to compare, so
-    # only curvature_match's finite-difference field is computed; the
-    # report is the one taken without the counter
+    # only the finite-difference field, from the run's samples, is computed
+    # as curvature_match's reference; the report is the one taken without
+    # the counter
     cfg = RunConfig(metric=_near_flat_sampled_metric(tmp_path), n_u=51, n_v=51)
     plain = run_pipeline(cfg).report.to_json_dict()
     calls = []
@@ -101,14 +102,54 @@ def test_sampled_metric_takes_one_curvature_field(tmp_path, monkeypatch):
         calls.append(method)
         return curvature_field(metric, grid, method=method)
 
+    def counted_fd(gbar):
+        calls.append("fd")
+        return curvature_from_samples(gbar)
+
     monkeypatch.setattr(pipeline, "curvature_field", counted)
-    monkeypatch.setattr(report, "curvature_field", counted)
+    monkeypatch.setattr(pipeline, "curvature_from_samples", counted_fd)
     res = run_pipeline(cfg)
     assert calls == ["fd"]
     assert res.report.to_json_dict() == plain
     stencil = res.report.residuals["curvature_stencil"]
     assert np.isnan(stencil.sup) and not stencil.gated
     assert np.isfinite(res.report.residuals["curvature_match"].sup)
+
+
+# cos2 takes one RK4 substep per level, flat at 21 v-lines six
+@pytest.mark.parametrize("cfg", [RunConfig(metric="cos2", v_half=0.03), RunConfig(n_v=21)],
+                         ids=["cos2", "flat_substeps"])
+def test_run_evaluates_the_metric_once_per_point(cfg, monkeypatch):
+    # G is sampled once on the whole solve grid and never on a block of it,
+    # the march takes sqrt(G) once per distinct stage point (3 a substep),
+    # and the closed-form K is evaluated once
+    shapes, sqrt_calls, k_calls = [], [], []
+
+    def counting_metric(*args, **kwargs):
+        m = make_metric(*args, **kwargs)
+        g_fn, sqrt_g, k_fn = m.g_fn, m.sqrt_g, m.curvature_fn
+
+        def counted_g(u, v):
+            shapes.append(np.shape(u))
+            return g_fn(u, v)
+
+        def counted_sqrt(u, v):
+            sqrt_calls.append(v)
+            return sqrt_g(u, v)
+
+        def counted_k(u, v):
+            k_calls.append(np.shape(u))
+            return k_fn(u, v)
+
+        m.g_fn, m.sqrt_g, m.curvature_fn = counted_g, counted_sqrt, counted_k
+        return m
+
+    monkeypatch.setattr(pipeline, "make_metric", counting_metric)
+    res = run_pipeline(cfg)
+    grid_shape = (cfg.n_u, cfg.n_v)
+    assert [s for s in shapes if len(s) == 2] == [grid_shape]
+    assert len(sqrt_calls) == 3 * res.report.meta["solver_steps"]
+    assert k_calls == [grid_shape]
 
 
 def test_nonpositive_sampled_metric_refused(tmp_path):

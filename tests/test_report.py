@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import param_change_of
 from isoembed.fields import Grid2D, ScalarField2D
-from isoembed.metric import make_metric
+from isoembed.metric import curvature_field, make_metric
 from isoembed.plane import build_chart, make_base_curve
 from isoembed.report import (
     CSV_COLUMNS,
@@ -29,7 +29,7 @@ def test_identity_control_triple_is_tiny():
     s = embed_planar(chart)
     pc = param_change_of(chart.grid)
     comp = compose(s, pc)
-    iso = isometry_residual(comp, make_metric("flat"))
+    iso = isometry_residual(comp, make_metric("flat").sample(comp.grid))
     sups = iso.sups()
     assert max(sups) < 1e-10
 
@@ -39,7 +39,7 @@ def test_wrong_metric_detected():
     s = embed_planar(chart)
     pc = param_change_of(chart.grid)
     comp = compose(s, pc)
-    iso = isometry_residual(comp, make_metric("cos2"))
+    iso = isometry_residual(comp, make_metric("cos2").sample(comp.grid))
     # G residual ~ sup|cos^2(u) - 1| ~ u_max^2 over the box
     g_sup = iso.sups()[2]
     assert g_sup > 5e-3
@@ -77,7 +77,7 @@ def test_curvature_match_flat_synthetic():
     pc = param_change_of(grid, lambda u, v: eps * u - np.sqrt(1 - eps**2) * v,
                          lambda u, v: eps * (u + lam * v))
     g_c = ScalarField2D.constant(grid, 99.0)
-    sup, fld = curvature_match(make_metric("flat"), g_c, pc)
+    sup = curvature_match(curvature_field(make_metric("flat"), grid), g_c, pc)
     assert sup < 1e-6
 
 

@@ -120,7 +120,7 @@ def test_grid_solve_theorem_identities(fixture_name, request):
         pc, metric, grid = art.pc, art.metric, art.grid
     else:
         metric, _, grid, _, _, pc = art
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     # ranks (2, 2) and small augmented determinant on >= 99% of nodes
     ok = (
         (sr.rank_coeff.values == 2)
@@ -129,7 +129,7 @@ def test_grid_solve_theorem_identities(fixture_name, request):
     )
     assert ok[sr.mask].sum() / sr.mask.sum() >= 0.99
     # all three rows hold with the solved pair
-    assert max(r.sup() for r in sr.row_residuals) < 1e-4
+    assert sr.row_residual_sup < 1e-4
     # the first unknown solves to 1
     assert np.nanmax(np.abs(sr.e_val.values - 1.0)[sr.mask]) < 1e-4
     # solved G agrees with the closed form on central-stencil nodes
@@ -149,7 +149,7 @@ def test_grid_solve_matches_the_per_node_oracle(fixture_name, request):
         pc, metric = art.pc, art.metric
     else:
         metric, _, _, _, _, pc = art
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     nodes = np.argwhere(sr.mask)[::97]
     assert len(nodes) > 100
     for i, j in nodes:
@@ -164,7 +164,7 @@ def test_grid_solve_matches_the_per_node_oracle(fixture_name, request):
 
 
 def test_grid_solve_g_positive(flat_run):
-    sr = solve_system_grid(flat_run.pc, flat_run.metric)
+    sr = solve_system_grid(flat_run.pc, flat_run.f_report.gbar)
     assert np.nanmin(sr.g_val.values[sr.mask]) > 0.0
 
 
@@ -172,7 +172,7 @@ def test_cos2_g_value_on_initial_row(cos2_solved_full):
     # on the initial line the solved coefficient is (1 - eps^2)/delta^2
     # independently of the metric
     metric, _, grid, _, _, pc = cos2_solved_full
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     j0 = grid.row_index_of_v(0.0)
     sel = sr.mask[:, j0]
     vals = sr.g_val.values[sel, j0]
@@ -278,7 +278,7 @@ def change_and_metric(case, request):
 @pytest.mark.parametrize("case", ["flat_run", "cos2_solved_full", "delta_1e6"])
 def test_grid_ranks_equal_batched_svd_ranks_on_every_node(case, request):
     pc, metric = change_and_metric(case, request)
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     rank_c, rank_a = batched_svd_ranks(pc, metric, sr.mask)
     assert sr.mask.sum() > 30000
     np.testing.assert_array_equal(sr.rank_coeff.values[sr.mask], rank_c)
@@ -294,7 +294,7 @@ def test_grid_solve_calls_no_svd(cos2_solved_full, monkeypatch):
         raise AssertionError("np.linalg.svd called")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     metric, _, _, _, _, pc = cos2_solved_full
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     assert (sr.rank_coeff.values[sr.mask] == 2).all()
     # the scalar oracle keeps its SVD
     with pytest.raises(AssertionError, match="svd called"):
@@ -306,8 +306,7 @@ def reference_solve_system_grid(pc, metric):
     solve_system_grid, kept as the reference for the blocked one."""
     grid = pc.grid
     fu, fv, gu, gv = pc.derivs
-    U, V = grid.meshgrid()
-    gbar = np.asarray(metric.g_fn(U, V), dtype=float) * np.ones_like(U)
+    gbar = metric.sample(grid).values
 
     mask = (
         pc.certified
@@ -372,14 +371,13 @@ def reference_solve_system_grid(pc, metric):
         rank_coeff=fld(rank_c),
         rank_aug=fld(rank_a),
         aug_det=fld(aug_det),
-        row_residuals=(fld(res0), fld(res1), fld(res2)),
+        row_residual_sup=max(fld(res).sup() for res in (res0, res1, res2)),
         mask=mask,
     )
 
 
 def system_fields(sr):
-    return (sr.e_val, sr.g_val, sr.g_closed, sr.rank_coeff, sr.rank_aug, sr.aug_det,
-            *sr.row_residuals)
+    return (sr.e_val, sr.g_val, sr.g_closed, sr.rank_coeff, sr.rank_aug, sr.aug_det)
 
 
 # node blocks of 163 u-rows (the default at 201 v-lines) and of 7, neither
@@ -396,9 +394,10 @@ def test_blocked_grid_solve_matches_the_whole_grid_reference(case, node_block, r
     # the certified region spans several blocks
     certified_rows = np.flatnonzero(pc.certified.any(axis=1))
     assert certified_rows[-1] // rows > certified_rows[0] // rows
-    sr = solve_system_grid(pc, metric)
+    sr = solve_system_grid(pc, metric.sample(pc.grid))
     ref = reference_solve_system_grid(pc, metric)
     assert np.array_equal(sr.mask, ref.mask)
+    assert sr.row_residual_sup == ref.row_residual_sup
     for got, want in zip(system_fields(sr), system_fields(ref)):
         assert np.array_equal(got.values, want.values, equal_nan=True)
         assert np.array_equal(got.mask, want.mask)

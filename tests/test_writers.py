@@ -161,7 +161,7 @@ def _system_report():
     return SystemReport(
         e_val=fields[0], g_val=fields[1], g_closed=fields[2],
         rank_coeff=_ranks(21), rank_aug=_ranks(22), aug_det=fields[3],
-        row_residuals=(), mask=mask,
+        row_residual_sup=float("nan"), mask=mask,
     )
 
 
