@@ -27,8 +27,7 @@ STAGES = (
     "solve_f", "validate_metric", "solve_g", "build_param_change", "solve_system_grid",
     "resolve_chart_source", "chart_grid_for", "build_chart", "chart_differences",
     "s0_residuals", "chart_jacobian_min", "lift", "compose", "isometry_residual",
-    "curvature_from_samples", "curvature_field", "curvature_match", "compatibility_residual",
-    "c2_defect_scan",
+    "curvature_from_samples", "curvature_field", "compatibility_residual", "c2_defect_scan",
 )
 MB = 1e6
 

@@ -31,7 +31,6 @@ from .plane import (
 from .report import (
     VerificationReport,
     compatibility_residual,
-    curvature_match,
     isometry_residual,
     write_report,
 )

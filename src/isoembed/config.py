@@ -146,13 +146,16 @@ def load_config(path: str) -> RunConfig:
     for key, raw in sections.get("tolerances", ()):
         if key not in _TOL_FIELDS:
             raise BadParameter(f"{path}: unknown tolerance '{key}'")
-        if key in ("gate_isometry",):
-            setattr(cfg.tolerances, key, raw.strip().lower() in ("1", "true", "yes", "on"))
-        else:
-            try:
-                setattr(cfg.tolerances, key, float(raw))
-            except ValueError as exc:
-                raise BadParameter(f"{path}: bad value for tolerances.{key}: {raw}") from exc
+        try:
+            if key == "gate_isometry":
+                # 1/0, true/false, yes/no, on/off in any case; a typo is an
+                # error, not False
+                val = parser.BOOLEAN_STATES[raw.strip().lower()]
+            else:
+                val = float(raw)
+        except (KeyError, ValueError) as exc:
+            raise BadParameter(f"{path}: bad value for tolerances.{key}: {raw}") from exc
+        setattr(cfg.tolerances, key, val)
     return cfg
 
 

@@ -138,20 +138,14 @@ def _taps(values, mask, axis, reach):
     return v, m
 
 
-def _masked_first_derivative(values, mask, h, axis, one_sided=True):
-    """2nd-order derivative along axis; central, else one-sided, else NaN.
-
-    With one_sided=False only central stencils count, so each application
-    erodes the valid set by one node per side (useful when stacking
-    derivatives: no boundary-order pollution feeds the next pass).
-    """
+def _masked_first_derivative(values, mask, h, axis):
+    """2nd-order derivative along axis; central, else one-sided, else NaN."""
     v, m = _taps(values, mask, axis, 2)
     out = np.full(v[0].shape, np.nan)
-    if one_sided:
-        np.copyto(out, (3.0 * v[0] - 4.0 * v[-1] + v[-2]) / (2.0 * h),
-                  where=m[0] & m[-1] & m[-2])
-        np.copyto(out, (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
-                  where=m[0] & m[1] & m[2])
+    np.copyto(out, (3.0 * v[0] - 4.0 * v[-1] + v[-2]) / (2.0 * h),
+              where=m[0] & m[-1] & m[-2])
+    np.copyto(out, (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
+              where=m[0] & m[1] & m[2])
     np.copyto(out, (v[1] - v[-1]) / (2.0 * h), where=m[0] & m[-1] & m[1])
     return out
 
@@ -225,18 +219,14 @@ class ScalarField2D:
     def copy(self):
         return ScalarField2D(self.grid, self.values.copy(), self.mask.copy())
 
-    def d_u(self, one_sided=True):
+    def d_u(self):
         return ScalarField2D(
-            self.grid,
-            _masked_first_derivative(self.values, self.mask, self.grid.du, 0,
-                                     one_sided=one_sided),
+            self.grid, _masked_first_derivative(self.values, self.mask, self.grid.du, 0)
         )
 
-    def d_v(self, one_sided=True):
+    def d_v(self):
         return ScalarField2D(
-            self.grid,
-            _masked_first_derivative(self.values, self.mask, self.grid.dv, 1,
-                                     one_sided=one_sided),
+            self.grid, _masked_first_derivative(self.values, self.mask, self.grid.dv, 1)
         )
 
     def d_uu(self):

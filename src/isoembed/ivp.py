@@ -37,7 +37,6 @@ from .metric import GeodesicMetric2D
 
 @dataclass
 class SolveOptions:
-    residual_tol: float = 1e-6
     cfl: float = 0.5
     guard: float = 1e-6
 

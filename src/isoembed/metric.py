@@ -2,12 +2,13 @@
 
 A metric here is just its G coefficient on a closed rectangle (the other
 two coefficients are identically 1 and 0 by the geodesic form and are not
-stored). Closed-form registry entries carry analytic derivatives and an
-analytic curvature; sampled metrics interpolate bilinearly and fall back
-to finite differences.
+stored). Closed-form registry entries carry an analytic curvature;
+sampled metrics interpolate bilinearly and carry none.
 
 For this metric form the intrinsic (Gaussian) curvature reduces to
-K = -(sqrt(G))_uu / sqrt(G), which is what both curvature paths compute.
+K = -(sqrt(G))_uu / sqrt(G), which is what both curvature paths compute:
+curvature_field in closed form, curvature_from_samples by differences of
+samples of G.
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ class GeodesicMetric2D:
     """The G coefficient of du^2 + G dv^2 as an evaluable field.
 
     `g_fn` must accept numpy arrays. Closed-form entries also provide
-    `d_sqrt_g_du` and `curvature_fn`; sampled ones leave them None.
+    `curvature_fn`; sampled ones leave it None.
     """
 
     name: str
     domain: Rect
     g_fn: Callable
-    d_sqrt_g_du: Optional[Callable] = None
     curvature_fn: Optional[Callable] = None
     source: str = "closed-form"
 
@@ -80,22 +80,19 @@ class GeodesicMetric2D:
         return self.curvature_fn is not None
 
 
-# Registry entries carry sqrt(G) derivatives so the analytic curvature is
-# computed as the actual ratio -(sqrt G)'' / sqrt G, not a stored constant.
+# Each curvature_fn is the ratio -(sqrt G)'' / sqrt G written out from the
+# closed-form second derivative of sqrt G, not a stored constant.
 _REGISTRY = {
     "flat": dict(
         g_fn=lambda u, v: np.ones_like(np.asarray(u, dtype=float)),
-        d_sqrt_g_du=lambda u, v: np.zeros_like(np.asarray(u, dtype=float)),
         curvature_fn=lambda u, v: np.zeros_like(np.asarray(u, dtype=float)),
     ),
     "cos2": dict(
         g_fn=lambda u, v: np.cos(u) ** 2,
-        d_sqrt_g_du=lambda u, v: -np.sin(u),
         curvature_fn=lambda u, v: -(-np.cos(u)) / np.cos(u),
     ),
     "exp": dict(
         g_fn=lambda u, v: np.exp(2.0 * u),
-        d_sqrt_g_du=lambda u, v: np.exp(u),
         curvature_fn=lambda u, v: -np.exp(u) / np.exp(u),
     ),
 }
@@ -136,7 +133,10 @@ def load_metric_csv(path: str) -> GeodesicMetric2D:
     us = np.array(sorted({r[0] for r in rows}))
     vs = np.array(sorted({r[1] for r in rows}))
     nu, nv = len(us), len(vs)
-    if nu * nv != len(rows):
+    pts = np.array(rows)
+    i, j = np.searchsorted(us, pts[:, 0]), np.searchsorted(vs, pts[:, 1])
+    # every node exactly once: a node given twice leaves another unset
+    if nu * nv != len(rows) or np.unique(i * nv + j).size != len(rows):
         raise IoFailure(f"{path}: rows do not form a complete {nu}x{nv} grid")
     du = np.diff(us)
     dv = np.diff(vs)
@@ -144,10 +144,7 @@ def load_metric_csv(path: str) -> GeodesicMetric2D:
         raise IoFailure(f"{path}: grid must be uniform and at least 3x3")
     grid = Grid2D(u0=us[0], v0=vs[0], du=float(du.mean()), dv=float(dv.mean()), nu=nu, nv=nv)
     values = np.empty((nu, nv))
-    for ubar, vbar, g in rows:
-        i = grid.col_index_of_u(ubar)
-        j = grid.row_index_of_v(vbar)
-        values[i, j] = g
+    values[i, j] = pts[:, 2]
     if np.any(values <= 0.0):
         raise NonPositiveMetric(f"{path}: sampled G must be positive everywhere")
     fld = ScalarField2D(grid, values)
@@ -184,19 +181,11 @@ def curvature_from_samples(g_field: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(grid, k, mask=interior & np.isfinite(k))
 
 
-def curvature_field(m: GeodesicMetric2D, grid: Grid2D, method="auto") -> ScalarField2D:
-    """Curvature of the metric on a grid.
-
-    method 'analytic' uses the registry formula, 'fd' the sampled stencil,
-    'auto' prefers analytic when the metric has one.
-    """
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown curvature method '{method}'")
-    if method == "analytic" or (method == "auto" and m.has_analytic_curvature):
-        if not m.has_analytic_curvature:
-            raise ValueError(f"metric '{m.name}' has no analytic curvature")
-        return ScalarField2D.from_function(grid, m.curvature_fn)
-    return curvature_from_samples(m.sample(grid))
+def curvature_field(m: GeodesicMetric2D, grid: Grid2D) -> ScalarField2D:
+    """The metric's closed-form curvature on a grid."""
+    if not m.has_analytic_curvature:
+        raise ValueError(f"metric '{m.name}' has no analytic curvature")
+    return ScalarField2D.from_function(grid, m.curvature_fn)
 
 
 @dataclass(frozen=True)

@@ -50,46 +50,6 @@ def isometry_residual(surface: EmbeddedSurface, gbar: ScalarField2D) -> Isometry
     )
 
 
-def pullback_curvature(g_unbarred: ScalarField2D, pc: ParamChange) -> ScalarField2D:
-    """Curvature of a du^2 + G dv^2 coefficient given on (ubar, vbar) nodes.
-
-    K = -(sqrt G)_uu / sqrt G needs u-derivatives; they are taken through
-    the parameter change with the inverse-Jacobian chain rule
-    d/du = (g_v d/dubar - g_u d/dvbar) / J, entirely on the solve grid.
-    """
-    grid = g_unbarred.grid
-    _, _, gu, gv = pc.derivs
-    jac = pc.jac.values
-
-    vals = g_unbarred.values
-    pos = g_unbarred.mask & (vals > 0.0)
-    w_vals = np.where(pos, np.sqrt(np.where(pos, vals, 1.0)), np.nan)
-    w = ScalarField2D(grid, w_vals, mask=pos)
-
-    # central-only stencils: each pass erodes the mask instead of feeding
-    # boundary-order junk into the next derivative
-    def d_du(fld: ScalarField2D) -> ScalarField2D:
-        a = fld.d_u(one_sided=False).values
-        b = fld.d_v(one_sided=False).values
-        out = (gv * a - gu * b) / jac
-        return ScalarField2D(grid, out, mask=fld.mask & np.isfinite(out))
-
-    w_u = d_du(w)
-    w_uu = d_du(w_u)
-    k = -w_uu.values / w.values
-    return ScalarField2D(grid, k, mask=w_uu.mask & np.isfinite(k))
-
-
-def curvature_match(k_bar: ScalarField2D, g_unbarred: ScalarField2D,
-                    pc: ParamChange) -> float:
-    """sup |K(Gbar) - K(G) pulled back|, with K(Gbar) given on the solve
-    grid as k_bar."""
-    k_pull = pullback_curvature(g_unbarred, pc)
-    diff = np.abs(k_bar.values - k_pull.values)
-    mask = k_bar.mask & k_pull.mask & np.isfinite(diff)
-    return ScalarField2D(g_unbarred.grid, diff, mask=mask).sup()
-
-
 def compatibility_residual(g_cramer: ScalarField2D, chart, pc: ParamChange) -> ScalarField2D:
     """dG(node) = |G_cramer(node) - (G0(f, g)(node) + 1)|.
 

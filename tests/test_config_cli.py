@@ -78,6 +78,22 @@ def test_config_unknown_key(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("text,value", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+    ("ture", None), ("", None), ("2", None),
+])
+def test_config_gate_isometry_reads_only_boolean_words(tmp_path, text, value):
+    # a typo must not silently turn the E/F gates off
+    p = tmp_path / "gate.cfg"
+    p.write_text(f"[tolerances]\ngate_isometry = {text}\n")
+    if value is None:
+        with pytest.raises(BadParameter, match="bad value for tolerances.gate_isometry"):
+            load_config(str(p))
+    else:
+        assert load_config(str(p)).tolerances.gate_isometry is value
+
+
 def test_config_missing_file():
     with pytest.raises(BadParameter):
         load_config("/nonexistent/nope.cfg")

@@ -52,18 +52,18 @@ def test_unknown_metric_name():
 
 def test_curvature_analytic_values():
     grid = Grid2D.centered(0.1, 0.1, 41, 41)
-    k_cos = curvature_field(make_metric("cos2"), grid, method="analytic")
+    k_cos = curvature_field(make_metric("cos2"), grid)
     assert np.allclose(k_cos.values, 1.0, atol=1e-12)
-    k_flat = curvature_field(make_metric("flat"), grid, method="analytic")
+    k_flat = curvature_field(make_metric("flat"), grid)
     assert np.allclose(k_flat.values, 0.0, atol=1e-15)
-    k_exp = curvature_field(make_metric("exp"), grid, method="analytic")
+    k_exp = curvature_field(make_metric("exp"), grid)
     assert np.allclose(k_exp.values, -1.0, atol=1e-12)
 
 
 def test_curvature_stencil_matches_analytic():
     grid = Grid2D.centered(0.1, 0.1, 201, 201)
     for name, target in (("cos2", 1.0), ("exp", -1.0)):
-        k = curvature_field(make_metric(name), grid, method="fd")
+        k = curvature_from_samples(make_metric(name).sample(grid))
         vals = k.values[k.mask]
         assert np.max(np.abs(vals - target)) < 1e-4
 
@@ -75,7 +75,7 @@ def test_curvature_stencil_convergence_order(name, target):
     errs = []
     for n in (51, 101, 201):
         grid = Grid2D.centered(0.2, 0.2, n, n)
-        k = curvature_field(make_metric(name), grid, method="fd")
+        k = curvature_from_samples(make_metric(name).sample(grid))
         errs.append(np.nanmax(np.abs(k.values - target)))
     if all(e < 1e-12 for e in errs):
         return
@@ -85,7 +85,7 @@ def test_curvature_stencil_convergence_order(name, target):
 
 def test_curvature_flat_is_zero_fd():
     grid = Grid2D.centered(0.1, 0.1, 51, 51)
-    k = curvature_field(make_metric("flat"), grid, method="fd")
+    k = curvature_from_samples(make_metric("flat").sample(grid))
     assert np.nanmax(np.abs(k.values)) < 1e-12
 
 
@@ -96,8 +96,6 @@ def test_gauss_curvature_entry_points():
     assert np.allclose(k1.values, 1.0, atol=1e-12)
     k2 = curvature_from_samples(m.sample(grid))
     assert np.nanmax(np.abs(k2.values - 1.0)) < 1e-4
-    with pytest.raises(ValueError, match="unknown curvature method"):
-        curvature_field(m, grid, method="spectral")
 
 
 def test_curvature_rejects_nonpositive_samples():
@@ -190,3 +188,11 @@ def test_metric_csv_errors(tmp_path):
     p5.write_text("")
     with pytest.raises(IoFailure, match="expected header"):
         load_metric_csv(str(p5))
+    # a node given twice in place of another passes the row count and would
+    # leave that other node unset
+    p6 = tmp_path / "repeated.csv"
+    rows = ["ubar,vbar,G"] + [f"{i},{j},1" for i in range(5) for j in range(5)]
+    rows[1 + 2 * 5 + 3] = "2,2,1"
+    p6.write_text("\n".join(rows) + "\n")
+    with pytest.raises(IoFailure, match="complete 5x5 grid"):
+        load_metric_csv(str(p6))

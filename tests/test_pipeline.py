@@ -89,18 +89,17 @@ def test_sampled_metric_pipeline(tmp_path):
     assert res.report.verdicts["rank_fraction"]
 
 
-def test_sampled_metric_takes_one_curvature_field(tmp_path, monkeypatch):
+def test_sampled_metric_takes_no_curvature_field(tmp_path, monkeypatch):
     # without a closed-form K the stencil check has nothing to compare, so
-    # only the finite-difference field, from the run's samples, is computed
-    # as curvature_match's reference; the report is the one taken without
+    # no curvature field is computed; the report is the one taken without
     # the counter
     cfg = RunConfig(metric=_near_flat_sampled_metric(tmp_path), n_u=51, n_v=51)
     plain = run_pipeline(cfg).report.to_json_dict()
     calls = []
 
-    def counted(metric, grid, method="auto"):
-        calls.append(method)
-        return curvature_field(metric, grid, method=method)
+    def counted(metric, grid):
+        calls.append("closed form")
+        return curvature_field(metric, grid)
 
     def counted_fd(gbar):
         calls.append("fd")
@@ -109,11 +108,10 @@ def test_sampled_metric_takes_one_curvature_field(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "curvature_field", counted)
     monkeypatch.setattr(pipeline, "curvature_from_samples", counted_fd)
     res = run_pipeline(cfg)
-    assert calls == ["fd"]
+    assert calls == []
     assert res.report.to_json_dict() == plain
     stencil = res.report.residuals["curvature_stencil"]
     assert np.isnan(stencil.sup) and not stencil.gated
-    assert np.isfinite(res.report.residuals["curvature_match"].sup)
 
 
 # cos2 takes one RK4 substep per level, flat at 21 v-lines six
@@ -236,18 +234,19 @@ def test_masked_count_matches_certificate(flat_run):
 
 
 def test_each_sampled_field_is_differenced_once(monkeypatch):
-    # the solver owns the stencils of f and g (4 one-sided passes on the
-    # 201x201 solve grid; the other 6 are the composite's metric) and one
-    # 4th-order differencing of the 401x401 chart serves its checks and the
-    # lift, whose height is never differenced
+    # the solver owns the stencils of f and g (4 passes on the 201x201
+    # solve grid; the other 6 are the composite's metric, and nothing else
+    # differences the solve grid) and one 4th-order differencing of the
+    # 401x401 chart serves its checks and the lift, whose height is never
+    # differenced
     passes = Counter()
     chart_passes = Counter()
     first_derivative = fields._masked_first_derivative
     first_derivative_4 = fields.first_derivative_4
 
-    def counted(values, mask, h, axis, one_sided=True):
-        passes[values.shape, one_sided] += 1
-        return first_derivative(values, mask, h, axis, one_sided=one_sided)
+    def counted(values, mask, h, axis):
+        passes[values.shape] += 1
+        return first_derivative(values, mask, h, axis)
 
     def counted_4(values, h, axis):
         chart_passes[np.shape(values)] += 1
@@ -259,5 +258,4 @@ def test_each_sampled_field_is_differenced_once(monkeypatch):
             monkeypatch.setattr(module, "first_derivative_4", counted_4)
     run_pipeline(RunConfig())
     assert chart_passes == {(401, 401): 4}
-    assert not any(shape == (401, 401) for shape, _ in passes)
-    assert passes[(201, 201), True] == 10
+    assert passes == {(201, 201): 10}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import param_change_of
 from isoembed.fields import Grid2D, ScalarField2D
-from isoembed.metric import curvature_field, make_metric
+from isoembed.metric import make_metric
 from isoembed.plane import build_chart, make_base_curve
 from isoembed.report import (
     CSV_COLUMNS,
@@ -15,7 +15,6 @@ from isoembed.report import (
     ResidualStat,
     VerificationReport,
     compatibility_residual,
-    curvature_match,
     isometry_residual,
     write_report,
 )
@@ -66,19 +65,6 @@ def test_compatibility_residual_exact_match(flat_run):
     synth = ScalarField2D(grid, g0_img + 1.0, mask=pc.certified)
     dg = compatibility_residual(synth, chart, pc)
     assert dg.sup() < 1e-12
-
-
-def test_curvature_match_flat_synthetic():
-    # exactly linear change with constant solved coefficient: both
-    # curvatures vanish
-    grid = Grid2D.centered(0.1, 0.1, 101, 101)
-    eps = 0.1
-    lam = eps / np.sqrt(1 - eps**2)
-    pc = param_change_of(grid, lambda u, v: eps * u - np.sqrt(1 - eps**2) * v,
-                         lambda u, v: eps * (u + lam * v))
-    g_c = ScalarField2D.constant(grid, 99.0)
-    sup = curvature_match(curvature_field(make_metric("flat"), grid), g_c, pc)
-    assert sup < 1e-6
 
 
 def test_residual_stat_verdicts():
