@@ -17,7 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, Tolerances, example_cos2_config, load_config
+from .config import RunConfig, Tolerances, example_cos2_config, load_config, refuse_shared_paths
 from .errors import BadParameter, IoFailure, IsoembedError
 from .fields import Grid2D, ScalarField2D
 from .metric import Rect, make_metric
@@ -107,6 +107,9 @@ def cmd_example_cos2(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = args.report_json or "verify_report.json"
+    if args.residual_csv:
+        refuse_shared_paths({"--report-json": out, "--residual-csv": args.residual_csv})
     grid, f_fld, g_fld, mask = _load_fields_csv(args.fields)
     pos, obj_mask = load_obj_positions(args.mesh, grid.nu, grid.nv)
     if obj_mask is not None:
@@ -133,7 +136,6 @@ def cmd_verify(args) -> int:
         verdicts=verdicts,
         masked_count=int((~mask).sum()),
     )
-    out = args.report_json or "verify_report.json"
     table = NodeTable(grid=grid, f=f_fld, g=g_fld,
                       e_res=iso.e_res, f_res=iso.f_res, g_res=iso.g_res)
     write_report(report, out, args.residual_csv, table if args.residual_csv else None)

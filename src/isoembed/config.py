@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import BadParameter
@@ -38,6 +39,17 @@ class Tolerances:
     positivity_floor: float = 1e-8    # validate_metric positivity threshold
     slope_bound: float = 1e6          # validate_metric first-difference bound
     gate_isometry: bool = True        # gate composite E/F residuals (G never gated)
+
+
+def refuse_shared_paths(paths):
+    """Raise BadParameter when two output files, {name: path}, are one file
+    after os.path.normpath: the later writer would overwrite the earlier."""
+    seen = {}
+    for name, path in paths.items():
+        norm = os.path.normpath(path)
+        if norm in seen:
+            raise BadParameter(f"{seen[norm]} and {name} both write {norm}")
+        seen[norm] = name
 
 
 @dataclass
@@ -84,6 +96,13 @@ class RunConfig:
             raise BadParameter("grid must fit inside the metric domain")
         if self.n_v % 2 == 0:
             raise BadParameter("n_v must be odd so the line v = 0 is a grid row")
+        outputs = {"report_json": self.report_json, "residual_csv": self.residual_csv}
+        if self.system_csv:
+            outputs["system_csv"] = self.system_csv
+        if self.mesh_out:
+            outputs["mesh_out lifted OBJ"] = self.mesh_out + "_lifted.obj"
+            outputs["mesh_out composite OBJ"] = self.mesh_out + "_composite.obj"
+        refuse_shared_paths({k: os.path.join(self.out_dir, v) for k, v in outputs.items()})
         return self
 
     def to_meta(self):

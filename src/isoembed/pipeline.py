@@ -12,6 +12,7 @@ and generally leave a large, honestly-reported compatibility gap.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,8 +305,60 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
 
 
+def _start_writer(job):
+    """Run job() in a forked child; return a call that reaps the child and
+    returns the exception the child raised, or None.
+
+    The child inherits the finished result, so nothing is copied or pickled
+    to start it; only an exception it raises crosses back, pickled, through
+    a pipe. Every path in the child ends in os._exit, after its writers have
+    closed their files: it never flushes this process's stdio, runs its
+    exit hooks or returns into the caller.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                job()
+                status = 0
+            except BaseException as exc:  # forwarded: the parent re-raises it
+                payload = pickle.dumps(exc)
+                with os.fdopen(write_fd, "wb") as fh:
+                    fh.write(payload)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def reap():
+        try:
+            with os.fdopen(read_fd, "rb") as fh:
+                payload = fh.read()
+        finally:
+            _, wait_status = os.waitpid(pid, 0)
+        if payload:
+            return pickle.loads(payload)
+        code = os.waitstatus_to_exitcode(wait_status)
+        return IoFailure(f"output writer process ended with exit code {code}") if code else None
+
+    return reap
+
+
 def write_outputs(result: PipelineResult):
-    """Write report JSON, residual CSV, system CSV and optional meshes."""
+    """Write report JSON, residual CSV, system CSV and optional meshes.
+
+    Two processes write them. A child forked here inherits the finished
+    result and writes system_s.csv and the lifted OBJ, while this process
+    writes report.json, residuals.csv and the composite OBJ and then always
+    reaps the child. Each file has the bytes the serial writers give. Where
+    os.fork does not exist, or the child would have nothing to write, the
+    writers run in turn in this process. Of several failing writers, the
+    error raised is that of the first file in the serial order: report.json,
+    residuals.csv, system_s.csv, lifted OBJ, composite OBJ; a child's error
+    is raised here with its type and message.
+    """
     cfg = result.config
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -324,11 +377,37 @@ def write_outputs(result: PipelineResult):
         aug_det=result.sys_report.aug_det,
         dg=result.dg,
     )
-    write_report(result.report, json_path, csv_path, table)
-    if cfg.system_csv:
-        write_system_csv(os.path.join(cfg.out_dir, cfg.system_csv),
-                         result.grid, result.sys_report)
-    if cfg.mesh_out:
-        export_obj(result.lifted, os.path.join(cfg.out_dir, cfg.mesh_out + "_lifted.obj"))
-        export_obj(result.composite, os.path.join(cfg.out_dir, cfg.mesh_out + "_composite.obj"))
+
+    def child_files():
+        if cfg.system_csv:
+            write_system_csv(os.path.join(cfg.out_dir, cfg.system_csv),
+                             result.grid, result.sys_report)
+        if cfg.mesh_out:
+            export_obj(result.lifted, os.path.join(cfg.out_dir, cfg.mesh_out + "_lifted.obj"))
+
+    def composite_file():
+        if cfg.mesh_out:
+            export_obj(result.composite,
+                       os.path.join(cfg.out_dir, cfg.mesh_out + "_composite.obj"))
+
+    if not hasattr(os, "fork") or not (cfg.system_csv or cfg.mesh_out):
+        write_report(result.report, json_path, csv_path, table)
+        child_files()
+        composite_file()
+        return json_path, csv_path
+
+    reap = _start_writer(child_files)
+    composite_error = None
+    try:
+        write_report(result.report, json_path, csv_path, table)
+        try:
+            composite_file()
+        except IoFailure as exc:  # the child's files come first
+            composite_error = exc
+    finally:
+        child_error = reap()
+    if child_error is not None:
+        raise child_error
+    if composite_error is not None:
+        raise composite_error
     return json_path, csv_path

@@ -18,6 +18,10 @@ parameter grid (induced_metric).
 
 embed_planar places the chart at height zero instead (induced metric
 (1, 0, G0)); it is the control surface for identity-change checks.
+
+export_obj reads only its arguments and closes its file before it returns,
+so pipeline.write_outputs writes the lifted OBJ from a forked child while
+its own process writes the composite one.
 """
 
 from __future__ import annotations

@@ -69,6 +69,20 @@ def cos2_solved_full():
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """List that gains an entry each time this process calls os.fork."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.fixture
 def small_grid():
     return Grid2D.centered(0.1, 0.1, 41, 41)
 

@@ -56,6 +56,28 @@ def test_non_finite_numbers_rejected(name, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"report_json": "same.csv", "residual_csv": "same.csv"},
+     "report_json and residual_csv both write same.csv"),
+    ({"system_csv": "residuals.csv"}, "residual_csv and system_csv both write residuals.csv"),
+    ({"mesh_out": "m", "report_json": "m_lifted.obj"},
+     "report_json and mesh_out lifted OBJ both write m_lifted.obj"),
+    ({"out_dir": "out", "system_csv": "./sub/../report.json"},
+     "report_json and system_csv both write out/report.json"),
+    ({"out_dir": "a/b", "mesh_out": "../b/r", "residual_csv": "r_composite.obj"},
+     "residual_csv and mesh_out composite OBJ both write a/b/r_composite.obj"),
+])
+def test_output_files_must_be_distinct(overrides, message):
+    with pytest.raises(BadParameter, match=re.escape(message)):
+        RunConfig(**overrides).validate()
+
+
+def test_distinct_output_files_validate():
+    # an empty system_csv or mesh_out writes no file, so it names none
+    RunConfig(system_csv="", mesh_out="report").validate()
+    RunConfig(out_dir="out", mesh_out="sub/m", report_json="sub/m.json").validate()
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = RunConfig(metric="cos2", family="c1_not_c2", epsilon=0.2, delta=0.3,
                     v_half=0.05, n_u=101, n_v=101, base_curve="circle:2")
@@ -248,11 +270,22 @@ def _swap_lines(text, a, b):
     ({"fields.csv": _FIELDS_3X3}, _VERIFY, "cannot read mesh mesh.obj"),
     ({"afile": ""}, ["run", "--grid-n", "41", "--n-v", "41", "--chart-n", "41",
                      "--out-dir", "afile/out"], "cannot create output directory afile/out"),
+    ({}, ["run", "--report-json", "same.csv", "--residual-csv", "same.csv"],
+     "report_json and residual_csv both write same.csv"),
+    ({}, ["run", "--system-csv", "residuals.csv"],
+     "residual_csv and system_csv both write residuals.csv"),
+    ({}, ["run", "--mesh-out", "m", "--report-json", "m_lifted.obj"],
+     "report_json and mesh_out lifted OBJ both write m_lifted.obj"),
+    ({"fields.csv": _FIELDS_3X3, "mesh.obj": _MESH_3X3},
+     _VERIFY + ["--report-json", "x", "--residual-csv", "./x"],
+     "--report-json and --residual-csv both write x"),
 ], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
         "fields_cell_not_a_number", "fields_row_short", "fields_rows_out_of_order",
         "fields_missing", "mesh_vertex_malformed", "mesh_valid_line_without_row",
         "mesh_valid_run_negative", "mesh_valid_run_past_nv", "mesh_valid_run_reversed",
-        "mesh_missing", "out_dir_under_a_file"])
+        "mesh_missing", "out_dir_under_a_file", "run_report_is_residual_csv",
+        "run_system_csv_is_residual_csv", "run_report_is_lifted_obj",
+        "verify_report_is_residual_csv"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -8,14 +8,19 @@ compose's being its output; their whole-grid forms peaked at about 420 and
 grid: about 40 bytes per node at 801^2. The system's result keeps 55 bytes
 per node, six fields and its mask; with its three row-residual fields it
 kept 82.
+
+write_outputs forks a child for two of its files; what the child needs it
+inherits, so the parent's peak is no higher than that of the inline route.
 """
 
+import dataclasses
+import os
 import tracemalloc
 
 import pytest
 
 from isoembed.config import RunConfig
-from isoembed.pipeline import run_pipeline
+from isoembed.pipeline import run_pipeline, write_outputs
 from isoembed.surface import compose
 from isoembed.system_s import solve_system_grid
 
@@ -63,3 +68,19 @@ def test_compose_peak_per_node(cos2_401):
     nodes = cos2_401.grid.nu * cos2_401.grid.nv
     per_node = peak_bytes_per_node(lambda: compose(cos2_401.lifted, cos2_401.pc), nodes)
     assert per_node <= 150.0
+
+
+def test_forked_writers_add_no_parent_memory(flat_run, tmp_path, monkeypatch, forks):
+    # flat 201^2 with meshes; a pickle of the lifted positions alone would
+    # add 3.9 MB to a peak of about 3.6 MB
+    def peak(route):
+        cfg = dataclasses.replace(flat_run.config, out_dir=str(tmp_path / route),
+                                  mesh_out="mesh")
+        result = dataclasses.replace(flat_run, config=cfg)
+        return peak_bytes_per_node(lambda: write_outputs(result), 1)
+
+    forked = peak("fork")
+    assert forks == [1]
+    monkeypatch.delattr(os, "fork")
+    inline = peak("inline")
+    assert forked <= 1.1 * inline

@@ -6,11 +6,20 @@ reproduce the reference bytes on hand-built fields that hit every
 formatting case: masked nodes, NaN and inf inside the mask, -0.0, NaN
 ranks, block boundaries, an all-masked row and a surface with no valid
 cell.
+
+write_outputs splits the files between this process and a forked child;
+its files must be the inline route's bytes, and a failing writer must give
+the serial order's one error and leave no child behind.
 """
+
+import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from isoembed import cli, pipeline
+from isoembed.config import RunConfig
 from isoembed.errors import IoFailure
 from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.report import (
@@ -260,3 +269,98 @@ def test_export_obj_missing_directory_is_io_failure(tmp_path):
     surface = _surface(_mask())
     with pytest.raises(IoFailure, match="cannot write mesh"):
         export_obj(surface, str(tmp_path / "no_such_dir" / "mesh.obj"))
+
+
+# ----------------------------------------------- write_outputs, two processes
+
+SMALL = ["--grid-n", "41", "--chart-n", "41", "--out-dir", "out"]
+
+
+@pytest.fixture(params=["fork", "inline"])
+def route(request, monkeypatch):
+    """The writers' route: the fork calls on the forked one, None inline."""
+    if request.param == "inline":
+        monkeypatch.delattr(os, "fork")
+        return None
+    return request.getfixturevalue("forks")
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    return pipeline.run_pipeline(RunConfig(n_u=41, n_v=41, chart_n_u=41, chart_n_v=41,
+                                           mesh_out="mesh"))
+
+
+def _written_to(result, out_dir):
+    return dataclasses.replace(result, config=dataclasses.replace(result.config,
+                                                                  out_dir=str(out_dir)))
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["run", "--mesh-out", "mesh"], 5),
+    (["example-cos2"], 3),
+], ids=["flat_meshes", "example_cos2"])
+def test_forked_writers_give_the_inline_bytes(argv, count, tmp_path, monkeypatch, forks):
+    codes, files = [], []
+    for route in ("fork", "inline"):
+        if route == "inline":
+            monkeypatch.delattr(os, "fork")
+        (tmp_path / route).mkdir()
+        monkeypatch.chdir(tmp_path / route)
+        codes.append(cli.main(argv + SMALL))
+        files.append(_files(tmp_path / route / "out"))
+    assert forks == [1]
+    assert codes[0] == codes[1]
+    assert len(files[0]) == count
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # both processes fail; the lifted OBJ comes before the composite
+    (["--mesh-out", "sub/m"], "cannot write mesh out/sub/m_lifted.obj"),
+    (["--mesh-out", "m", "--residual-csv", "sub/r.csv"], "cannot write CSV out/sub/r.csv"),
+    (["--mesh-out", "m", "--system-csv", "sub/s.csv"], "cannot write CSV out/sub/s.csv"),
+], ids=["both", "parent_only", "child_only"])
+def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, message, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["run", *SMALL, *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1, err
+    if route is not None:
+        assert route == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_error_keeps_its_type_and_message(small_run, tmp_path, monkeypatch, forks):
+    def failing(*args):
+        raise ValueError("no system table")
+
+    monkeypatch.setattr(pipeline, "write_system_csv", failing)
+    with pytest.raises(ValueError, match="^no system table$"):
+        pipeline.write_outputs(_written_to(small_run, tmp_path))
+    assert forks == [1]
+    # the parent's files are whole
+    assert (tmp_path / "mesh_composite.obj").read_bytes().endswith(b"\n")
+
+
+def test_child_ending_without_an_error_is_an_io_failure(small_run, tmp_path, monkeypatch,
+                                                        forks):
+    parent = os.getpid()
+
+    def end_child(*args):
+        if os.getpid() != parent:  # never end the test process itself
+            os._exit(3)
+
+    monkeypatch.setattr(pipeline, "write_system_csv", end_child)
+    with pytest.raises(IoFailure, match="output writer process ended with exit code 3"):
+        pipeline.write_outputs(_written_to(small_run, tmp_path))
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
