@@ -80,7 +80,9 @@ def _print_report(report):
     print(f"  masked nodes: {report.masked_count}")
 
 
-def _finish_run(cfg) -> int:
+def _finish_run(cfg, config_path) -> int:
+    if config_path:
+        refuse_shared_paths(cfg.output_paths(), {"--config": config_path})
     result = run_pipeline(cfg)
     json_path, csv_path = write_outputs(result)
     print(f"report: {json_path}")
@@ -97,19 +99,21 @@ def _finish_run(cfg) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
-    return _finish_run(cfg)
+    return _finish_run(cfg, args.config)
 
 
 def cmd_example_cos2(args) -> int:
     cfg = example_cos2_config()
     cfg = _apply_overrides(cfg, args)
-    return _finish_run(cfg)
+    return _finish_run(cfg, args.config)
 
 
 def cmd_verify(args) -> int:
     out = args.report_json or "verify_report.json"
+    outputs = {"--report-json": out}
     if args.residual_csv:
-        refuse_shared_paths({"--report-json": out, "--residual-csv": args.residual_csv})
+        outputs["--residual-csv"] = args.residual_csv
+    refuse_shared_paths(outputs, {"MESH": args.mesh, "--fields": args.fields})
     grid, f_fld, g_fld, mask = _load_fields_csv(args.fields)
     pos, obj_mask = load_obj_positions(args.mesh, grid.nu, grid.nv)
     if obj_mask is not None:

@@ -95,7 +95,7 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
     """Advance both directions from the v = 0 row, which holds seed_row.
 
     coeff(v, L, R) -> the equation's coefficient on columns L..R at v, taken
-    once per distinct stage point;
+    once per distinct stage point (start, midpoint and end of a substep);
     rhs(seg, c) -> dv-derivative of the row segment under coefficient c;
     speed_of(seg, c) -> max characteristic speed (for CFL + cone);
     guard_check(seg, L, R) -> per-column bool of guard violations, or None;
@@ -177,11 +177,30 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
     return values, mask, intervals, steps
 
 
+def _sqrt_g_reader(metric: GeodesicMetric2D, gbar: ScalarField2D):
+    """sqrt(G) on columns L..R at v, read from the samples gbar where v is
+    bitwise one of their grid levels and evaluated by the metric elsewhere.
+
+    metric.sample has checked every grid node for domain and positivity,
+    and G is taken per point, so both routes give the same bits."""
+    u = gbar.grid.u_coords
+    level = {v: j for j, v in enumerate(gbar.grid.v_coords.tolist())}
+
+    def sqrt_g(v, L, R):
+        j = level.get(v)
+        if j is None:
+            return metric.sqrt_g(u[L : R + 1], v)
+        return np.sqrt(gbar.values[L : R + 1, j])
+
+    return sqrt_g
+
+
 def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
             opts: SolveOptions = None) -> SolveReport:
     """March f from f(u, 0) = h(u) by f_v = -sqrt(G) sqrt(1 - f_u^2).
 
-    The report keeps G sampled on the grid (metric.sample) for the run."""
+    G is sampled on the grid once (metric.sample); the march reads those
+    samples at grid levels, and the report keeps them for the run."""
     opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
@@ -190,9 +209,7 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
     init.check_grid(u)
 
     guard = opts.guard
-
-    def coeff(v, L, R):
-        return metric.sqrt_g(u[L : R + 1], v)
+    coeff = _sqrt_g_reader(metric, gbar)
 
     def rhs(seg, sqrt_g):
         fu = _segment_slope(seg, grid.du)
@@ -226,8 +243,8 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     """March the transport equation g_v = lam sqrt(G) g_u with lam from f.
 
     lam is evaluated per level from the stored f (linear interpolation in v
-    at RK4 stage points); g inherits f's validity. The residual reads the
-    G samples of f's report.
+    at RK4 stage points); g inherits f's validity. The march at grid levels
+    and the residual read the G samples of f's report.
     """
     opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
@@ -238,6 +255,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     init.check_grid(u)
 
     lam_rows, _ = slope_to_lambda(f_report.d_u, guard=opts.guard)
+    sqrt_g = _sqrt_g_reader(metric, f_report.gbar)
 
     def coeff(v, L, R):
         """lam sqrt(G), lam linear in v between the two bracketing levels."""
@@ -248,7 +266,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
         hi = lam_rows[L : R + 1, jlo + 1]
         hi = np.where(np.isfinite(hi), hi, lo)
         lo = np.where(np.isfinite(lo), lo, hi)
-        return (lo * (1.0 - w) + hi * w) * metric.sqrt_g(u[L : R + 1], v)
+        return (lo * (1.0 - w) + hi * w) * sqrt_g(v, L, R)
 
     def rhs(seg, c):
         return c * _segment_slope(seg, grid.du)

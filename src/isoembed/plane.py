@@ -21,8 +21,12 @@ Unit-speed named curves have A = 1, B = -kappa, the classical
 G0 = (1 - u kappa)^2. Because every flat geodesic-form coefficient is of
 the (A + B u)^2 shape, a chart can also be synthesized directly from a
 fitted (A, B) profile; that is how the pipeline matches the chart to the
-compatibility target produced by the linear system. `build_chart`
-evaluates the generator once per v-line and broadcasts over u.
+compatibility target produced by the linear system. A fitted profile's
+base point integrates its velocity A(v) (cos theta, sin theta) from a
+table at fixed anchors v_center + k H, H = v_scale / ANCHOR_CELLS, so it
+depends on the profile and v alone, never on which points are asked for
+together. `build_chart` evaluates the generator once per v-line and
+broadcasts over u.
 
 Normal convention: n = rotate(c', +90 deg), so kappa > 0 for
 counterclockwise circles.
@@ -39,7 +43,12 @@ import numpy as np
 from .errors import BadParameter, FocalPoint, IoFailure
 from .fields import Grid2D, ScalarField2D, first_derivative_4
 
-# Gauss-Legendre nodes/weights (5-point) on [-1, 1] for position quadrature
+# Anchors of a fitted profile's base-point table lie H = v_scale / ANCHOR_CELLS
+# apart, at most MAX_ANCHORS of them on each side of v_center
+ANCHOR_CELLS = 1024
+MAX_ANCHORS = 64 * ANCHOR_CELLS
+
+# Gauss-Legendre nodes/weights (5-point) on [-1, 1] for the anchor cells
 _GL_X = np.array([
     -0.9061798459386640, -0.5384693101056831, 0.0,
     0.5384693101056831, 0.9061798459386640,
@@ -184,13 +193,28 @@ def load_polyline_curve(path: str) -> BaseCurve:
                      curvature=curvature, regularity="c1_only")
 
 
+def _running_sum(terms):
+    """Running sums of `terms` along axis 0, each within about a rounding of
+    exact: np.cumsum's sequential sums, corrected by the running sum of the
+    rounding error of each of its additions, which TwoSum (Knuth, TAOCP
+    vol. 2, 4.2.2) recovers exactly."""
+    total = np.cumsum(terms, axis=0)
+    prev = np.zeros_like(total)
+    prev[1:] = total[:-1]
+    back = total - prev
+    err = (prev - (total - back)) + (terms - back)
+    return total + np.cumsum(err, axis=0)
+
+
 @dataclass
 class ChartProfile:
     """Chart generator G0 = (A(v) + B(v) u)^2 with polynomial A, B.
 
     Realized by a synthetic base curve of speed A(v) and turning rate
-    theta'(v) = -B(v); positions come from per-cell Gauss quadrature of
-    A(v) * (cos theta, sin theta).
+    theta'(v) = -B(v), with c(v_center) = 0. Positions integrate the
+    velocity A(v) (cos theta, sin theta): a table holds c at the anchors
+    v_center + k H (5-point Gauss per anchor cell, summed outward from
+    k = 0), and each point adds Simpson's rule from its nearest anchor.
     """
 
     a_coeffs: np.ndarray  # A(v) = sum a_k * vt^k, vt = (v - v_center)/v_scale
@@ -218,31 +242,61 @@ class ChartProfile:
         th = self.theta(v)
         return np.cos(th), np.sin(th)
 
-    def point(self, vs):
-        """c(v) on the v-lines `vs` by composite Gauss quadrature from v_center."""
-        pts = np.concatenate([[self.v_center], vs])
-        order = np.argsort(pts)
-        sorted_pts = pts[order]
+    def _velocity(self, v):
+        """c'(v) = A(v) (cos theta, sin theta)."""
+        a = self.speed(v)
+        th = self.theta(v)
+        return a * np.cos(th), a * np.sin(th)
 
-        lo = sorted_pts[:-1]
-        hi = sorted_pts[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vq = mid[:, None] + half[:, None] * _GL_X[None, :]  # (cells, 5)
+    def _anchor_table(self, lo, hi):
+        """c and c' at the anchors v_center + k H, k = lo..hi (lo <= 0 <= hi).
+
+        c is 0 at k = 0 and sums the Gauss integrals of the anchor cells
+        outward from there, one cell at a time, so each entry has the same
+        bits however far the table reaches.
+        """
+        step = self.v_scale / ANCHOR_CELLS
+        ks = np.arange(lo, hi + 1, dtype=float)
+        anchors = self.v_center + ks * step
+        # cell k spans anchors k - 1 .. k to the right of 0, k .. k + 1 to the left
+        near = np.where(ks > 0, ks - 1.0, ks + 1.0)
+        far = self.v_center + near * step
+        mid = 0.5 * (anchors + far)
+        half = 0.5 * (anchors - far)
+        vq = mid[:, None] + half[:, None] * _GL_X[None, :]  # (anchors, 5)
         w_sp = _GL_W * self.speed(vq)
         th = self.theta(vq)
-        del vq
-        ix = half * np.sum(w_sp * np.cos(th), axis=1)
-        iy = half * np.sum(w_sp * np.sin(th), axis=1)
-        acc = np.zeros((sorted_pts.size, 2))
-        acc[1:, 0] = np.cumsum(ix)
-        acc[1:, 1] = np.cumsum(iy)
-        # rebase so the anchor v_center integrates to zero
-        anchor = int(np.flatnonzero(order == 0)[0])
-        acc = acc - acc[anchor]
-        out = np.empty_like(acc)
-        out[order] = acc
-        return out[1:, 0], out[1:, 1]
+        cells = np.stack([half * np.sum(w_sp * np.cos(th), axis=1),
+                          half * np.sum(w_sp * np.sin(th), axis=1)], axis=1)
+        table = np.zeros((ks.size, 2))
+        zero = -lo
+        table[zero + 1:] = _running_sum(cells[zero + 1:])
+        if zero:
+            table[zero - 1::-1] = _running_sum(cells[zero - 1::-1])
+        return table, self._velocity(anchors)
+
+    def point(self, vs):
+        """c(v) on the v-lines `vs`: the anchor table's c at the nearest
+        anchor a, plus Simpson's rule for the integral of c' from a to v."""
+        vs = np.asarray(vs, dtype=float)
+        step = self.v_scale / ANCHOR_CELLS
+        k = np.rint((vs - self.v_center) / step)
+        reach = float(np.max(np.abs(k), initial=0.0))
+        if not reach <= MAX_ANCHORS:
+            raise BadParameter(
+                f"chart profile queried {reach:.3g} anchor cells from its center "
+                f"v = {self.v_center:.6g}, beyond the {MAX_ANCHORS} its table holds"
+            )
+        lo, hi = int(k.min(initial=0.0)), int(k.max(initial=0.0))
+        table, (sx, sy) = self._anchor_table(lo, hi)
+        idx = k.astype(np.intp) - lo
+        anchor = self.v_center + k * step
+        h = vs - anchor
+        mx, my = self._velocity(anchor + 0.5 * h)
+        ex, ey = self._velocity(vs)
+        x = table[idx, 0] + h / 6.0 * (sx[idx] + 4.0 * mx + ex)
+        y = table[idx, 1] + h / 6.0 * (sy[idx] + 4.0 * my + ey)
+        return x, y
 
     @classmethod
     def constant(cls, speed, slope=0.0):

@@ -52,9 +52,15 @@ def jacobian(f: ScalarField2D, g: ScalarField2D, derivs) -> ScalarField2D:
 def jacobian_initial_closed_form(hprime, kprime, g0):
     """Closed-form J on the initial line from the initial slopes.
 
-    Evaluates sqrt(1-h'^2) * [h' * (h' k' G0 / (1-h'^2)) + sqrt(G0) * k'],
-    the determinant obtained by substituting the initial slopes of both
-    maps. Accepts scalars or arrays.
+    On v = 0, f_u = h' and g_u = k', and the two marched PDEs give
+    f_v = -sqrt(G0) sqrt(1-h'^2) and g_v = lam sqrt(G0) k' with
+    lam = h' / sqrt(1-h'^2). So
+
+        J = f_u g_v - f_v g_u
+          = sqrt(G0) k' [h'^2 / sqrt(1-h'^2) + sqrt(1-h'^2)]
+          = sqrt(G0) k' / sqrt(1-h'^2),
+
+    which is what this evaluates. Accepts scalars or arrays.
     """
     hp = np.asarray(hprime, dtype=float)
     kp = np.asarray(kprime, dtype=float)
@@ -65,7 +71,7 @@ def jacobian_initial_closed_form(hprime, kprime, g0):
         raise BadParameter("k' must be positive")
     if np.any(g0 <= 0.0):
         raise BadParameter("G(u,0) must be positive")
-    out = np.sqrt(1.0 - hp**2) * (hp * (hp * kp * g0 / (1.0 - hp**2)) + np.sqrt(g0) * kp)
+    out = np.sqrt(g0) * kp / np.sqrt(1.0 - hp**2)
     return out if out.ndim else float(out)
 
 

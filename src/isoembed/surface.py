@@ -12,7 +12,10 @@ for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
 with a certified parameter change, X(f, g) = (c(g) + f n(g), g), evaluated
 from the chart's generator at each node's image; compose walks the new grid
 in blocks of about NODE_BLOCK nodes, so its temporaries stay bounded. The
-chart grid enters only through its rectangle, which bounds the images. The
+generator gives each image the same bits whichever block holds it (a
+fitted profile integrates c from fixed anchors), so the blocks give the
+bits of one whole-grid pass. The chart grid enters only through its
+rectangle, which bounds the images. The
 composite's metric is taken by 2nd-order finite differences on the new
 parameter grid (induced_metric).
 

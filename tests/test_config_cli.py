@@ -235,6 +235,14 @@ _FIELDS_3X3 = "ubar,vbar,f,g\n" + "".join(f"{u},{v},{u},{v}\n"
                                            for u in range(3) for v in range(3))
 _MESH_3X3 = "".join(f"v {u} {v} 0\n" for u in range(3) for v in range(3))
 _VERIFY = ["verify", "mesh.obj", "--metric", "flat", "--fields", "fields.csv"]
+_VERIFY_FILES = {"fields.csv": _FIELDS_3X3, "mesh.obj": _MESH_3X3}
+_SMALL_CFG = "[grid]\nn_u = 41\nn_v = 41\n[chart]\nn_u = 41\nn_v = 41\n"
+# G = 1 + 0.02 u sampled on a 41^2 lattice over [-0.4, 0.4]^2
+_METRIC_CSV = "ubar,vbar,G\n" + "".join(
+    f"{u:.17g},{v:.17g},{1.0 + 0.02 * u:.17g}\n"
+    for u in np.linspace(-0.4, 0.4, 41) for v in np.linspace(-0.4, 0.4, 41))
+_CURVE_CSV = "v,x,y\n" + "".join(f"{t:.17g},{t:.17g},0\n" for t in np.linspace(-1, 1, 201))
+_SMALL = ["--grid-n", "41", "--n-v", "41", "--chart-n", "41"]
 
 
 def _swap_lines(text, a, b):
@@ -279,13 +287,43 @@ def _swap_lines(text, a, b):
     ({"fields.csv": _FIELDS_3X3, "mesh.obj": _MESH_3X3},
      _VERIFY + ["--report-json", "x", "--residual-csv", "./x"],
      "--report-json and --residual-csv both write x"),
+    # an output over an input of the command
+    (_VERIFY_FILES, _VERIFY + ["--report-json", "mesh.obj"],
+     "--report-json would overwrite the input MESH: mesh.obj"),
+    (_VERIFY_FILES, _VERIFY + ["--report-json", "./fields.csv"],
+     "--report-json would overwrite the input --fields: fields.csv"),
+    ({"fields.csv": _FIELDS_3X3, "verify_report.json": _MESH_3X3},
+     ["verify", "verify_report.json", "--metric", "flat", "--fields", "fields.csv"],
+     "--report-json would overwrite the input MESH: verify_report.json"),
+    (_VERIFY_FILES, _VERIFY + ["--residual-csv", "fields.csv"],
+     "--residual-csv would overwrite the input --fields: fields.csv"),
+    (_VERIFY_FILES, _VERIFY + ["--residual-csv", "./mesh.obj"],
+     "--residual-csv would overwrite the input MESH: mesh.obj"),
+    ({"c.cfg": _SMALL_CFG}, ["run", "--config", "c.cfg", "--report-json", "c.cfg"],
+     "report_json would overwrite the input --config: c.cfg"),
+    ({"c.cfg": _SMALL_CFG}, ["example-cos2", "--config", "c.cfg", *_SMALL,
+                             "--system-csv", "c.cfg"],
+     "system_csv would overwrite the input --config: c.cfg"),
+    ({"m.csv": _METRIC_CSV}, ["run", "--metric", "file:m.csv", *_SMALL,
+                              "--residual-csv", "m.csv"],
+     "residual_csv would overwrite the input metric: m.csv"),
+    ({"m_lifted.obj": _METRIC_CSV}, ["example-cos2", "--metric", "file:m_lifted.obj",
+                                     *_SMALL, "--out-dir", "out", "--mesh-out", "../m"],
+     "mesh_out lifted OBJ would overwrite the input metric: m_lifted.obj"),
+    ({"curve.csv": _CURVE_CSV}, ["run", "--base-curve", "file:curve.csv", *_SMALL,
+                                 "--report-json", "curve.csv"],
+     "report_json would overwrite the input base_curve: curve.csv"),
 ], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
         "fields_cell_not_a_number", "fields_row_short", "fields_rows_out_of_order",
         "fields_missing", "mesh_vertex_malformed", "mesh_valid_line_without_row",
         "mesh_valid_run_negative", "mesh_valid_run_past_nv", "mesh_valid_run_reversed",
         "mesh_missing", "out_dir_under_a_file", "run_report_is_residual_csv",
         "run_system_csv_is_residual_csv", "run_report_is_lifted_obj",
-        "verify_report_is_residual_csv"])
+        "verify_report_is_residual_csv", "verify_report_is_mesh", "verify_report_is_fields",
+        "verify_default_report_is_mesh", "verify_residual_csv_is_fields",
+        "verify_residual_csv_is_mesh", "run_report_is_config", "example_system_csv_is_config",
+        "run_residual_csv_is_metric_csv", "example_mesh_is_metric_csv",
+        "run_report_is_base_curve_csv"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -294,6 +332,8 @@ def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     assert out.stderr.startswith("error: "), out.stderr
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+    for name, text in files.items():
+        assert (tmp_path / name).read_text() == text
 
 
 def test_cli_gated_verify(cli_run):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import interior_of
+from isoembed import ivp
 from isoembed.errors import BadParameter, BranchViolation, ValidityLoss
 from isoembed.fields import Grid2D, ScalarField2D
 from isoembed.initial import make_initial
@@ -287,6 +288,43 @@ def test_steep_slope_forces_substepping():
     assert np.nanmax(np.abs(fr.field.values - f_exact)[fr.mask]) < 1e-9
     assert np.nanmax(np.abs(gr.field.values - g_exact)[gr.mask]) < 1e-9
     assert fr.max_residual < 1e-6 and gr.max_residual < 1e-6
+
+
+def _v_dependent_sampled_metric(tmp_path):
+    """file: metric G = cos^2(u) (1 + v/2)^2 sampled on a 101^2 lattice."""
+    path = tmp_path / "g.csv"
+    coords = np.linspace(-0.5, 0.5, 101)
+    with open(path, "w") as fh:
+        fh.write("ubar,vbar,G\n")
+        for u in coords:
+            for v in coords:
+                fh.write(f"{u:.17g},{v:.17g},{np.cos(u) ** 2 * (1 + v / 2) ** 2:.17g}\n")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("spec, eps, n", [("flat", 0.1, 101), ("cos2", 0.1, 101),
+                                          ("exp", 0.1, 101), ("file", 0.1, 61),
+                                          ("flat", 0.9, 41)],
+                         ids=["flat", "cos2", "exp", "file", "flat_substeps"])
+def test_march_reading_the_samples_keeps_the_per_call_bits(spec, eps, n, tmp_path, monkeypatch):
+    # the march reads sqrt(G) at grid levels from the samples; evaluating
+    # the metric at every stage point instead must give the same bits
+    metric = make_metric(_v_dependent_sampled_metric(tmp_path) if spec == "file" else spec)
+    grid = Grid2D.centered(0.1, 0.1, n, n)
+    init = make_initial("linear_ramp", eps, 0.1)
+
+    def solve():
+        fr = solve_f(metric, init, grid)
+        return fr, solve_g(metric, fr, init, grid)
+
+    read = solve()
+    monkeypatch.setattr(ivp, "_sqrt_g_reader", lambda metric, gbar: (
+        lambda v, L, R: metric.sqrt_g(gbar.grid.u_coords[L : R + 1], v)))
+    called = solve()
+    for a, b in zip(read, called):
+        assert np.array_equal(a.mask, b.mask)
+        assert np.array_equal(a.field.values, b.field.values, equal_nan=True)
+        assert a.steps == b.steps
 
 
 def test_validity_loss_when_slope_hits_guard():

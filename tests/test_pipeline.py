@@ -4,11 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from isoembed import fields, pipeline
+from isoembed import fields, ivp, pipeline
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
 from isoembed.fields import ScalarField2D
-from isoembed.metric import curvature_field, curvature_from_samples, make_metric
+from isoembed.metric import GeodesicMetric2D, curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.plane import chart_differences
 from isoembed.surface import regularity_check
@@ -58,7 +58,6 @@ def test_kinked_chart_gating_policy():
 
 def test_exp_metric_with_documented_gates():
     cfg = RunConfig(metric="exp", v_half=0.03)
-    cfg.tolerances.jacobian_oracle_tol = 2e-3
     cfg.tolerances.g_match_rel_tol = 1e-4
     res = run_pipeline(cfg)
     assert res.passed
@@ -119,8 +118,9 @@ def test_sampled_metric_takes_no_curvature_field(tmp_path, monkeypatch):
                          ids=["cos2", "flat_substeps"])
 def test_run_evaluates_the_metric_once_per_point(cfg, monkeypatch):
     # G is sampled once on the whole solve grid and never on a block of it,
-    # the march takes sqrt(G) once per distinct stage point (3 a substep),
-    # and the closed-form K is evaluated once
+    # the march evaluates sqrt(G) only at stage points off the grid levels
+    # (the midpoints, and the ends of substeps that split a level), and the
+    # closed-form K is evaluated once
     shapes, sqrt_calls, k_calls = [], [], []
 
     def counting_metric(*args, **kwargs):
@@ -146,8 +146,45 @@ def test_run_evaluates_the_metric_once_per_point(cfg, monkeypatch):
     res = run_pipeline(cfg)
     grid_shape = (cfg.n_u, cfg.n_v)
     assert [s for s in shapes if len(s) == 2] == [grid_shape]
-    assert len(sqrt_calls) == 3 * res.report.meta["solver_steps"]
+    levels = set(res.grid.v_coords.tolist())
+    assert not levels.intersection(sqrt_calls)
+    steps = res.report.meta["solver_steps"]
+    if cfg.n_v == 21:
+        # six substeps a level: each substep's midpoint, and the starts and
+        # ends inside the level
+        assert steps < len(sqrt_calls) < 3 * steps
+    else:
+        assert len(sqrt_calls) == steps
     assert k_calls == [grid_shape]
+
+
+def test_cos2_801_run_calls_metric_eval_1602_times(monkeypatch):
+    # one sampling of the grid, one midpoint per RK4 substep of the two
+    # marches (one substep a level: 2 x 800 levels) and the Jacobian
+    # oracle's initial row; every grid-level stage point reads the samples
+    counts = {"march": 0, "other": 0}
+    marching = False
+    real_eval = GeodesicMetric2D.eval
+    real_march = ivp._march
+
+    def counted_eval(self, u, v):
+        counts["march" if marching else "other"] += 1
+        return real_eval(self, u, v)
+
+    def counted_march(*args, **kwargs):
+        nonlocal marching
+        marching = True
+        try:
+            return real_march(*args, **kwargs)
+        finally:
+            marching = False
+
+    monkeypatch.setattr(GeodesicMetric2D, "eval", counted_eval)
+    monkeypatch.setattr(ivp, "_march", counted_march)
+    res = run_pipeline(RunConfig(metric="cos2", v_half=0.03, n_u=801, n_v=801))
+    assert res.passed
+    assert res.report.meta["solver_steps"] == 1600
+    assert counts == {"march": 1600, "other": 2}
 
 
 def test_nonpositive_sampled_metric_refused(tmp_path):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,84 @@ def test_profile_matches_circle():
     # positions agree up to quadrature accuracy
     assert np.nanmax(np.abs(chart_p.x.values - chart_c.x.values)) < 1e-10
     assert np.nanmax(np.abs(chart_p.y.values - chart_c.y.values)) < 1e-10
+
+
+@pytest.mark.parametrize("speed, slope, v_center", [(0.05, -1.0, 0.0), (2.0, 0.7, 0.0),
+                                                      (1.5, 0.0, 0.0), (0.3, -2.5, 0.04)])
+def test_constant_profile_is_the_closed_form_arc(speed, slope, v_center):
+    # A(v) = A, B(v) = B: c(v) = (A/B) (sin B(v - vc), cos B(v - vc) - 1),
+    # and the line (A (v - vc), 0) when B = 0
+    prof = ChartProfile.constant(speed, slope)
+    prof.v_center = v_center
+    vs = v_center + np.linspace(-0.6, 0.6, 241)
+    x, y = prof.point(vs)
+    t = vs - v_center
+    if slope == 0.0:
+        want_x, want_y = speed * t, np.zeros_like(t)
+    else:
+        want_x = speed / slope * np.sin(slope * t)
+        want_y = speed / slope * (np.cos(slope * t) - 1.0)
+    bound = 4 * np.finfo(float).eps * speed
+    assert np.max(np.abs(x - want_x)) <= bound
+    assert np.max(np.abs(y - want_y)) <= bound
+    if slope == 0.0:
+        assert np.all(y == 0.0)
+
+
+def _mp_point(prof, v):
+    """c(v) of a profile by 40-digit quadrature of A (cos theta, sin theta)
+    from v_center, with A and theta evaluated exactly from the coefficients."""
+    with mpmath.workdps(40):
+        vc, sc = mpmath.mpf(prof.v_center), mpmath.mpf(prof.v_scale)
+        a = [mpmath.mpf(c) for c in prof.a_coeffs]
+        b = [mpmath.mpf(c) for c in prof.b_coeffs]
+
+        def speed(t):
+            vt = (t - vc) / sc
+            return sum(c * vt**k for k, c in enumerate(a))
+
+        def theta(t):
+            vt = (t - vc) / sc
+            return -sc * sum(c * vt ** (k + 1) / (k + 1) for k, c in enumerate(b))
+
+        end = mpmath.mpf(float(v))
+        x = mpmath.quad(lambda t: speed(t) * mpmath.cos(theta(t)), [vc, end])
+        y = mpmath.quad(lambda t: speed(t) * mpmath.sin(theta(t)), [vc, end])
+        return float(x), float(y)
+
+
+@pytest.mark.parametrize("fixture_name", ["flat_run", "cos2_run"])
+def test_fitted_profile_point_matches_a_40_digit_quadrature(fixture_name, request):
+    run = request.getfixturevalue(fixture_name)
+    prof = run.chart.source
+    assert isinstance(prof, ChartProfile)
+    # the chart's v-lines and every certified image in one call each, as
+    # build_chart and compose ask for them; a sample of each is checked
+    x, y, want = [], [], []
+    for vs, stride in ((run.chart.grid.v_coords, 29), (run.pc.g.values[run.pc.certified], 4001)):
+        px, py = prof.point(vs)
+        x.append(px[::stride])
+        y.append(py[::stride])
+        want += [_mp_point(prof, v) for v in vs[::stride]]
+    x, y, want = np.concatenate(x), np.concatenate(y), np.array(want)
+    # |c| <= 0.12 here: 1e-16 is about 7 roundings
+    assert np.max(np.abs(x - want[:, 0])) <= 1e-16
+    assert np.max(np.abs(y - want[:, 1])) <= 1e-16
+
+
+def test_profile_point_at_the_v_scale_floor_is_bounded():
+    # every fitted point on one v-line: v_scale sits at its 1e-30 floor, and
+    # the anchor table refuses to reach the chart's v-lines rather than
+    # tabulate 1e24 anchors
+    u = np.linspace(-0.1, 0.1, 100)
+    prof = fit_chart_profile(u, np.zeros(100), np.full(100, 99.0))
+    assert prof.v_scale == 1e-30
+    x, y = prof.point(np.array([0.0]))
+    assert (x[0], y[0]) == (0.0, 0.0)
+    with pytest.raises(BadParameter):
+        prof.point(np.array([1e-6]))
+    with pytest.raises(BadParameter):
+        build_chart(prof, Grid2D.centered(0.1, 1e-6, 11, 11))
 
 
 def test_fit_recovers_exact_profile():

@@ -36,6 +36,9 @@ def test_closed_form_examples():
     assert jacobian_initial_closed_form(1e-9, 0.2, 4.0) == pytest.approx(0.4, abs=1e-8)
     # (0.5, 0.2, 1): sqrt(0.75) * (0.5 * (0.5*0.2/0.75) + 0.2)
     assert jacobian_initial_closed_form(0.5, 0.2, 1.0) == pytest.approx(0.230940, abs=1e-6)
+    # h' != 0 and G0 != 1 tell sqrt(G0) from G0: sqrt(4) * 0.2 / sqrt(0.75)
+    assert jacobian_initial_closed_form(0.5, 0.2, 4.0) == pytest.approx(0.4 / np.sqrt(0.75),
+                                                                         rel=1e-14)
 
 
 def test_closed_form_domain_errors():

@@ -158,6 +158,23 @@ def test_compose_on_a_circle_chart_is_the_closed_form(node_block, monkeypatch):
     assert np.isnan(comp.position[~comp.mask]).all()
 
 
+@pytest.mark.parametrize("fixture_name", ["flat_run", "cos2_run"])
+def test_compose_bits_do_not_depend_on_the_node_block(fixture_name, request, monkeypatch):
+    # a fitted profile's base point integrates from fixed anchors, so the
+    # composite is the same to the bit however the solve grid is blocked
+    run = request.getfixturevalue(fixture_name)
+    assert isinstance(run.chart.source, ChartProfile)
+    runs = {}
+    for node_block in (1000, 32768):
+        monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
+        runs[node_block] = compose(run.lifted, run.pc)
+    small, large = runs[1000], runs[32768]
+    assert run.grid.nu * run.grid.nv > 1000 * 20  # many blocks against one or two
+    assert np.array_equal(small.mask, large.mask)
+    assert np.array_equal(small.position, large.position, equal_nan=True)
+    assert np.array_equal(large.position, run.composite.position, equal_nan=True)
+
+
 def test_compose_outside_chart_raises():
     chart = line_chart(u_half=0.05, v_half=0.05)
     s = lift(chart)
