@@ -25,9 +25,9 @@ from isoembed.config import RunConfig, load_config
 # the stages run_pipeline calls by these names; none calls another
 STAGES = (
     "solve_f", "validate_metric", "solve_g", "build_param_change", "solve_system_grid",
-    "resolve_chart_source", "chart_grid_for", "build_chart", "chart_differences",
-    "s0_residuals", "chart_jacobian_min", "lift", "compose", "isometry_residual",
-    "curvature_from_samples", "curvature_field", "compatibility_residual", "c2_defect_scan",
+    "resolve_chart_source", "chart_grid_for", "build_chart", "chart_checks", "lift",
+    "compose", "isometry_residual", "curvature_from_samples", "curvature_field",
+    "compatibility_residual", "c2_defect_scan",
 )
 MB = 1e6
 
@@ -73,6 +73,7 @@ def stage_memory(cfg: RunConfig):
 
 def main(argv=()):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", help="INI config file")
     cli._add_run_overrides(parser)
     args = parser.parse_args(argv)
     cfg = load_config(args.config) if args.config else RunConfig()

@@ -24,9 +24,9 @@ from .plane import (
     ChartProfile,
     PlaneChart,
     build_chart,
+    chart_checks,
     fit_chart_profile,
     make_base_curve,
-    s0_residuals,
 )
 from .report import (
     VerificationReport,

@@ -1,7 +1,7 @@
 """Command-line driver.
 
     isoembed run [--config FILE] [overrides]   full pipeline from a config
-    isoembed example-cos2 [--out-dir DIR]      built-in non-analytic scenario
+    isoembed example-cos2 [overrides]          built-in non-analytic scenario
     isoembed verify MESH --metric NAME --fields CSV   re-check a surface
 
 Exit codes: 0 all gated verdicts pass, 1 execution/config error (a typed
@@ -32,7 +32,6 @@ _TOL_FIELDS = {f.name: f.type for f in fields(Tolerances)}
 
 
 def _add_run_overrides(p):
-    p.add_argument("--config", help="INI config file")
     p.add_argument("--grid-n", type=int, dest="grid_n", help="sets both n_u and n_v")
     p.add_argument("--chart-n", type=int, dest="chart_n", help="sets both chart grid counts")
     for name, ftype in {**_CFG_FIELDS, **_TOL_FIELDS}.items():
@@ -80,7 +79,7 @@ def _print_report(report):
     print(f"  masked nodes: {report.masked_count}")
 
 
-def _finish_run(cfg, config_path) -> int:
+def _finish_run(cfg, config_path=None) -> int:
     if config_path:
         refuse_shared_paths(cfg.output_paths(), {"--config": config_path})
     result = run_pipeline(cfg)
@@ -105,7 +104,7 @@ def cmd_run(args) -> int:
 def cmd_example_cos2(args) -> int:
     cfg = example_cos2_config()
     cfg = _apply_overrides(cfg, args)
-    return _finish_run(cfg, args.config)
+    return _finish_run(cfg)
 
 
 def cmd_verify(args) -> int:
@@ -214,6 +213,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the full pipeline")
+    p_run.add_argument("--config", help="INI config file")
     _add_run_overrides(p_run)
     p_run.set_defaults(fn=cmd_run)
 

@@ -31,7 +31,6 @@ class Tolerances:
     g_match_rel_tol: float = 1e-6     # solved-vs-closed-form G, relative, interior
     curvature_tol: float = 1e-4       # stencil curvature vs analytic
     s0_tol: float = 1e-4              # chart identities, numeric derivatives
-    s0_analytic_tol: float = 1e-8     # chart identities, analytic derivatives
     lift_tol: float = 1e-6            # induced metric of the lift vs (1, 0, G0+1)
     e_res_tol: float = 1e-3           # composite |E - 1| sup
     f_res_tol: float = 1e-3           # composite |F| sup

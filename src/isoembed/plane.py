@@ -28,6 +28,12 @@ depends on the profile and v alone, never on which points are asked for
 together. `build_chart` evaluates the generator once per v-line and
 broadcasts over u.
 
+`chart_checks` differences the sampled chart once with 4th-order stencils
+and computes each chart verdict's quantity once from it: the geodesic-form
+triple (|E0 - 1|, |F0|, |G0_stencil - G0|), min |J| and the lift's
+min(EG - F^2). The u-lines are straight, so the stencil reads x_u exactly
+up to rounding and |E0 - 1| catches a tangent that is not unit.
+
 Normal convention: n = rotate(c', +90 deg), so kappa > 0 for
 counterclockwise circles.
 """
@@ -371,46 +377,25 @@ def build_chart(source, grid: Grid2D) -> PlaneChart:
     )
 
 
-def chart_differences(chart: PlaneChart) -> tuple:
-    """(x_u, y_u, x_v, y_v): 4th-order stencil derivatives of the chart fields."""
-    g = chart.grid
-    x, y = chart.x.values, chart.y.values
-    return (first_derivative_4(x, g.du, 0), first_derivative_4(y, g.du, 0),
-            first_derivative_4(x, g.dv, 1), first_derivative_4(y, g.dv, 1))
+def chart_checks(chart: PlaneChart) -> tuple:
+    """((r1, r2, r3), jac_min, eg_f2_min) of the chart, from one 4th-order
+    differencing of its sampled fields.
 
-
-def s0_residuals(chart: PlaneChart, derivatives: str = "numeric", diffs=None) -> tuple:
-    """Sup-norms of the three geodesic-form identities of the chart.
-
-    r1 = sup|x_u^2 + y_u^2 - 1|, r2 = sup|x_u x_v + y_u y_v|,
-    r3 = sup|x_v^2 + y_v^2 - G0|.
-
-    'analytic' takes the closed-form derivatives of c(v) + u n(v) from the
-    chart's generator: (x_u, y_u) = n = (-ty, tx) and
-    (x_v, y_v) = (A + B u) t. 'numeric' differences the sampled fields,
-    or takes `diffs` from chart_differences when the caller already has them.
+    With E = x_u^2 + y_u^2, F = x_u x_v + y_u y_v and G = x_v^2 + y_v^2:
+    r1 = sup|E - 1|, r2 = sup|F|, r3 = sup|G - G0| are the geodesic-form
+    identities; jac_min = min|x_u y_v - x_v y_u| (sqrt(G0); > 0 iff the
+    chart is injective); and eg_f2_min = min(E (G + 1) - F^2) is EG - F^2
+    of the lift X = (x, y, v), whose height adds exactly dv^2.
     """
-    if derivatives == "analytic":
-        src = chart.source
-        vs = chart.grid.v_coords
-        tx, ty = src.tangent(vs)
-        ruling = src.speed(vs) + chart.grid.u_coords[:, None] * src.slope(vs)
-        xu, yu = -ty, tx
-        xv, yv = ruling * tx, ruling * ty
-        g0 = ruling**2
-    elif derivatives == "numeric":
-        xu, yu, xv, yv = chart_differences(chart) if diffs is None else diffs
-        g0 = chart.g0.values
-    else:
-        raise ValueError("derivatives must be 'numeric' or 'analytic'")
-    r1 = float(np.nanmax(np.abs(xu**2 + yu**2 - 1.0)))
-    r2 = float(np.nanmax(np.abs(xu * xv + yu * yv)))
-    r3 = float(np.nanmax(np.abs(xv**2 + yv**2 - g0)))
-    return r1, r2, r3
-
-
-def chart_jacobian_min(chart: PlaneChart, diffs=None) -> float:
-    """min |x_u y_v - x_v y_u| over the grid (equals sqrt(G0); > 0 iff injective)."""
-    xu, yu, xv, yv = chart_differences(chart) if diffs is None else diffs
-    jac = xu * yv - xv * yu
-    return float(np.nanmin(np.abs(jac)))
+    grid = chart.grid
+    x, y = chart.x.values, chart.y.values
+    xu, yu = first_derivative_4(x, grid.du, 0), first_derivative_4(y, grid.du, 0)
+    xv, yv = first_derivative_4(x, grid.dv, 1), first_derivative_4(y, grid.dv, 1)
+    e = xu * xu + yu * yu
+    f = xu * xv + yu * yv
+    g = xv * xv + yv * yv
+    jac_min = float(np.nanmin(np.abs(xu * yv - xv * yu)))
+    residuals = (float(np.nanmax(np.abs(e - 1.0))), float(np.nanmax(np.abs(f))),
+                 float(np.nanmax(np.abs(g - chart.g0.values))))
+    eg_f2_min = float(np.nanmin(e * (g + 1.0) - f**2))
+    return residuals, jac_min, eg_f2_min

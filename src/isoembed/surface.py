@@ -5,8 +5,8 @@ X(u, v) = (x(u, v), y(u, v), v). Its induced first fundamental form is
 then E = 1, F = 0, G = G0 + 1, so EG - F^2 >= 1 and the lift is always an
 immersion. The height has z_u = 0 and z_v = 1 exactly, so the pipeline
 takes the lift's metric as the chart's, from its one 4th-order
-differencing (plane.chart_differences), plus dv^2; it differences neither
-the height nor the lifted surface. The lift is ruled by its u-lines, so
+differencing (plane.chart_checks), plus dv^2; it differences neither the
+height nor the lifted surface. The lift is ruled by its u-lines, so
 for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
 -B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface is the chart composed
 with a certified parameter change, X(f, g) = (c(g) + f n(g), g), evaluated
@@ -147,8 +147,9 @@ def regularity_check(e: ScalarField2D, f: ScalarField2D, g: ScalarField2D,
                      tol: float = 0.0) -> np.ndarray:
     """Mask of nodes where EG - F^2 > tol (a test oracle).
 
-    The pipeline takes min(EG - F^2) for its lift_regular verdict instead;
-    tests check that verdict against this node-wise mask.
+    The pipeline's lift_regular verdict reads the lift's min(EG - F^2)
+    from plane.chart_checks instead; tests check that verdict against this
+    node-wise mask.
     """
     det = e.values * g.values - f.values**2
     return e.mask & f.mask & g.mask & np.isfinite(det) & (det > tol)

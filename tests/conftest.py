@@ -44,6 +44,25 @@ def param_change_of(grid, f_fn=lambda u, v: u, g_fn=lambda u, v: v):
                        orientation=1, init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
 
 
+def closed_form_differences(chart):
+    """(x_u, y_u, x_v, y_v) of a chart c(v) + u n(v) from its generator:
+    (x_u, y_u) = n = (-ty, tx) and (x_v, y_v) = (A + B u) t."""
+    src = chart.source
+    vs = chart.grid.v_coords
+    tx, ty = src.tangent(vs)
+    ruling = src.speed(vs) + chart.grid.u_coords[:, None] * src.slope(vs)
+    return -ty, tx, ruling * tx, ruling * ty
+
+
+def closed_form_identities(chart):
+    """Sups of |E0 - 1|, |F0| and |G0 - chart.g0| from the closed-form
+    derivatives: the oracle for plane.chart_checks' stencil triple."""
+    xu, yu, xv, yv = closed_form_differences(chart)
+    return (float(np.max(np.abs(xu * xu + yu * yu - 1.0))),
+            float(np.max(np.abs(xu * xv + yu * yv))),
+            float(np.max(np.abs(xv * xv + yv * yv - chart.g0.values))))
+
+
 @pytest.fixture(scope="session")
 def flat_run():
     """Full default pipeline run (flat metric, ramps, 201x201)."""

@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import interior_of, param_change_of, run_cli
+from conftest import closed_form_identities, interior_of, param_change_of, run_cli
 from isoembed.config import RunConfig
 from isoembed.fields import Grid2D
 from isoembed.initial import make_initial
 from isoembed.ivp import c2_defect_scan, solve_f, solve_g
 from isoembed.metric import curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import run_pipeline
-from isoembed.plane import build_chart, make_base_curve, s0_residuals
+from isoembed.plane import build_chart, chart_checks, make_base_curve
 from isoembed.report import isometry_residual
 from isoembed.reparam import jacobian_initial_closed_form
 from isoembed.surface import compose, embed_planar, induced_metric, lift
@@ -145,8 +145,9 @@ def test_c06_chart_and_lift():
     min_det = np.inf
     for spec in ("line", "circle:2"):
         chart = build_chart(make_base_curve(spec), grid)
-        worst_ana = max(worst_ana, max(s0_residuals(chart, derivatives="analytic")))
-        worst_num = max(worst_num, max(s0_residuals(chart, derivatives="numeric")))
+        worst_ana = max(worst_ana, max(closed_form_identities(chart)))
+        r, _, _ = chart_checks(chart)
+        worst_num = max(worst_num, max(r))
         s = lift(chart)
         e, f, g = induced_metric(s)
         worst_lift = max(worst_lift,

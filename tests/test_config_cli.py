@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from isoembed.cli import build_parser
 from isoembed.config import RunConfig, Tolerances, example_cos2_config, load_config, write_config
 from isoembed.errors import BadParameter
 
@@ -98,6 +99,17 @@ def test_config_unknown_key(tmp_path):
     p.write_text("[tolerances]\nnewton_tol = 1e-10\n")
     with pytest.raises(BadParameter, match="unknown tolerance 'newton_tol'"):
         load_config(str(p))
+    # so is the closed-form chart check: its tolerance is refused too
+    p.write_text("[tolerances]\ns0_analytic_tol = 1e-8\n")
+    with pytest.raises(BadParameter, match="unknown tolerance 's0_analytic_tol'"):
+        load_config(str(p))
+
+
+def test_removed_tolerance_flag_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--s0-analytic-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s0-analytic-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,value", [
@@ -301,9 +313,6 @@ def _swap_lines(text, a, b):
      "--residual-csv would overwrite the input MESH: mesh.obj"),
     ({"c.cfg": _SMALL_CFG}, ["run", "--config", "c.cfg", "--report-json", "c.cfg"],
      "report_json would overwrite the input --config: c.cfg"),
-    ({"c.cfg": _SMALL_CFG}, ["example-cos2", "--config", "c.cfg", *_SMALL,
-                             "--system-csv", "c.cfg"],
-     "system_csv would overwrite the input --config: c.cfg"),
     ({"m.csv": _METRIC_CSV}, ["run", "--metric", "file:m.csv", *_SMALL,
                               "--residual-csv", "m.csv"],
      "residual_csv would overwrite the input metric: m.csv"),
@@ -321,7 +330,7 @@ def _swap_lines(text, a, b):
         "run_system_csv_is_residual_csv", "run_report_is_lifted_obj",
         "verify_report_is_residual_csv", "verify_report_is_mesh", "verify_report_is_fields",
         "verify_default_report_is_mesh", "verify_residual_csv_is_fields",
-        "verify_residual_csv_is_mesh", "run_report_is_config", "example_system_csv_is_config",
+        "verify_residual_csv_is_mesh", "run_report_is_config",
         "run_residual_csv_is_metric_csv", "example_mesh_is_metric_csv",
         "run_report_is_base_curve_csv"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
@@ -334,6 +343,17 @@ def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     assert "Traceback" not in out.stderr
     for name, text in files.items():
         assert (tmp_path / name).read_text() == text
+
+
+def test_cli_example_cos2_refuses_config(tmp_path):
+    # the example's settings are built in: only `run` reads a config file
+    (tmp_path / "c.cfg").write_text(_SMALL_CFG)
+    out = run_cli(["example-cos2", "--config", "c.cfg", *_SMALL, "--out-dir", "ex"],
+                  cwd=tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "unrecognized arguments: --config c.cfg" in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+    assert (tmp_path / "c.cfg").read_text() == _SMALL_CFG
 
 
 def test_cli_gated_verify(cli_run):

@@ -7,10 +7,9 @@ import pytest
 from isoembed import fields, ivp, pipeline
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
-from isoembed.fields import ScalarField2D
+from isoembed.fields import ScalarField2D, first_derivative_4
 from isoembed.metric import GeodesicMetric2D, curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import chart_grid_for, run_pipeline
-from isoembed.plane import chart_differences
 from isoembed.surface import regularity_check
 
 
@@ -40,9 +39,9 @@ def test_named_curve_leaves_honest_gap():
 
 
 def test_kinked_chart_gating_policy():
-    # a C^1-only base curve kinks the chart: the analytic identities still
-    # gate, the stencil F/G comparisons fall under the s0 tolerance, and
-    # the full numeric triple stays visible in the metadata
+    # a C^1-only base curve kinks the chart: s0_numeric gates E0 and F0,
+    # lift_identity the exact E part alone, and the full numeric triple
+    # stays visible in the metadata
     cfg = RunConfig(base_curve="kinked:1", n_u=101, n_v=101)
     cfg.tolerances.gate_isometry = False
     res = run_pipeline(cfg)
@@ -53,7 +52,8 @@ def test_kinked_chart_gating_policy():
     assert r1 < 1e-10          # E0 identity is exact in u
     assert r2 < 1e-4           # F0 held to the stencil gate
     assert r3 > 1e-2           # the G0 jump across the kink is visible
-    assert res.report.residuals["s0_analytic"].sup < 1e-8
+    assert res.report.residuals["lift_identity"].sup == r1
+    assert res.report.residuals["s0_numeric"].sup == max(r1, r2)
 
 
 def test_exp_metric_with_documented_gates():
@@ -257,7 +257,9 @@ def test_composite_does_not_depend_on_the_chart_grid():
 @pytest.mark.parametrize("run", ["flat_run", "cos2_run"])
 def test_lift_regular_matches_the_node_mask(run, request):
     res = request.getfixturevalue(run)
-    xu, yu, xv, yv = chart_differences(res.chart)
+    grid, x, y = res.chart.grid, res.chart.x.values, res.chart.y.values
+    xu, yu = first_derivative_4(x, grid.du, 0), first_derivative_4(y, grid.du, 0)
+    xv, yv = first_derivative_4(x, grid.dv, 1), first_derivative_4(y, grid.dv, 1)
     e, f, g = xu * xu + yu * yu, xu * xv + yu * yv, xv * xv + yv * yv + 1.0
     assert res.report.meta["lift_eg_f2_min"] == np.min(e * g - f**2)
     regular = regularity_check(*(ScalarField2D(res.chart.grid, a) for a in (e, f, g)),

@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closed_form_differences, closed_form_identities
+from isoembed.config import Tolerances
 from isoembed.errors import BadParameter, FocalPoint, IoFailure
-from isoembed.fields import Grid2D
+from isoembed.fields import Grid2D, first_derivative_4
 from isoembed.plane import (
     BaseCurve,
     ChartProfile,
     build_chart,
-    chart_differences,
-    chart_jacobian_min,
+    chart_checks,
     fit_chart_profile,
     load_polyline_curve,
     make_base_curve,
-    s0_residuals,
 )
 
 
@@ -30,17 +30,8 @@ def test_line_chart_is_canonical():
     assert np.allclose(chart.x.values, V, atol=1e-14)
     assert np.allclose(chart.y.values, U, atol=1e-14)
     assert np.allclose(chart.g0.values, 1.0, atol=1e-14)
-    r = s0_residuals(chart, derivatives="numeric")
+    r, _, _ = chart_checks(chart)
     assert max(r) < 1e-10
-
-
-def closed_form_differences(chart):
-    """(x_u, y_u, x_v, y_v) from the generator, as s0_residuals' analytic route."""
-    src = chart.source
-    vs = chart.grid.v_coords
-    tx, ty = src.tangent(vs)
-    ruling = src.speed(vs) + chart.grid.u_coords[:, None] * src.slope(vs)
-    return -ty, tx, ruling * tx, ruling * ty
 
 
 @pytest.mark.parametrize("source", [
@@ -54,7 +45,11 @@ def test_chart_stencils_are_fourth_order(source):
     errs = []
     for nv in (21, 41, 81):
         chart = build_chart(source, Grid2D.centered(0.1, 0.5, 9, nv))
-        got = chart_differences(chart)
+        g = chart.grid
+        got = (first_derivative_4(chart.x.values, g.du, 0),
+               first_derivative_4(chart.y.values, g.du, 0),
+               first_derivative_4(chart.x.values, g.dv, 1),
+               first_derivative_4(chart.y.values, g.dv, 1))
         want = closed_form_differences(chart)
         assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], want[:2])) < 1e-13
         err = np.maximum(np.abs(got[2] - want[2]), np.abs(got[3] - want[3])).max(axis=0)
@@ -68,9 +63,8 @@ def test_circle_chart_g0():
     # G0 = (1 - u/2)^2: at u = 0.1 this is 0.9025
     i = chart.grid.col_index_of_u(0.1)
     assert np.allclose(chart.g0.values[i, :], 0.9025, atol=1e-12)
-    r_ana = s0_residuals(chart, derivatives="analytic")
-    assert max(r_ana) < 1e-12
-    r_num = s0_residuals(chart, derivatives="numeric")
+    assert max(closed_form_identities(chart)) < 1e-12
+    r_num, _, _ = chart_checks(chart)
     assert max(r_num) < 1e-4
 
 
@@ -101,7 +95,7 @@ def test_kinked_chart_curvature_jump():
     assert curve.curvature(-1e-6) == 0.0
     assert curve.curvature(1e-6) == 1.0
     chart = build_chart(curve, chart_grid(u_half=0.1, v_half=0.2, n=201))
-    r = s0_residuals(chart, derivatives="analytic")
+    r = closed_form_identities(chart)
     assert max(r[:2]) < 1e-12  # E0, F0 identities hold across the kink
     # G0 has a kink along v = 0: one-sided v-slopes differ there
     g0 = chart.g0.values
@@ -127,22 +121,32 @@ def test_perturbed_chart_fails_identities():
     chart = build_chart(make_base_curve("line"), chart_grid())
     rng = np.random.default_rng(3)
     chart.y.values += 1e-3 * rng.standard_normal(chart.y.values.shape)
-    r1, r2, _ = s0_residuals(chart, derivatives="numeric")
+    (r1, r2, _), _, _ = chart_checks(chart)
     assert r1 > 1e-4 and r2 > 1e-4
 
 
 def test_nonunit_tangent_fails_analytic_identities():
-    # a tangent of speed 1.001 breaks E0 = 1 by 2e-3 in the closed-form route
+    # a tangent of speed 1.001 breaks E0 = 1 by 1.001^2 - 1 = 2.001e-3; the
+    # stencil reads x_u exactly on the straight u-lines, so the lift gate
+    # sees it at full size
     line = make_base_curve("line")
     fast = BaseCurve(name="fast", point=line.point, curvature=line.curvature,
                      tangent=lambda v: tuple(1.001 * t for t in line.tangent(v)))
     chart = build_chart(fast, chart_grid())
-    assert s0_residuals(chart, derivatives="analytic")[0] > 1e-3
+    (r1, _, _), _, _ = chart_checks(chart)
+    assert r1 == pytest.approx(1.001**2 - 1.0, rel=1e-6)
+    assert r1 > Tolerances().lift_tol
 
 
 def test_chart_jacobian_positive():
     chart = build_chart(make_base_curve("circle:2"), chart_grid())
-    assert chart_jacobian_min(chart) > 0.9  # sqrt(G0) stays near 1 here
+    _, jac_min, eg_f2_min = chart_checks(chart)
+    assert jac_min > 0.9  # sqrt(G0) stays near 1 here
+    # both minima have closed forms: |J| = sqrt(G0) and the lift's
+    # EG - F^2 = 1 + G0
+    g0_min = chart.g0.values.min()
+    assert jac_min == pytest.approx(np.sqrt(g0_min), abs=1e-8)
+    assert eg_f2_min == pytest.approx(1.0 + g0_min, abs=1e-8)
 
 
 def test_profile_matches_circle():
@@ -291,7 +295,7 @@ def test_polyline_curve(tmp_path):
     # curvature of the radius-2 circle
     assert np.allclose(curve.curvature(vs), 0.5, atol=1e-3)
     chart = build_chart(curve, chart_grid(u_half=0.05, v_half=0.25, n=61))
-    r = s0_residuals(chart, derivatives="numeric")
+    r, _, _ = chart_checks(chart)
     assert max(r[:2]) < 1e-4
 
 
@@ -314,5 +318,4 @@ def test_polyline_errors(tmp_path):
 def test_circle_chart_identities_property(radius, u_half):
     chart = build_chart(make_base_curve(f"circle:{radius}"),
                         chart_grid(u_half=u_half, v_half=0.1, n=41))
-    r = s0_residuals(chart, derivatives="analytic")
-    assert max(r) < 1e-10
+    assert max(closed_form_identities(chart)) < 1e-10

@@ -139,3 +139,27 @@ def test_report_residuals_nonnegative(flat_run):
 def test_composite_pipeline_residual_fields_nonnegative(flat_run):
     for fld in (flat_run.iso.e_res, flat_run.iso.f_res, flat_run.iso.g_res):
         assert np.nanmin(fld.values[fld.mask]) >= 0.0
+
+
+def test_flat_report_keys_are_pinned(flat_run, tmp_path):
+    # a reported check added or removed shows up as an edit of these sets
+    path = tmp_path / "report.json"
+    write_report(flat_run.report, str(path), None)
+    doc = json.loads(path.read_text())
+    assert set(doc["residuals"]) == {
+        "pde_f", "pde_g", "jacobian_oracle_rel", "aug_det", "pullback_rows", "e_val_dev",
+        "g_match_rel_interior", "g_match_rel_full", "s0_numeric", "lift_identity",
+        "curvature_stencil", "isometry_e", "isometry_f", "isometry_g", "compat_dG",
+    }
+    assert set(doc["verdicts"]) == {
+        "metric_valid", "rank_fraction", "chart_injective", "lift_regular", "detector",
+        "pde_f", "pde_g", "jacobian_oracle_rel", "pullback_rows", "e_val_dev",
+        "g_match_rel_interior", "s0_numeric", "lift_identity", "curvature_stencil",
+        "isometry_e", "isometry_f",
+    }
+    assert set(doc["meta"]) == {
+        "config", "orientation", "certified_count", "composite_valid_count",
+        "rank_ok_fraction", "lift_eg_f2_min", "chart_jacobian_min", "chart_smooth_source",
+        "s0_numeric_triple", "solver_steps", "detector_hits", "detector_near_initial_u",
+        "defect_locus", "g_cramer_center",
+    }

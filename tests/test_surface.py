@@ -5,8 +5,7 @@ from conftest import param_change_of
 from isoembed import fields
 from isoembed.errors import BadParameter, ImageOutsideChart
 from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
-from isoembed.pipeline import _lift_checks
-from isoembed.plane import ChartProfile, build_chart, chart_differences, make_base_curve
+from isoembed.plane import ChartProfile, build_chart, chart_checks, make_base_curve
 from isoembed.surface import (
     compose,
     embed_planar,
@@ -60,7 +59,7 @@ def test_lift_metric_from_chart_differences_matches_differenced_lift(spec):
     # the pipeline forms the lift's metric from the chart's differences
     # with z_u = 0 and z_v = 1 exact; the 4th-order stencils of all three
     # coordinates of lift(chart), one-sided edge rows included, must give
-    # the same identity triple
+    # the same identity triple and the same min(EG - F^2)
     chart = build_chart(make_base_curve(spec), Grid2D.centered(0.1, 0.2, 41, 57))
     grid = chart.grid
     pos = lift(chart).position
@@ -71,8 +70,9 @@ def test_lift_metric_from_chart_differences_matches_differenced_lift(spec):
     g = xv * xv + yv * yv + zv * zv
     want = (np.max(np.abs(e - 1.0)), np.max(np.abs(f)),
             np.max(np.abs(g - (chart.g0.values + 1.0))))
-    got, _ = _lift_checks(chart_differences(chart), chart.g0.values)
+    got, _, eg_f2_min = chart_checks(chart)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert eg_f2_min == pytest.approx(np.min(e * g - f * f), abs=1e-12)
     # and the closed form (1, 0, G0 + 1); a kinked chart's F and G are
     # checked only on v-lines whose stencils do not reach across the kink
     smooth = (np.abs(grid.v_coords) > 2.5 * grid.dv) | (chart.source.regularity == "analytic")
