@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Memory of each pipeline stage: tracemalloc peak and process high-water mark.
+"""Memory and wall time of each pipeline stage.
 
-Runs run_pipeline once with each stage it calls wrapped, and prints one row
-per call in call order: the stage's tracemalloc peak above its entry (numpy
-registers its array buffers with tracemalloc, so they count) and the
-process high-water mark VmHWM, read from /proc/self/status, after the stage
-returns. The tracemalloc figures are deterministic; VmHWM also counts the
-interpreter, the libraries and the allocator's slack, and only ever rises.
+Runs run_pipeline twice with each stage it calls wrapped, and prints one
+row per call in call order. The first run is traced: the stage's
+tracemalloc peak above its entry (numpy registers its array buffers with
+tracemalloc, so they count) and the process high-water mark VmHWM, read
+from /proc/self/status, after the stage returns. The tracemalloc figures
+are deterministic; VmHWM also counts the interpreter, the libraries and the
+allocator's slack, and only ever rises. The second run is untraced and
+gives each stage's wall time: tracemalloc's hooks on every allocation, like
+a profiler's on every call, would inflate the stages that allocate often.
 
 The config takes the flags of `isoembed run`; with none it is the default
 201^2 run. For the cos2 benchmark grid:
@@ -17,6 +20,7 @@ The config takes the flags of `isoembed run`; with none it is the default
 import argparse
 import functools
 import sys
+import time
 import tracemalloc
 
 from isoembed import cli, pipeline
@@ -44,31 +48,61 @@ def vm_hwm_mb():
     return float("nan")
 
 
-def _measured(name, fn, rows):
-    @functools.wraps(fn)
-    def stage(*args, **kwargs):
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn(*args, **kwargs)
-        rows.append((name, (tracemalloc.get_traced_memory()[1] - entry) / MB, vm_hwm_mb()))
-        return out
-    return stage
+def _run_wrapped(cfg: RunConfig, wrap):
+    """Run run_pipeline on cfg once, each stage fn called through wrap(name, fn)."""
+    saved = {name: getattr(pipeline, name) for name in STAGES}
+    for name, fn in saved.items():
+        setattr(pipeline, name, functools.wraps(fn)(wrap(name, fn)))
+    try:
+        pipeline.run_pipeline(cfg)
+    finally:
+        for name, fn in saved.items():
+            setattr(pipeline, name, fn)
 
 
 def stage_memory(cfg: RunConfig):
     """[(stage, tracemalloc peak above entry MB, VmHWM after MB)] of one run."""
     rows = []
-    saved = {name: getattr(pipeline, name) for name in STAGES}
-    for name, fn in saved.items():
-        setattr(pipeline, name, _measured(name, fn, rows))
+
+    def wrap(name, fn):
+        def stage(*args, **kwargs):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            rows.append((name, (tracemalloc.get_traced_memory()[1] - entry) / MB, vm_hwm_mb()))
+            return out
+        return stage
+
     tracemalloc.start()
     try:
-        pipeline.run_pipeline(cfg)
+        _run_wrapped(cfg, wrap)
     finally:
         tracemalloc.stop()
-        for name, fn in saved.items():
-            setattr(pipeline, name, fn)
     return rows
+
+
+def stage_times(cfg: RunConfig):
+    """[(stage, wall s)] of one untraced run."""
+    rows = []
+
+    def wrap(name, fn):
+        def stage(*args, **kwargs):
+            start = time.perf_counter()
+            out = fn(*args, **kwargs)
+            rows.append((name, time.perf_counter() - start))
+            return out
+        return stage
+
+    _run_wrapped(cfg, wrap)
+    return rows
+
+
+def stage_table(cfg: RunConfig):
+    """[(stage, peak above entry MB, VmHWM after MB, wall s)], one row per call."""
+    memory, times = stage_memory(cfg), stage_times(cfg)
+    if [m[0] for m in memory] != [t[0] for t in times]:
+        raise RuntimeError("the traced and the untraced run called different stages")
+    return [(*m, t[1]) for m, t in zip(memory, times)]
 
 
 def main(argv=()):
@@ -80,9 +114,9 @@ def main(argv=()):
     cfg = cli._apply_overrides(cfg, args)
     print(f"grid {cfg.n_u}x{cfg.n_v}, metric {cfg.metric}, "
           f"chart {cfg.chart_n_u}x{cfg.chart_n_v}")
-    print(f"{'stage':<24}{'peak above entry MB':>21}{'VmHWM after MB':>16}")
-    for name, peak, hwm in stage_memory(cfg):
-        print(f"{name:<24}{peak:>21.1f}{hwm:>16.1f}")
+    print(f"{'stage':<24}{'peak above entry MB':>21}{'VmHWM after MB':>16}{'wall s':>10}")
+    for name, peak, hwm, wall in stage_table(cfg):
+        print(f"{name:<24}{peak:>21.1f}{hwm:>16.1f}{wall:>10.4f}")
 
 
 if __name__ == "__main__":

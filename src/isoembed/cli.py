@@ -4,9 +4,10 @@
     isoembed example-cos2 [overrides]          built-in non-analytic scenario
     isoembed verify MESH --metric NAME --fields CSV   re-check a surface
 
-Exit codes: 0 all gated verdicts pass, 1 execution/config error (a typed
-IsoembedError; nothing else is caught), 2 verdict failure. The pipeline is
-fully deterministic; there is no seed anywhere.
+Exit codes: 0 all gated verdicts pass, 1 usage, execution or config error
+(a typed IsoembedError, printed as one `error:` line; nothing else is
+caught; argparse's usage errors raise BadParameter), 2 verdict failure.
+The pipeline is fully deterministic; there is no seed anywhere.
 """
 
 from __future__ import annotations
@@ -204,8 +205,16 @@ def _load_fields_csv(path):
     return grid, ScalarField2D(grid, fv, mask=field_mask), ScalarField2D(grid, gv, mask=field_mask), mask
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors raise BadParameter; the
+    subcommands' parsers inherit the class."""
+
+    def error(self, message):
+        raise BadParameter(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoembed",
         description="Construct and verify local isometric embeddings of "
                     "geodesic-form 2-metrics in E^3.",
@@ -235,9 +244,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except IsoembedError as exc:
         print(f"error: {exc}", file=sys.stderr)

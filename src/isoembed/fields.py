@@ -6,8 +6,10 @@ grid plus a validity mask. Derivatives are 2nd-order central in the
 interior and fall back to 2nd-order one-sided stencils wherever a
 neighbor is missing (grid edge or masked node). Nodes with no usable
 stencil return NaN rather than a degraded estimate. One masked kernel
-serves every mask, fully valid or not: it pads the values and the mask
-once by the stencil reach and reads each shifted sample as a view.
+serves every mask, fully valid or not: it takes the central stencil on
+the interior from shifted slices, and the one-sided stencils only at the
+valid nodes with no central one (the mask's edges and the grid's ends),
+gathered by one np.nonzero.
 
 The planar chart, whose derivatives feed tight identity checks, is
 differenced with 4th-order stencils by first_derivative_4: 5-point
@@ -116,37 +118,49 @@ class Grid2D:
         return i
 
 
-def _taps(values, mask, axis, reach):
-    """Shifted samples of the values and of the mask along axis.
+def _edge_taps(v, m, inner):
+    """The valid nodes without a central stencil, and their shifted samples.
 
-    Returns dicts v, m with v[k], m[k] the value and validity at index + k
-    for |k| <= reach; samples past either end read NaN and False. Each is a
-    view of one array padded once by `reach` along axis. A stencil is
-    selected only where the mask holds at all of its taps, so values at
-    masked nodes never reach the result.
+    v, m hold the values and the mask with the stencil's axis first; inner
+    marks the nodes 1..n-2 whose central stencil is valid. Returns (at,
+    taps): at indexes the valid nodes outside inner, found by one
+    np.nonzero, and taps(*ks) gathers, for just those nodes, the values at
+    index + k along axis 0 for each k, and where the mask holds at all of
+    them (False past either end). A stencil is selected only where the mask
+    holds at all of its taps, so values at masked nodes never reach the
+    result.
     """
-    pad = [(0, 0)] * values.ndim
-    pad[axis] = (reach, reach)
-    vp = np.pad(values, pad, constant_values=np.nan)
-    mp = np.pad(mask, pad, constant_values=False)
-    n = values.shape[axis]
-    v, m = {}, {}
-    for k in range(-reach, reach + 1):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = slice(reach + k, reach + k + n)
-        v[k], m[k] = vp[tuple(idx)], mp[tuple(idx)]
-    return v, m
+    edge = m.copy()
+    edge[1:-1] &= ~inner
+    i, *rest = np.nonzero(edge)
+    n = v.shape[0]
+
+    def taps(*ks):
+        vals, ok = [], True
+        for k in ks:
+            j = i + k
+            inside = (j >= 0) & (j < n)
+            at = (np.where(inside, j, 0), *rest)
+            vals.append(v[at])
+            ok = ok & inside & m[at]
+        return vals, ok
+
+    return (i, *rest), taps
 
 
 def _masked_first_derivative(values, mask, h, axis):
     """2nd-order derivative along axis; central, else one-sided, else NaN."""
-    v, m = _taps(values, mask, axis, 2)
-    out = np.full(v[0].shape, np.nan)
-    np.copyto(out, (3.0 * v[0] - 4.0 * v[-1] + v[-2]) / (2.0 * h),
-              where=m[0] & m[-1] & m[-2])
-    np.copyto(out, (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h),
-              where=m[0] & m[1] & m[2])
-    np.copyto(out, (v[1] - v[-1]) / (2.0 * h), where=m[0] & m[-1] & m[1])
+    out = np.full(values.shape, np.nan)
+    o, v, m = (np.moveaxis(a, axis, 0) for a in (out, values, mask))
+    inner = m[:-2] & m[1:-1] & m[2:]
+    np.copyto(o[1:-1], (v[2:] - v[:-2]) / (2.0 * h), where=inner)
+    at, taps = _edge_taps(v, m, inner)
+    v0 = v[at]
+    (f1, f2), fwd_ok = taps(1, 2)
+    (b1, b2), bwd_ok = taps(-1, -2)
+    fwd = (-3.0 * v0 + 4.0 * f1 - f2) / (2.0 * h)
+    bwd = (3.0 * v0 - 4.0 * b1 + b2) / (2.0 * h)
+    o[at] = np.where(fwd_ok, fwd, np.where(bwd_ok, bwd, np.nan))
     return out
 
 
@@ -172,14 +186,18 @@ def first_derivative_4(values, h, axis):
 
 def _masked_second_derivative(values, mask, h, axis):
     """2nd-order second derivative along axis (central / one-sided / NaN)."""
-    v, m = _taps(values, mask, axis, 3)
     h2 = h * h
-    out = np.full(v[0].shape, np.nan)
-    np.copyto(out, (2.0 * v[0] - 5.0 * v[-1] + 4.0 * v[-2] - v[-3]) / h2,
-              where=m[0] & m[-1] & m[-2] & m[-3])
-    np.copyto(out, (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2,
-              where=m[0] & m[1] & m[2] & m[3])
-    np.copyto(out, (v[-1] - 2.0 * v[0] + v[1]) / h2, where=m[0] & m[-1] & m[1])
+    out = np.full(values.shape, np.nan)
+    o, v, m = (np.moveaxis(a, axis, 0) for a in (out, values, mask))
+    inner = m[:-2] & m[1:-1] & m[2:]
+    np.copyto(o[1:-1], (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2, where=inner)
+    at, taps = _edge_taps(v, m, inner)
+    v0 = v[at]
+    (f1, f2, f3), fwd_ok = taps(1, 2, 3)
+    (b1, b2, b3), bwd_ok = taps(-1, -2, -3)
+    fwd = (2.0 * v0 - 5.0 * f1 + 4.0 * f2 - f3) / h2
+    bwd = (2.0 * v0 - 5.0 * b1 + 4.0 * b2 - b3) / h2
+    o[at] = np.where(fwd_ok, fwd, np.where(bwd_ok, bwd, np.nan))
     return out
 
 

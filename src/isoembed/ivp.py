@@ -14,7 +14,14 @@ u and one-sided stencils at the interval ends. Both directions away from
 the initial line v = 0 are marched. The march evaluates sqrt(G) at 3
 points per RK4 substep, once per distinct stage point: start, midpoint
 (k2 and k3) and end. solve_f samples G once on the grid's nodes; both
-residuals, and every later stage of a run, read those samples.
+residuals, and every later stage of a run, read those samples. It also
+takes lam from f's stencil once, for g's march and both residuals.
+
+The march works level-major: each v level is one contiguous row. sqrt(G)
+at the grid levels, and the two filled ends of each v interval of lam,
+are tabulated that way once per run, and the marched levels are
+transposed to the (nu, nv) layout once at the end. A stage point then
+reads contiguous rows, not one value per row of a (nu, nv) array.
 
 The valid region shrinks laterally by the characteristic cone (the
 one-sided boundary stencils are only trustworthy inside the numerical
@@ -51,6 +58,10 @@ class SolveReport:
     d_u: np.ndarray  # the field's stencil derivatives, taken once here for every consumer
     d_v: np.ndarray
     gbar: ScalarField2D  # the metric's G on the grid's nodes, sampled once by solve_f
+    # slope_to_lambda of f's d_u, NaN where invalid: taken once by solve_f for
+    # the g march and both residuals; g's report holds none, and run_pipeline
+    # drops f's once g is marched
+    lam: np.ndarray = None
 
     @property
     def mask(self):
@@ -107,20 +118,21 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
     du = grid.du
     j0 = grid.row_index_of_v(0.0)
     vs = grid.v_coords
-    values = np.full((nu, nv), np.nan)
-    mask = np.zeros((nu, nv), dtype=bool)
+    # level-major while marching: each level is one contiguous row
+    values = np.full((nv, nu), np.nan)
+    mask = np.zeros((nv, nu), dtype=bool)
     intervals = np.empty((nv, 2), dtype=int)
     intervals[:, 0] = 1
     intervals[:, 1] = 0
-    values[:, j0] = seed_row
-    mask[:, j0] = True
+    values[j0] = seed_row
+    mask[j0] = True
     intervals[j0] = (0, nu - 1)
     steps = 0
 
     for direction in (+1, -1):
         L, R = 0, nu - 1
         cone = 0.0
-        row = values[:, j0].copy()
+        row = values[j0].copy()
         j = j0
         while (direction > 0 and j < nv - 1) or (direction < 0 and j > 0):
             jn = j + direction
@@ -170,11 +182,11 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
             if Rn - Ln + 1 < 3:
                 break
             L, R = Ln, Rn
-            values[L : R + 1, jn] = row[L : R + 1]
-            mask[L : R + 1, jn] = True
+            values[jn, L : R + 1] = row[L : R + 1]
+            mask[jn, L : R + 1] = True
             intervals[jn] = (L, R)
             j = jn
-    return values, mask, intervals, steps
+    return np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T), intervals, steps
 
 
 def _sqrt_g_reader(metric: GeodesicMetric2D, gbar: ScalarField2D):
@@ -182,17 +194,40 @@ def _sqrt_g_reader(metric: GeodesicMetric2D, gbar: ScalarField2D):
     bitwise one of their grid levels and evaluated by the metric elsewhere.
 
     metric.sample has checked every grid node for domain and positivity,
-    and G is taken per point, so both routes give the same bits."""
+    and G is taken per point, so both routes give the same bits. The
+    samples' roots are taken once, into a level-major table whose levels
+    are contiguous rows."""
     u = gbar.grid.u_coords
     level = {v: j for j, v in enumerate(gbar.grid.v_coords.tolist())}
+    root = np.sqrt(np.ascontiguousarray(gbar.values.T))
 
     def sqrt_g(v, L, R):
         j = level.get(v)
         if j is None:
             return metric.sqrt_g(u[L : R + 1], v)
-        return np.sqrt(gbar.values[L : R + 1, j])
+        return root[j, L : R + 1]
 
     return sqrt_g
+
+
+def _lambda_reader(lam, grid: Grid2D):
+    """lam on columns L..R at v, linear in v between the two grid levels
+    that bracket it; where one end is NaN the other end stands for both.
+
+    Each interval's two filled ends are tabulated once, level-major: the
+    tables lo[j], hi[j] hold the ends of [v_j, v_{j+1}] as contiguous rows."""
+    rows = np.ascontiguousarray(lam.T)
+    hi = np.where(np.isfinite(rows[1:]), rows[1:], rows[:-1])
+    lo = np.where(np.isfinite(rows[:-1]), rows[:-1], hi)
+    top = grid.nv - 2
+
+    def lam_at(v, L, R):
+        t = (v - grid.v0) / grid.dv
+        j = min(max(math.floor(t), 0), top)
+        w = t - j
+        return lo[j, L : R + 1] * (1.0 - w) + hi[j, L : R + 1] * w
+
+    return lam_at
 
 
 def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
@@ -233,18 +268,19 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
 
     f = ScalarField2D(grid, values, mask=mask)
     fu, fv = f.d_u().values, f.d_v().values
-    sup, mean = residual_f(gbar, f, fu, fv, guard=guard)
+    lam, _ = slope_to_lambda(fu, guard=guard)
+    sup, mean = residual_f(gbar, f, fu, fv, lam)
     return SolveReport(field=f, max_residual=sup, mean_residual=mean, steps=steps,
-                       intervals=intervals, d_u=fu, d_v=fv, gbar=gbar)
+                       intervals=intervals, d_u=fu, d_v=fv, gbar=gbar, lam=lam)
 
 
 def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
             grid: Grid2D, opts: SolveOptions = None) -> SolveReport:
     """March the transport equation g_v = lam sqrt(G) g_u with lam from f.
 
-    lam is evaluated per level from the stored f (linear interpolation in v
-    at RK4 stage points); g inherits f's validity. The march at grid levels
-    and the residual read the G samples of f's report.
+    lam is f's report's, taken under f's guard, and is interpolated
+    linearly in v at RK4 stage points; g inherits f's validity. The march
+    at grid levels and the residual read the G samples of f's report.
     """
     opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
@@ -254,19 +290,11 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     u = grid.u_coords
     init.check_grid(u)
 
-    lam_rows, _ = slope_to_lambda(f_report.d_u, guard=opts.guard)
+    lam_at = _lambda_reader(f_report.lam, grid)
     sqrt_g = _sqrt_g_reader(metric, f_report.gbar)
 
     def coeff(v, L, R):
-        """lam sqrt(G), lam linear in v between the two bracketing levels."""
-        t = (v - grid.v0) / grid.dv
-        jlo = int(np.clip(math.floor(t), 0, grid.nv - 2))
-        w = t - jlo
-        lo = lam_rows[L : R + 1, jlo]
-        hi = lam_rows[L : R + 1, jlo + 1]
-        hi = np.where(np.isfinite(hi), hi, lo)
-        lo = np.where(np.isfinite(lo), lo, hi)
-        return (lo * (1.0 - w) + hi * w) * sqrt_g(v, L, R)
+        return lam_at(v, L, R) * sqrt_g(v, L, R)
 
     def rhs(seg, c):
         return c * _segment_slope(seg, grid.du)
@@ -282,29 +310,25 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
 
     g = ScalarField2D(grid, values, mask=mask)
     gu, gv = g.d_u().values, g.d_v().values
-    sup, mean = residual_g(f_report.gbar, f_report.field, f_report.d_u, g, gu, gv,
-                           guard=opts.guard)
+    sup, mean = residual_g(f_report.gbar, f_report.field, f_report.lam, g, gu, gv)
     return SolveReport(field=g, max_residual=sup, mean_residual=mean, steps=steps,
                        intervals=intervals, d_u=gu, d_v=gv, gbar=f_report.gbar)
 
 
-def residual_f(gbar: ScalarField2D, f: ScalarField2D, fu, fv, guard=1e-6) -> tuple:
+def residual_f(gbar: ScalarField2D, f: ScalarField2D, fu, fv, lam) -> tuple:
     """(sup, mean) of the substitution residual |sqrt(G) f_u + lam f_v|
-    from G's samples gbar and f's stencils fu, fv."""
-    lam, ok = slope_to_lambda(fu, guard=guard)
+    from G's samples gbar, f's stencils fu, fv and lam = slope_to_lambda(fu)."""
     res = np.sqrt(gbar.values) * fu + lam * fv
-    valid = f.mask & ok & np.isfinite(fv)
+    valid = f.mask & np.isfinite(lam) & np.isfinite(fv)
     fld = ScalarField2D(f.grid, np.abs(res), mask=valid & np.isfinite(res))
     return fld.sup(), fld.mean_abs()
 
 
-def residual_g(gbar: ScalarField2D, f: ScalarField2D, fu, g: ScalarField2D, gu, gv,
-               guard=1e-6) -> tuple:
+def residual_g(gbar: ScalarField2D, f: ScalarField2D, lam, g: ScalarField2D, gu, gv) -> tuple:
     """(sup, mean) of the substitution residual |lam sqrt(G) g_u - g_v|;
-    lam frozen from f's stencil fu, G from its samples gbar."""
-    lam, ok = slope_to_lambda(fu, guard=guard)
+    lam frozen from f's stencil (slope_to_lambda), G from its samples gbar."""
     res = lam * np.sqrt(gbar.values) * gu - gv
-    valid = g.mask & f.mask & ok & np.isfinite(gu) & np.isfinite(gv)
+    valid = g.mask & f.mask & np.isfinite(lam) & np.isfinite(gu) & np.isfinite(gv)
     fld = ScalarField2D(g.grid, np.abs(res), mask=valid & np.isfinite(res))
     return fld.sup(), fld.mean_abs()
 

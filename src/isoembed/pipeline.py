@@ -140,6 +140,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             f"metric '{cfg.metric}' is not positive on the requested grid"
         )
     g_report = solve_g(metric, f_report, init, grid, opts)
+    # nothing past the g march reads lam: free it before the chart fit's peak
+    f_report.lam = None
 
     pc = build_param_change(f_report, g_report, jac_tol=tol.jacobian_tol)
 

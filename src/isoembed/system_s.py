@@ -21,7 +21,9 @@ its three squared 2x2 minors (Cauchy-Binet: P = sigma1^2 sigma2^2),
     sigma1^2 = (S + sqrt(S^2 - 4P)) / 2,   sigma2^2 = 2P / (S + sqrt(S^2 - 4P)),
 
 the second being the stable root. The augmented 3x3 matrix takes S_a and
-P_a from its entries and all nine 2x2 minors the same way, then
+P_a from its entries and all nine 2x2 minors the same way (the entries and
+the coefficient's three minors are the per-node arrays the solve builds
+anyway; the (n, 3, 3) stack of augmented matrices is for the LU alone), then
 sigma3^2 = det^2 / P_a. As P_a = sigma1^2 sigma2^2 + sigma3^2 (sigma1^2 +
 sigma2^2), these are exact up to O(sigma3^2) terms, negligible where the
 rank 2/3 verdict is decided (sigma3 near 1e-6 sigma1). The scalar
@@ -137,8 +139,8 @@ def closed_form_G(s: SystemS) -> float:
 
 def _minor_squares(x, y):
     """Sum over the three row pairs of the squared 2x2 minors of the
-    columns x, y (each (N, 3))."""
-    return sum((x[:, a] * y[:, b] - x[:, b] * y[:, a]) ** 2 for a, b in _ROW_PAIRS)
+    columns x, y (each three per-node arrays, one per row)."""
+    return sum((x[a] * y[b] - x[b] * y[a]) ** 2 for a, b in _ROW_PAIRS)
 
 
 def _top_sv_squares(s, p):
@@ -157,14 +159,18 @@ def _count_above(big, *rest):
     return rank
 
 
-def _invariant_ranks(aug, det):
-    """(rank of coefficient, rank of augmented) for a stack aug (N, 3, 3)
-    of augmented matrices with determinants det, without an SVD."""
-    a, b, r = aug[:, :, 0], aug[:, :, 1], aug[:, :, 2]
-    s = (a * a + b * b).sum(axis=1)
-    p = _minor_squares(a, b)
+def _invariant_ranks(rows, minors, det):
+    """(rank of coefficient, rank of augmented) per node, without an SVD.
+
+    rows = ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2)) holds the augmented
+    matrices' entries, minors the coefficient's 2x2 minors over _ROW_PAIRS
+    and det the augmented determinants, each one array over the nodes."""
+    a, b, r = zip(*rows)
+    # S adds its rows in order, (row0 + row1) + row2: the ranks' bits rest on it
+    s = sum(x * x + y * y for x, y in zip(a, b))
+    p = sum(m * m for m in minors)
     rank_c = _count_above(*_top_sv_squares(s, p))
-    s_a = s + (r * r).sum(axis=1)
+    s_a = s + sum(z * z for z in r)
     p_a = p + _minor_squares(a, r) + _minor_squares(b, r)
     sv1, sv2 = _top_sv_squares(s_a, p_a)
     sv3 = np.divide(det * det, p_a, out=np.zeros_like(p_a), where=p_a > 0.0)
@@ -236,13 +242,15 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
     # determinants (LU) and invariant ranks on the certified nodes
     n = int(mask.sum())
     if n:
-        aug = np.empty((n, 3, 3))
-        for row, cells in enumerate(((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))):
+        rows = [[cell[mask] for cell in cells]
+                for cells in ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))]
+        aug = np.empty((n, 3, 3))  # the stack only np.linalg.det reads
+        for row, cells in enumerate(rows):
             for col, cell in enumerate(cells):
-                aug[:, row, col] = cell[mask]
+                aug[:, row, col] = cell
         det = np.linalg.det(aug)
         aug_det[mask] = det
-        rank_c[mask], rank_a[mask] = _invariant_ranks(aug, det)
+        rank_c[mask], rank_a[mask] = _invariant_ranks(rows, minors[:, mask], det)
     return sup
 
 

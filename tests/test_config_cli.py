@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from isoembed.cli import build_parser
+from isoembed.cli import main
 from isoembed.config import RunConfig, Tolerances, example_cos2_config, load_config, write_config
 from isoembed.errors import BadParameter
 
@@ -106,10 +106,12 @@ def test_config_unknown_key(tmp_path):
 
 
 def test_removed_tolerance_flag_refused(capsys):
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["run", "--s0-analytic-tol", "1e-8"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --s0-analytic-tol" in capsys.readouterr().err
+    # a usage error is a typed error: exit 1 and one line, never the
+    # verdict failure's exit 2
+    assert main(["run", "--s0-analytic-tol", "1e-8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: isoembed: ") and err.count("\n") == 1
+    assert "unrecognized arguments: --s0-analytic-tol" in err
 
 
 @pytest.mark.parametrize("text,value", [
@@ -350,7 +352,8 @@ def test_cli_example_cos2_refuses_config(tmp_path):
     (tmp_path / "c.cfg").write_text(_SMALL_CFG)
     out = run_cli(["example-cos2", "--config", "c.cfg", *_SMALL, "--out-dir", "ex"],
                   cwd=tmp_path)
-    assert out.returncode == 2, out.stderr
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
     assert "unrecognized arguments: --config c.cfg" in out.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
     assert (tmp_path / "c.cfg").read_text() == _SMALL_CFG

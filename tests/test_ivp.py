@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -302,15 +304,16 @@ def _v_dependent_sampled_metric(tmp_path):
     return f"file:{path}"
 
 
-@pytest.mark.parametrize("spec, eps, n", [("flat", 0.1, 101), ("cos2", 0.1, 101),
-                                          ("exp", 0.1, 101), ("file", 0.1, 61),
-                                          ("flat", 0.9, 41)],
-                         ids=["flat", "cos2", "exp", "file", "flat_substeps"])
-def test_march_reading_the_samples_keeps_the_per_call_bits(spec, eps, n, tmp_path, monkeypatch):
+@pytest.mark.parametrize("spec, eps, nu, nv", [("flat", 0.1, 101, 101), ("cos2", 0.1, 101, 101),
+                                               ("exp", 0.1, 101, 101), ("file", 0.1, 61, 61),
+                                               ("flat", 0.9, 41, 41), ("flat", 0.1, 201, 21)],
+                         ids=["flat", "cos2", "exp", "file", "flat_substeps", "flat_201x21"])
+def test_march_reading_the_samples_keeps_the_per_call_bits(spec, eps, nu, nv, tmp_path,
+                                                           monkeypatch):
     # the march reads sqrt(G) at grid levels from the samples; evaluating
     # the metric at every stage point instead must give the same bits
     metric = make_metric(_v_dependent_sampled_metric(tmp_path) if spec == "file" else spec)
-    grid = Grid2D.centered(0.1, 0.1, n, n)
+    grid = Grid2D.centered(0.1, 0.1, nu, nv)
     init = make_initial("linear_ramp", eps, 0.1)
 
     def solve():
@@ -325,6 +328,62 @@ def test_march_reading_the_samples_keeps_the_per_call_bits(spec, eps, n, tmp_pat
         assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(a.field.values, b.field.values, equal_nan=True)
         assert a.steps == b.steps
+
+
+def test_flat_201x21_takes_three_substeps_a_level():
+    # the default box at 201 x 21: the CFL bound splits each level in three
+    grid = Grid2D.centered(0.1, 0.1, 201, 21)
+    init = make_initial("linear_ramp", 0.1, 0.1)
+    fr = solve_f(make_metric("flat"), init, grid)
+    assert fr.steps == 3 * (grid.nv - 1)
+
+
+def _per_call_lambda(lam, grid, v, L, R):
+    """lam on columns L..R at v as solve_g's coefficient took it per call,
+    before the filled interval ends were tabulated."""
+    t = (v - grid.v0) / grid.dv
+    jlo = int(np.clip(math.floor(t), 0, grid.nv - 2))
+    w = t - jlo
+    lo = lam[L : R + 1, jlo]
+    hi = lam[L : R + 1, jlo + 1]
+    hi = np.where(np.isfinite(hi), hi, lo)
+    lo = np.where(np.isfinite(lo), lo, hi)
+    return lo * (1.0 - w) + hi * w
+
+
+def _stage_points(grid, n_sub):
+    """Every v at which the march takes a coefficient with n_sub substeps a
+    level, in both directions, by the march's own arithmetic."""
+    vs = grid.v_coords
+    for j in range(grid.nv):
+        for jn in (j - 1, j + 1):
+            if 0 <= jn < grid.nv:
+                h = (vs[jn] - vs[j]) / n_sub
+                for s in range(n_sub):
+                    v = vs[j] + s * h
+                    yield from (v, v + 0.5 * h, v + h)
+
+
+def test_lambda_tables_match_the_per_call_interpolation():
+    grid = Grid2D.centered(0.1, 0.1, 9, 7)
+    lam = np.random.default_rng(3).uniform(0.05, 0.2, (grid.nu, grid.nv))
+    lam[1, 2] = np.nan            # the upper end of [v1, v2], the lower of [v2, v3]
+    lam[3, 4] = lam[3, 5] = np.nan  # both ends of [v4, v5]
+    lam[5, 0] = lam[6, -1] = np.nan  # the first and the last level
+    lam[7, :] = np.nan            # a whole column
+    lam_at = ivp._lambda_reader(lam, grid)
+    # past either end too, where the clipped index extrapolates the end interval
+    points = [*grid.v_coords, *_stage_points(grid, 1), *_stage_points(grid, 3),
+              grid.v0 - 0.25 * grid.dv, grid.v_max + 0.25 * grid.dv]
+    for v in points:
+        for L, R in ((0, grid.nu - 1), (2, 6)):
+            got = lam_at(v, L, R)
+            want = _per_call_lambda(lam, grid, v, L, R)
+            assert np.array_equal(got, want, equal_nan=True), (v, L, R)
+    # each NaN case was reached: NaN stays only where both ends are NaN
+    at_mid = lam_at(grid.v_coords[4] + 0.5 * grid.dv, 0, grid.nu - 1)
+    assert np.isnan(at_mid[3]) and np.isnan(at_mid[7])
+    assert np.isfinite(np.delete(at_mid, [3, 7])).all()
 
 
 def test_validity_loss_when_slope_hits_guard():

@@ -1,9 +1,11 @@
+import math
 import runpy
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -13,3 +15,16 @@ def test_script_main_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(script))["main"]()
     assert capsys.readouterr().out
+
+
+def test_stage_memory_reports_every_stage_on_a_small_grid(capsys):
+    # one row per stage run_pipeline calls, each with a finite tracemalloc
+    # peak, high-water mark and untraced wall time
+    script = runpy.run_path(str(SCRIPT_DIR / "stage_memory.py"))
+    script["main"](["--grid-n", "41", "--chart-n", "41"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-2:] == ["wall", "s"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[0] for r in rows] == list(script["STAGES"])
+    for name, *numbers in rows:
+        assert len(numbers) == 3 and all(math.isfinite(float(x)) for x in numbers), name

@@ -10,6 +10,7 @@ from isoembed.pipeline import run_pipeline
 from isoembed.system_s import (
     RANK_REL_TOL,
     SystemReport,
+    _ROW_PAIRS,
     _invariant_ranks,
     assemble,
     augmented_det_residual,
@@ -182,7 +183,9 @@ def test_cos2_g_value_on_initial_row(cos2_solved_full):
 def invariant_ranks(systems):
     """The grid solve's closed-form ranks of each system, as it takes them."""
     aug = np.stack([s.augmented for s in systems])
-    rank_c, rank_a = _invariant_ranks(aug, np.linalg.det(aug))
+    rows = [[aug[:, i, k] for k in range(3)] for i in range(3)]
+    minors = [aug[:, a, 0] * aug[:, b, 1] - aug[:, a, 1] * aug[:, b, 0] for a, b in _ROW_PAIRS]
+    rank_c, rank_a = _invariant_ranks(rows, minors, np.linalg.det(aug))
     return list(zip(rank_c.tolist(), rank_a.tolist()))
 
 
@@ -353,13 +356,16 @@ def reference_solve_system_grid(pc, metric):
     rank_a = np.full_like(gbar, np.nan)
     idx = np.flatnonzero(mask.ravel())
     if idx.size:
+        rows = [[cell.ravel()[idx] for cell in cells]
+                for cells in ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))]
         aug = np.empty((idx.size, 3, 3))
-        for row, cells in enumerate(((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))):
+        for row, cells in enumerate(rows):
             for col, cell in enumerate(cells):
-                aug[:, row, col] = cell.ravel()[idx]
+                aug[:, row, col] = cell
         det = np.linalg.det(aug)
         aug_det.ravel()[idx] = det
-        rank_c.ravel()[idx], rank_a.ravel()[idx] = _invariant_ranks(aug, det)
+        rank_c.ravel()[idx], rank_a.ravel()[idx] = _invariant_ranks(
+            rows, minors.reshape(3, -1)[:, idx], det)
 
     def fld(arr):
         return ScalarField2D(grid, np.where(mask, arr, np.nan), mask=mask & np.isfinite(arr))
