@@ -10,7 +10,7 @@ residual with an explicit tolerance.
 from .config import RunConfig, Tolerances, example_cos2_config, load_config
 from .fields import Grid2D, ScalarField2D
 from .initial import InitialData, make_initial
-from .ivp import SolveOptions, SolveReport, c2_defect_scan, lambda_field, solve_f, solve_g
+from .ivp import SolveReport, c2_defect_scan, solve_f, solve_g
 from .metric import (
     GeodesicMetric2D,
     Rect,
@@ -44,7 +44,6 @@ from .reparam import (
 from .surface import (
     EmbeddedSurface,
     compose,
-    embed_planar,
     export_obj,
     induced_metric,
     lift,

@@ -13,12 +13,13 @@ The pipeline is fully deterministic; there is no seed anywhere.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, Tolerances, example_cos2_config, load_config, refuse_shared_paths
+from .config import _TOL_FIELDS, RunConfig, example_cos2_config, load_config, refuse_shared_paths
 from .errors import BadParameter, IoFailure, IsoembedError
 from .fields import Grid2D, ScalarField2D
 from .metric import Rect, make_metric
@@ -29,7 +30,6 @@ from .surface import EmbeddedSurface, load_obj_positions
 
 # every config key is mirrored by a flag; booleans take on/off
 _CFG_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.name != "tolerances"}
-_TOL_FIELDS = {f.name: f.type for f in fields(Tolerances)}
 
 
 def _add_run_overrides(p):
@@ -109,6 +109,10 @@ def cmd_example_cos2(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a NaN gate fails every node and an infinite one none
+    for flag, tol in (("--e-res-tol", args.e_res_tol), ("--f-res-tol", args.f_res_tol)):
+        if tol is not None and not math.isfinite(tol):
+            raise BadParameter(f"{flag} must be a finite number: {tol}")
     out = args.report_json or "verify_report.json"
     outputs = {"--report-json": out}
     if args.residual_csv:

@@ -20,8 +20,6 @@ from .errors import BadParameter
 @dataclass
 class Tolerances:
     residual_tol: float = 1e-6        # PDE substitution residual gate
-    cfl: float = 0.5                  # marching step restriction factor
-    guard: float = 1e-6               # f_u mask band below 1
     jacobian_tol: float = 1e-8        # |J| certificate threshold
     jacobian_oracle_tol: float = 1e-4 # initial-row closed-form agreement (rel)
     rank_fraction: float = 0.99       # certified nodes with ranks (2,2), |aug det| ok
@@ -139,6 +137,9 @@ def example_cos2_config() -> RunConfig:
     return cfg
 
 
+# the file format, section -> {key: (RunConfig attribute, type)}; the
+# [tolerances] section holds the Tolerances fields under their own names.
+# load_config and write_config both read this table.
 _SECTION_KEYS = {
     "metric": {"name": ("metric", str), "u_half": ("metric_u_half", float),
                "v_half": ("metric_v_half", float)},
@@ -195,18 +196,8 @@ def load_config(path: str) -> RunConfig:
 def write_config(cfg: RunConfig, path: str):
     """Write a config file that reproduces cfg (inverse of load_config)."""
     parser = configparser.ConfigParser()
-    parser["metric"] = {"name": cfg.metric, "u_half": repr(cfg.metric_u_half),
-                        "v_half": repr(cfg.metric_v_half)}
-    parser["initial"] = {"family": cfg.family, "epsilon": repr(cfg.epsilon),
-                         "delta": repr(cfg.delta)}
-    parser["grid"] = {"u_half": repr(cfg.u_half), "v_half": repr(cfg.v_half),
-                      "n_u": str(cfg.n_u), "n_v": str(cfg.n_v)}
-    parser["chart"] = {"base_curve": cfg.base_curve, "n_u": str(cfg.chart_n_u),
-                       "n_v": str(cfg.chart_n_v)}
-    parser["output"] = {"dir": cfg.out_dir, "report_json": cfg.report_json,
-                        "residual_csv": cfg.residual_csv, "system_csv": cfg.system_csv,
-                        "mesh_out": cfg.mesh_out}
-    tol = asdict(cfg.tolerances)
-    parser["tolerances"] = {k: repr(v) for k, v in tol.items()}
+    for section, keys in _SECTION_KEYS.items():
+        parser[section] = {key: str(getattr(cfg, attr)) for key, (attr, _) in keys.items()}
+    parser["tolerances"] = {k: str(v) for k, v in asdict(cfg.tolerances).items()}
     with open(path, "w") as fh:
         parser.write(fh)

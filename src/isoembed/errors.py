@@ -27,10 +27,6 @@ class BadParameter(IsoembedError):
     """Scalar parameter outside its admissible range."""
 
 
-class BranchViolation(IsoembedError):
-    """Slope field left the positive branch (f_u <= 0 on a valid node)."""
-
-
 class ValidityLoss(IsoembedError):
     """Solution lost validity everywhere before the march finished."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadParameter
 
-FAMILIES = ("linear_ramp", "c1_not_c2", "custom")
+FAMILIES = ("linear_ramp", "c1_not_c2")
 
 
 @dataclass
@@ -33,7 +33,6 @@ class InitialData:
     k: Callable
     dh: Callable
     dk: Callable
-    u_limit: float  # |u| below which 0 < h' < 1 is guaranteed
 
     def check_grid(self, u_coords):
         """Raise BadParameter unless 0 < h' < 1 and k' > 0 on these columns."""
@@ -48,8 +47,8 @@ class InitialData:
             raise BadParameter("initial slope k' must be positive on the grid")
 
 
-def make_initial(family: str, epsilon: float, delta: float, h=None, k=None, dh=None, dk=None):
-    """Build InitialData for one of the named families (or custom callables)."""
+def make_initial(family: str, epsilon: float, delta: float):
+    """Build InitialData for one of the named families."""
     if not (0.0 < epsilon < 1.0):
         raise BadParameter(f"epsilon out of (0,1): {epsilon}")
     if delta <= 0.0:
@@ -64,7 +63,6 @@ def make_initial(family: str, epsilon: float, delta: float, h=None, k=None, dh=N
             k=lambda u: delta * u,
             dh=lambda u: epsilon * np.ones_like(np.asarray(u, dtype=float)),
             dk=lambda u: delta * np.ones_like(np.asarray(u, dtype=float)),
-            u_limit=float("inf"),
         )
     if family == "c1_not_c2":
         # h' = eps*(1+|u|) is continuous; h'' jumps at u = 0
@@ -76,13 +74,5 @@ def make_initial(family: str, epsilon: float, delta: float, h=None, k=None, dh=N
             k=lambda u: delta * u,
             dh=lambda u: epsilon * (1.0 + np.abs(u)),
             dk=lambda u: delta * np.ones_like(np.asarray(u, dtype=float)),
-            u_limit=1.0 / epsilon - 1.0,
-        )
-    if family == "custom":
-        if not all(callable(f) for f in (h, k, dh, dk)):
-            raise BadParameter("custom family needs h, k, dh, dk callables")
-        return InitialData(
-            family=family, epsilon=epsilon, delta=delta, h=h, k=k, dh=dh, dk=dk,
-            u_limit=float("inf"),
         )
     raise BadParameter(f"unknown initial family '{family}'; expected one of {FAMILIES}")

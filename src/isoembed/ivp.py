@@ -9,11 +9,13 @@ lam(f_u) = f_u / sqrt(1 - f_u^2) (positive branch, valid for 0 < f_u < 1):
 With the positive branch the first equation is equivalent to the marched
 normal form f_v = -sqrt(G) * sqrt(1 - f_u^2), which is what the solver
 advances: classical RK4 in v (sub-stepped under a CFL bound
-dv <= cfl * du / max|lam sqrt(G)|) with 2nd-order central differences in
+dv <= CFL * du / max|lam sqrt(G)|) with 2nd-order central differences in
 u and one-sided stencils at the interval ends. Both directions away from
 the initial line v = 0 are marched. The march evaluates sqrt(G) at 3
-points per RK4 substep, once per distinct stage point: start, midpoint
-(k2 and k3) and end. solve_f samples G once on the grid's nodes; both
+points per RK4 substep: start, midpoint (k2 and k3) and end. With more
+than one substep in a level, the point where one substep ends and the
+next begins is evaluated twice, as the first one's end and the second
+one's start. solve_f samples G once on the grid's nodes; both
 residuals, and every later stage of a run, read those samples. It also
 takes lam from f's stencil once, for g's march and both residuals.
 
@@ -26,7 +28,7 @@ reads contiguous rows, not one value per row of a (nu, nv) array.
 The valid region shrinks laterally by the characteristic cone (the
 one-sided boundary stencils are only trustworthy inside the numerical
 domain of dependence), producing a trapezoidal mask. Nodes where f_u
-approaches 1 are masked, never clamped.
+comes within GUARD of 1 are masked, never clamped.
 """
 
 from __future__ import annotations
@@ -36,16 +38,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BadParameter, BranchViolation, ValidityLoss
+from .errors import BadParameter, ValidityLoss
 from .fields import Grid2D, ScalarField2D
 from .initial import InitialData
 from .metric import GeodesicMetric2D
 
 
-@dataclass
-class SolveOptions:
-    cfl: float = 0.5
-    guard: float = 1e-6
+CFL = 0.5  # substep bound: dv <= CFL * du / max characteristic speed
+GUARD = 1e-6  # f_u >= 1 - GUARD is masked: lam blows up at f_u = 1
 
 
 @dataclass
@@ -68,29 +68,13 @@ class SolveReport:
         return self.field.mask
 
 
-def slope_to_lambda(fu, guard=1e-6):
+def slope_to_lambda(fu):
     """lam = fu / sqrt(1 - fu^2) on the positive branch; NaN where invalid."""
     fu = np.asarray(fu, dtype=float)
-    ok = np.isfinite(fu) & (fu > 0.0) & (fu < 1.0 - guard)
+    ok = np.isfinite(fu) & (fu > 0.0) & (fu < 1.0 - GUARD)
     lam = np.full_like(fu, np.nan)
     lam[ok] = fu[ok] / np.sqrt(1.0 - fu[ok] ** 2)
     return lam, ok
-
-
-def lambda_field(fu_field: ScalarField2D, guard=1e-6) -> ScalarField2D:
-    """Characteristic-slope field from a sampled f_u field (a test oracle).
-
-    Raises BranchViolation if f_u <= 0 on a valid node; nodes with
-    f_u >= 1 - guard are masked (validity loss, not fatal). The solver
-    converts slopes row by row with slope_to_lambda and never calls this;
-    tests use it to pin that conversion and its branch rule on whole fields.
-    """
-    vals = fu_field.values
-    valid = fu_field.mask & np.isfinite(vals)
-    if np.any(vals[valid] <= 0.0):
-        raise BranchViolation("f_u <= 0 on a valid node; positive branch required")
-    lam, ok = slope_to_lambda(vals, guard=guard)
-    return ScalarField2D(fu_field.grid, lam, mask=valid & ok)
 
 
 def _segment_slope(seg, du):
@@ -102,11 +86,12 @@ def _segment_slope(seg, du):
     return fu
 
 
-def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=None):
+def _march(grid, seed_row, coeff, rhs, speed_of, guard_check=None, clamp=None):
     """Advance both directions from the v = 0 row, which holds seed_row.
 
     coeff(v, L, R) -> the equation's coefficient on columns L..R at v, taken
-    once per distinct stage point (start, midpoint and end of a substep);
+    at the start, midpoint and end of each substep, so a point where two
+    substeps of one level meet is taken twice;
     rhs(seg, c) -> dv-derivative of the row segment under coefficient c;
     speed_of(seg, c) -> max characteristic speed (for CFL + cone);
     guard_check(seg, L, R) -> per-column bool of guard violations, or None;
@@ -142,7 +127,7 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
             seg = row[L : R + 1].copy()
             c = coeff(v_from, L, R)
             smax = speed_of(seg, c)
-            n_sub = max(1, int(math.ceil(abs(dv_level) * smax / (cfl * du))) if smax > 0 else 1)
+            n_sub = max(1, int(math.ceil(abs(dv_level) * smax / (CFL * du))) if smax > 0 else 1)
             h = dv_level / n_sub
             for s in range(n_sub):
                 v = v_from + s * h
@@ -173,11 +158,11 @@ def _march(grid, seed_row, coeff, rhs, speed_of, cfl, guard_check=None, clamp=No
                     viol |= guard_check(row, Ln, Rn)
                 if viol.any():
                     i_mid = nu // 2
-                    for c in np.flatnonzero(viol) + Ln:
-                        if c <= i_mid:
-                            Ln = max(Ln, c + 1)
+                    for col in np.flatnonzero(viol) + Ln:
+                        if col <= i_mid:
+                            Ln = max(Ln, col + 1)
                         else:
-                            Rn = min(Rn, c - 1)
+                            Rn = min(Rn, col - 1)
 
             if Rn - Ln + 1 < 3:
                 break
@@ -230,20 +215,17 @@ def _lambda_reader(lam, grid: Grid2D):
     return lam_at
 
 
-def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
-            opts: SolveOptions = None) -> SolveReport:
+def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D) -> SolveReport:
     """March f from f(u, 0) = h(u) by f_v = -sqrt(G) sqrt(1 - f_u^2).
 
     G is sampled on the grid once (metric.sample); the march reads those
     samples at grid levels, and the report keeps them for the run."""
-    opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
     gbar = metric.sample(grid)
     u = grid.u_coords
     init.check_grid(u)
 
-    guard = opts.guard
     coeff = _sqrt_g_reader(metric, gbar)
 
     def rhs(seg, sqrt_g):
@@ -252,15 +234,15 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
         return -sqrt_g * np.sqrt(radicand)
 
     def speed_of(seg, sqrt_g):
-        fu = np.clip(_segment_slope(seg, grid.du), 0.0, 1.0 - guard)
+        fu = np.clip(_segment_slope(seg, grid.du), 0.0, 1.0 - GUARD)
         lam = fu / np.sqrt(1.0 - fu**2)
         return float(np.max(lam * sqrt_g))
 
     def guard_check(row, L, R):
         fu = _segment_slope(row[L : R + 1], grid.du)
-        return (fu >= 1.0 - guard) | (fu <= 0.0)
+        return (fu >= 1.0 - GUARD) | (fu <= 0.0)
 
-    values, mask, intervals, steps = _march(grid, init.h(u), coeff, rhs, speed_of, opts.cfl,
+    values, mask, intervals, steps = _march(grid, init.h(u), coeff, rhs, speed_of,
                                             guard_check=guard_check)
 
     if mask.sum() <= grid.nu:
@@ -268,21 +250,20 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D,
 
     f = ScalarField2D(grid, values, mask=mask)
     fu, fv = f.d_u().values, f.d_v().values
-    lam, _ = slope_to_lambda(fu, guard=guard)
+    lam, _ = slope_to_lambda(fu)
     sup, mean = residual_f(gbar, f, fu, fv, lam)
     return SolveReport(field=f, max_residual=sup, mean_residual=mean, steps=steps,
                        intervals=intervals, d_u=fu, d_v=fv, gbar=gbar, lam=lam)
 
 
 def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
-            grid: Grid2D, opts: SolveOptions = None) -> SolveReport:
+            grid: Grid2D) -> SolveReport:
     """March the transport equation g_v = lam sqrt(G) g_u with lam from f.
 
-    lam is f's report's, taken under f's guard, and is interpolated
-    linearly in v at RK4 stage points; g inherits f's validity. The march
-    at grid levels and the residual read the G samples of f's report.
+    lam is f's report's, and is interpolated linearly in v at RK4 stage
+    points; g inherits f's validity. The march at grid levels and the
+    residual read the G samples of f's report.
     """
-    opts = opts or SolveOptions()
     if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
     if f_report.field.grid != grid:
@@ -302,7 +283,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     def speed_of(seg, c):
         return float(np.max(np.abs(np.where(np.isfinite(c), c, 0.0))))
 
-    values, mask, intervals, steps = _march(grid, init.k(u), coeff, rhs, speed_of, opts.cfl,
+    values, mask, intervals, steps = _march(grid, init.k(u), coeff, rhs, speed_of,
                                             clamp=f_report.intervals)
 
     # g carries no claim where f carries none

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .errors import IoFailure, NonPositiveMetric
 from .fields import Grid2D, ScalarField2D
 from .initial import make_initial
-from .ivp import SolveOptions, c2_defect_scan, solve_f, solve_g
+from .ivp import c2_defect_scan, solve_f, solve_g
 from .metric import Rect, curvature_field, curvature_from_samples, make_metric, validate_metric
 from .plane import build_chart, chart_checks, fit_chart_profile, make_base_curve
 from .report import (
@@ -130,16 +130,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     )
     grid = Grid2D.centered(cfg.u_half, cfg.v_half, cfg.n_u, cfg.n_v)
     init = make_initial(cfg.family, cfg.epsilon, cfg.delta)
-    opts = SolveOptions(cfl=tol.cfl, guard=tol.guard)
     # solve_f samples G on the grid once; every stage below reads those samples
-    f_report = solve_f(metric, init, grid, opts)
+    f_report = solve_f(metric, init, grid)
     gbar = f_report.gbar
     validation = validate_metric(gbar, tol=tol.positivity_floor, slope_bound=tol.slope_bound)
     if any(v.kind == "nonpositive" for v in validation.violations):
         raise NonPositiveMetric(
             f"metric '{cfg.metric}' is not positive on the requested grid"
         )
-    g_report = solve_g(metric, f_report, init, grid, opts)
+    g_report = solve_g(metric, f_report, init, grid)
     # nothing past the g march reads lam: free it before the chart fit's peak
     f_report.lam = None
 

@@ -19,9 +19,6 @@ rectangle, which bounds the images. The
 composite's metric is taken by 2nd-order finite differences on the new
 parameter grid (induced_metric).
 
-embed_planar places the chart at height zero instead (induced metric
-(1, 0, G0)); it is the control surface for identity-change checks.
-
 export_obj reads only its arguments and closes its file before it returns,
 so pipeline.write_outputs writes the lifted OBJ from a forked child while
 its own process writes the composite one.
@@ -52,7 +49,7 @@ class EmbeddedSurface:
     grid: Grid2D
     position: np.ndarray  # (nu, nv, 3)
     mask: np.ndarray  # (nu, nv) bool
-    provenance: str  # 'lifted' | 'planar' | 'composite'
+    provenance: str  # 'lifted' | 'composite'
     chart: PlaneChart = None  # the generating chart, when there is one
 
     def coordinate_field(self, k) -> ScalarField2D:
@@ -67,15 +64,6 @@ def lift(chart: PlaneChart) -> EmbeddedSurface:
     return EmbeddedSurface(grid=grid, position=pos,
                            mask=np.ones((grid.nu, grid.nv), dtype=bool),
                            provenance="lifted", chart=chart)
-
-
-def embed_planar(chart: PlaneChart) -> EmbeddedSurface:
-    """X = (x, y, 0): the chart itself as a surface in the z = 0 plane."""
-    grid = chart.grid
-    pos = np.stack([chart.x.values, chart.y.values, np.zeros((grid.nu, grid.nv))], axis=2)
-    return EmbeddedSurface(grid=grid, position=pos,
-                           mask=np.ones((grid.nu, grid.nv), dtype=bool),
-                           provenance="planar", chart=chart)
 
 
 def induced_metric(surface: EmbeddedSurface) -> tuple:
@@ -103,11 +91,10 @@ def induced_metric(surface: EmbeddedSurface) -> tuple:
 def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
     """The surface's chart composed with pc: X(f, g) at every certified node.
 
-    Positions come from the chart's generator, (c(g) + f n(g), g) on a lift
-    and (c(g) + f n(g), 0) on a planar surface, so they carry no sampling
-    error of the chart grid. Every certified node must map inside the
-    surface's parameter rectangle, the region build_chart checked for
-    folds; offenders raise ImageOutsideChart with their indices.
+    Positions come from the chart's generator, (c(g) + f n(g), g), so they
+    carry no sampling error of the chart grid. Every certified node must
+    map inside the surface's parameter rectangle, the region build_chart
+    checked for folds; offenders raise ImageOutsideChart with their indices.
     """
     grid = pc.grid
     u_img = pc.f.values
@@ -128,7 +115,6 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
         )
 
     source = surface.chart.source
-    planar = surface.provenance == "planar"
     pos = np.full((grid.nu, grid.nv, 3), np.nan)
     for rows in node_blocks(grid.nu, grid.nv):
         c = cert[rows]
@@ -138,7 +124,7 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
         block = pos[rows]
         block[c, 0] = cx - u * ty
         block[c, 1] = cy + u * tx
-        block[c, 2] = 0.0 if planar else v
+        block[c, 2] = v
     return EmbeddedSurface(grid=grid, position=pos, mask=cert.copy(),
                            provenance="composite", chart=surface.chart)
 

@@ -80,10 +80,20 @@ def test_distinct_output_files_validate():
 
 
 def test_config_file_roundtrip(tmp_path):
-    cfg = RunConfig(metric="cos2", family="c1_not_c2", epsilon=0.2, delta=0.3,
-                    v_half=0.05, n_u=101, n_v=101, base_curve="circle:2")
-    cfg.tolerances.e_res_tol = 5e-3
-    cfg.tolerances.gate_isometry = False
+    # every field off its default, so a key the writer drops fails the test
+    cfg = RunConfig(metric="cos2", metric_u_half=0.6, metric_v_half=0.7,
+                    family="c1_not_c2", epsilon=0.2, delta=0.3, u_half=0.09, v_half=0.05,
+                    n_u=101, n_v=103, base_curve="circle:2", chart_n_u=301, chart_n_v=303,
+                    out_dir="o", report_json="r.json", residual_csv="r.csv",
+                    system_csv="s.csv", mesh_out="m")
+    for f in dataclasses.fields(Tolerances):
+        val = getattr(cfg.tolerances, f.name)
+        setattr(cfg.tolerances, f.name, not val if isinstance(val, bool) else 3.0 * val)
+    default = RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig))
+    assert all(getattr(cfg.tolerances, f.name) != getattr(default.tolerances, f.name)
+               for f in dataclasses.fields(Tolerances))
     path = tmp_path / "run.cfg"
     write_config(cfg, str(path))
     cfg2 = load_config(str(path))
@@ -99,19 +109,23 @@ def test_config_unknown_key(tmp_path):
     p.write_text("[tolerances]\nnewton_tol = 1e-10\n")
     with pytest.raises(BadParameter, match="unknown tolerance 'newton_tol'"):
         load_config(str(p))
-    # so is the closed-form chart check: its tolerance is refused too
-    p.write_text("[tolerances]\ns0_analytic_tol = 1e-8\n")
-    with pytest.raises(BadParameter, match="unknown tolerance 's0_analytic_tol'"):
-        load_config(str(p))
+    # so are the closed-form chart check's tolerance and the march's step
+    # bound and guard band, now constants of the solver
+    for line in ("s0_analytic_tol = 1e-8", "cfl = 0.5", "guard = 1e-6"):
+        p.write_text(f"[tolerances]\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(BadParameter, match=f"unknown tolerance '{key}'"):
+            load_config(str(p))
 
 
 def test_removed_tolerance_flag_refused(capsys):
     # a usage error is a typed error: exit 1 and one line, never the
     # verdict failure's exit 2
-    assert main(["run", "--s0-analytic-tol", "1e-8"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: isoembed: ") and err.count("\n") == 1
-    assert "unrecognized arguments: --s0-analytic-tol" in err
+    for flag, value in (("--s0-analytic-tol", "1e-8"), ("--cfl", "0.5"), ("--guard", "1e-6")):
+        assert main(["run", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: isoembed: ") and err.count("\n") == 1
+        assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("text,value", [
@@ -324,6 +338,10 @@ def _swap_lines(text, a, b):
     ({"curve.csv": _CURVE_CSV}, ["run", "--base-curve", "file:curve.csv", *_SMALL,
                                  "--report-json", "curve.csv"],
      "report_json would overwrite the input base_curve: curve.csv"),
+    # a gate that is not a finite number fails every node or none
+    (_VERIFY_FILES, _VERIFY + ["--e-res-tol", "nan"], "--e-res-tol must be a finite number: nan"),
+    (_VERIFY_FILES, _VERIFY + ["--f-res-tol", "inf"], "--f-res-tol must be a finite number: inf"),
+    (_VERIFY_FILES, _VERIFY + ["--e-res-tol=-inf"], "--e-res-tol must be a finite number: -inf"),
 ], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
         "fields_cell_not_a_number", "fields_row_short", "fields_rows_out_of_order",
         "fields_missing", "mesh_vertex_malformed", "mesh_valid_line_without_row",
@@ -334,7 +352,8 @@ def _swap_lines(text, a, b):
         "verify_default_report_is_mesh", "verify_residual_csv_is_fields",
         "verify_residual_csv_is_mesh", "run_report_is_config",
         "run_residual_csv_is_metric_csv", "example_mesh_is_metric_csv",
-        "run_report_is_base_curve_csv"])
+        "run_report_is_base_curve_csv", "verify_gate_nan", "verify_gate_inf",
+        "verify_gate_minus_inf"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoembed.errors import BadParameter
-from isoembed.initial import make_initial
+from isoembed.initial import InitialData, make_initial
 
 
 def test_linear_ramp_slopes():
@@ -45,12 +45,12 @@ def test_bad_parameters():
     with pytest.raises(BadParameter):
         make_initial("not_a_family", 0.1, 0.1)
     with pytest.raises(BadParameter):
-        make_initial("custom", 0.1, 0.1)  # missing callables
+        make_initial("custom", 0.1, 0.1)  # initial data from callables is built directly
 
 
 def test_custom_family():
-    init = make_initial(
-        "custom", 0.2, 0.3,
+    init = InitialData(
+        family="custom", epsilon=0.2, delta=0.3,
         h=lambda u: 0.2 * u, k=lambda u: 0.3 * u,
         dh=lambda u: 0.2 * np.ones_like(np.asarray(u, dtype=float)),
         dk=lambda u: 0.3 * np.ones_like(np.asarray(u, dtype=float)),
@@ -68,7 +68,7 @@ def test_check_grid_rejects_slope_reaching_one():
 @given(st.floats(0.01, 0.9), st.floats(0.01, 2.0))
 def test_slopes_stay_in_branch(eps, dlt):
     init = make_initial("c1_not_c2", eps, dlt)
-    half = min(0.5, 0.9 * init.u_limit)
+    half = min(0.5, 0.9 * (1.0 / eps - 1.0))  # h' = eps (1 + |u|) < 1 below this
     u = np.linspace(-half, half, 101)
     dh = init.dh(u)
     assert np.all(dh > 0.0) and np.all(dh < 1.0)

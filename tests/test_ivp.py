@@ -5,13 +5,12 @@ import pytest
 
 from conftest import interior_of
 from isoembed import ivp
-from isoembed.errors import BadParameter, BranchViolation, ValidityLoss
-from isoembed.fields import Grid2D, ScalarField2D
-from isoembed.initial import make_initial
+from isoembed.errors import BadParameter, ValidityLoss
+from isoembed.fields import Grid2D
+from isoembed.initial import InitialData, make_initial
 from isoembed.ivp import (
-    SolveOptions,
     c2_defect_scan,
-    lambda_field,
+    slope_to_lambda,
     solve_f,
     solve_g,
 )
@@ -22,30 +21,26 @@ LAM = EPS / np.sqrt(1.0 - EPS**2)  # 0.100503781525921...
 
 
 def test_lambda_values():
-    grid = Grid2D.centered(0.1, 0.1, 3, 3)
-    fu = ScalarField2D.constant(grid, 0.1)
-    lam = lambda_field(fu)
-    assert np.allclose(lam.values, 0.1005038, atol=1e-7)
-    fu2 = ScalarField2D.constant(grid, 1.0 / np.sqrt(2.0))
-    assert np.allclose(lambda_field(fu2).values, 1.0, atol=1e-12)
-    tiny = ScalarField2D.constant(grid, 1e-9)
-    assert np.allclose(lambda_field(tiny).values, 1e-9, atol=1e-15)
+    lam, ok = slope_to_lambda(np.full((3, 3), 0.1))
+    assert ok.all() and np.allclose(lam, 0.1005038, atol=1e-7)
+    assert np.allclose(slope_to_lambda(np.full(3, 1.0 / np.sqrt(2.0)))[0], 1.0, atol=1e-12)
+    assert np.allclose(slope_to_lambda(np.full(3, 1e-9))[0], 1e-9, atol=1e-15)
 
 
 def test_lambda_branch_violation():
-    grid = Grid2D.centered(0.1, 0.1, 3, 3)
-    fu = ScalarField2D.constant(grid, -0.1)
-    with pytest.raises(BranchViolation):
-        lambda_field(fu)
+    # f_u <= 0 is off the positive branch: no slope there
+    lam, ok = slope_to_lambda(np.array([-0.1, 0.0, 0.1]))
+    assert ok.tolist() == [False, False, True]
+    assert np.isnan(lam[:2]).all() and np.isfinite(lam[2])
 
 
 def test_lambda_masks_near_one():
-    grid = Grid2D.centered(0.1, 0.1, 3, 3)
     vals = np.full((3, 3), 0.5)
     vals[1, 1] = 1.0 - 1e-9  # inside the guard band
-    lam = lambda_field(ScalarField2D(grid, vals), guard=1e-6)
-    assert not lam.mask[1, 1]
-    assert lam.mask[0, 0]
+    vals[0, 1] = 1.0 - 2e-6  # below it
+    lam, ok = slope_to_lambda(vals)
+    assert not ok[1, 1] and np.isnan(lam[1, 1])
+    assert ok[0, 0] and ok[0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +115,8 @@ def test_substitution_residual_under_tolerance(name):
     grid = Grid2D.centered(0.1, 0.1, 201, 201)
     metric = make_metric(name)
     init = make_initial("linear_ramp", EPS, EPS)
-    opts = SolveOptions()
-    fr = solve_f(metric, init, grid, opts)
-    gr = solve_g(metric, fr, init, grid, opts)
+    fr = solve_f(metric, init, grid)
+    gr = solve_g(metric, fr, init, grid)
     assert fr.max_residual < 1e-6
     assert gr.max_residual < 1e-6
 
@@ -388,15 +382,15 @@ def test_lambda_tables_match_the_per_call_interpolation():
 
 def test_validity_loss_when_slope_hits_guard():
     grid = Grid2D.centered(0.1, 0.1, 41, 41)
-    slope = 1.0 - 1e-9
-    init = make_initial(
-        "custom", 0.5, 0.1,
+    slope = 1.0 - 1e-9  # inside the guard band
+    init = InitialData(
+        family="steep", epsilon=slope, delta=0.1,
         h=lambda u: slope * u, k=lambda u: 0.1 * u,
         dh=lambda u: slope * np.ones_like(np.asarray(u, dtype=float)),
         dk=lambda u: 0.1 * np.ones_like(np.asarray(u, dtype=float)),
     )
     with pytest.raises(ValidityLoss):
-        solve_f(make_metric("flat"), init, grid, SolveOptions(guard=1e-6))
+        solve_f(make_metric("flat"), init, grid)
 
 
 def test_defect_scan_flags_kinked_data():

@@ -18,28 +18,30 @@ from isoembed.report import (
     isometry_residual,
     write_report,
 )
-from isoembed.surface import compose, embed_planar
+from isoembed.surface import compose, lift
 
 
 def test_identity_control_triple_is_tiny():
-    # planar straight chart composed with the identity change over the flat
-    # metric: the residual triple vanishes to rounding
+    # lifted straight chart composed with the identity change, against the
+    # lift's metric (1, 0, G0 + 1): the residual triple vanishes to rounding
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
-    s = embed_planar(chart)
+    s = lift(chart)
     pc = param_change_of(chart.grid)
     comp = compose(s, pc)
-    iso = isometry_residual(comp, make_metric("flat").sample(comp.grid))
+    iso = isometry_residual(comp, ScalarField2D(comp.grid, chart.g0.values + 1.0))
     sups = iso.sups()
     assert max(sups) < 1e-10
 
 
 def test_wrong_metric_detected():
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
-    s = embed_planar(chart)
+    s = lift(chart)
     pc = param_change_of(chart.grid)
     comp = compose(s, pc)
-    iso = isometry_residual(comp, make_metric("cos2").sample(comp.grid))
-    # G residual ~ sup|cos^2(u) - 1| ~ u_max^2 over the box
+    cos2 = make_metric("cos2").sample(comp.grid)
+    # the lift of a unit-speed chart has G = 2; against cos2's G + 1 the
+    # residual is sup|cos^2(u) - 1| ~ u_max^2 over the box
+    iso = isometry_residual(comp, ScalarField2D(comp.grid, cos2.values + 1.0))
     g_sup = iso.sups()[2]
     assert g_sup > 5e-3
     assert g_sup == pytest.approx(1.0 - np.cos(0.1) ** 2, rel=0.05)

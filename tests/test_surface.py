@@ -8,7 +8,6 @@ from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 from isoembed.plane import ChartProfile, build_chart, chart_checks, make_base_curve
 from isoembed.surface import (
     compose,
-    embed_planar,
     export_obj,
     induced_metric,
     lift,
@@ -117,15 +116,6 @@ def test_lift_is_ruled_with_nonpositive_curvature(source):
     assert max(errs) < 1e-8
     # stencil-limited charts converge at 4th order; the others sit at rounding
     assert errs[1] < errs[0] / 8 or max(errs) < 1e-10
-
-
-def test_planar_embedding_metric():
-    chart = line_chart()
-    s = embed_planar(chart)
-    assert np.all(s.position[:, :, 2] == 0.0)
-    e, f, g = induced_metric(s)
-    assert np.allclose(e.values[e.mask], 1.0, atol=1e-12)
-    assert np.allclose(g.values[g.mask], 1.0, atol=1e-12)  # G0, no +1
 
 
 def test_compose_identity_is_bit_exact():
