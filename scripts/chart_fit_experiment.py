@@ -15,7 +15,7 @@ from isoembed.config import RunConfig
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.plane import build_chart, make_base_curve
 from isoembed.report import compatibility_residual, isometry_residual
-from isoembed.surface import compose, lift
+from isoembed.surface import compose
 
 
 def sweep(metric_name, v_half):
@@ -28,7 +28,7 @@ def sweep(metric_name, v_half):
     for spec in ("line", "circle:2"):
         source = make_base_curve(spec)
         chart = build_chart(source, chart_grid_for(base.pc, cfg))
-        comp = compose(lift(chart), base.pc)
+        comp = compose(chart, base.pc)
         iso = isometry_residual(comp, base.f_report.gbar)
         dg = compatibility_residual(base.sys_report.g_val, chart, base.pc)
         e_sup, f_sup, _ = iso.sups()

@@ -29,8 +29,8 @@ from isoembed.config import RunConfig, load_config
 # the stages run_pipeline calls by these names; none calls another
 STAGES = (
     "solve_f", "validate_metric", "solve_g", "build_param_change", "solve_system_grid",
-    "resolve_chart_source", "chart_grid_for", "build_chart", "chart_checks", "lift",
-    "compose", "isometry_residual", "curvature_from_samples", "curvature_field",
+    "resolve_chart_source", "chart_grid_for", "build_chart", "chart_checks", "compose",
+    "isometry_residual", "curvature_from_samples", "curvature_field",
     "compatibility_residual", "c2_defect_scan",
 )
 MB = 1e6

@@ -24,7 +24,7 @@ from .errors import BadParameter, IoFailure, IsoembedError
 from .fields import Grid2D, ScalarField2D
 from .metric import Rect, make_metric
 from .pipeline import run_pipeline, write_outputs
-from .report import NodeTable, ResidualStat, VerificationReport, isometry_residual, write_report
+from .report import NodeTable, VerificationReport, isometry_residual, write_report
 from .surface import EmbeddedSurface, load_obj_positions
 
 
@@ -48,6 +48,11 @@ def _add_run_overrides(p):
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    # the shorthands go first, so that an explicit per-axis flag wins
+    if getattr(args, "grid_n", None) is not None:
+        cfg.n_u = cfg.n_v = args.grid_n
+    if getattr(args, "chart_n", None) is not None:
+        cfg.chart_n_u = cfg.chart_n_v = args.chart_n
     for name in _CFG_FIELDS:
         val = getattr(args, name, None)
         if val is not None:
@@ -58,25 +63,19 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             if ftype in ("bool", bool):
                 val = val == "on"
             setattr(cfg.tolerances, name, val)
-    if getattr(args, "grid_n", None) is not None:
-        cfg.n_u = cfg.n_v = args.grid_n
-    if getattr(args, "chart_n", None) is not None:
-        cfg.chart_n_u = cfg.chart_n_v = args.chart_n
     return cfg
 
 
 def _print_report(report):
     for name, stat in report.residuals.items():
-        if isinstance(stat, ResidualStat):
-            mark = ""
-            if stat.passed is not None:
-                mark = "PASS" if stat.passed else "FAIL"
-            tol = f" tol={stat.tol:g}" if stat.tol is not None else ""
-            sup = "NA" if not np.isfinite(stat.sup) else f"{stat.sup:.6e}"
-            print(f"  {name:<22} sup={sup}{tol} {mark}")
-    for name, ok in report.verdicts.items():
-        if name not in report.residuals:
-            print(f"  {name:<22} {'PASS' if ok else 'FAIL'}")
+        mark = ""
+        if stat.passed is not None:
+            mark = "PASS" if stat.passed else "FAIL"
+        tol = f" tol={stat.tol:g}" if stat.tol is not None else ""
+        sup = "NA" if not np.isfinite(stat.sup) else f"{stat.sup:.6e}"
+        print(f"  {name:<22} sup={sup}{tol} {mark}")
+    for name, ok in report.checks.items():
+        print(f"  {name:<22} {'PASS' if ok else 'FAIL'}")
     print(f"  masked nodes: {report.masked_count}")
 
 
@@ -128,20 +127,10 @@ def cmd_verify(args) -> int:
         domain=Rect(grid.u0 - 1.0, grid.u_max + 1.0, grid.v0 - 1.0, grid.v_max + 1.0),
     )
     iso = isometry_residual(surface, metric.sample(grid))
-    e_sup, f_sup, g_sup = iso.sups()
-    e_mean, f_mean, g_mean = iso.means()
-    residuals = {
-        "isometry_e": ResidualStat(e_sup, e_mean,
-                                   tol=args.e_res_tol, gated=args.e_res_tol is not None),
-        "isometry_f": ResidualStat(f_sup, f_mean,
-                                   tol=args.f_res_tol, gated=args.f_res_tol is not None),
-        "isometry_g": ResidualStat(g_sup, g_mean),
-    }
-    verdicts = {k: s.passed for k, s in residuals.items() if s.passed is not None}
     report = VerificationReport(
         meta={"mesh": args.mesh, "fields": args.fields, "metric": args.metric},
-        residuals=residuals,
-        verdicts=verdicts,
+        residuals=iso.stats(args.e_res_tol, args.f_res_tol),
+        checks={},
         masked_count=int((~mask).sum()),
     )
     table = NodeTable(grid=grid, f=f_fld, g=g_fld,
@@ -149,9 +138,7 @@ def cmd_verify(args) -> int:
     write_report(report, out, args.residual_csv, table if args.residual_csv else None)
     print(f"report: {out}")
     _print_report(report)
-    if verdicts and not all(verdicts.values()):
-        return 2
-    return 0
+    return 0 if report.all_passed else 2
 
 
 def _load_fields_csv(path):

@@ -26,9 +26,6 @@ FAMILIES = ("linear_ramp", "c1_not_c2")
 
 @dataclass
 class InitialData:
-    family: str
-    epsilon: float
-    delta: float
     h: Callable
     k: Callable
     dh: Callable
@@ -48,17 +45,10 @@ class InitialData:
 
 
 def make_initial(family: str, epsilon: float, delta: float):
-    """Build InitialData for one of the named families."""
-    if not (0.0 < epsilon < 1.0):
-        raise BadParameter(f"epsilon out of (0,1): {epsilon}")
-    if delta <= 0.0:
-        raise BadParameter(f"delta must be positive: {delta}")
-
+    """Build InitialData for one of the named families; check_grid, not this
+    builder, judges the slopes."""
     if family == "linear_ramp":
         return InitialData(
-            family=family,
-            epsilon=epsilon,
-            delta=delta,
             h=lambda u: epsilon * u,
             k=lambda u: delta * u,
             dh=lambda u: epsilon * np.ones_like(np.asarray(u, dtype=float)),
@@ -67,9 +57,6 @@ def make_initial(family: str, epsilon: float, delta: float):
     if family == "c1_not_c2":
         # h' = eps*(1+|u|) is continuous; h'' jumps at u = 0
         return InitialData(
-            family=family,
-            epsilon=epsilon,
-            delta=delta,
             h=lambda u: epsilon * (u + u * np.abs(u) / 2.0),
             k=lambda u: delta * u,
             dh=lambda u: epsilon * (1.0 + np.abs(u)),

@@ -1,5 +1,5 @@
 """End-to-end pipeline: solve, change parameters, solve the system, build
-the chart, lift, compose, measure.
+the chart, compose, measure; then write, lifting the chart only for its OBJ.
 
 Chart selection: `base_curve = "auto"` fits a speed/slope profile to the
 compatibility target G - 1 (G solved per node by the linear system) over
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import IoFailure, NonPositiveMetric
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D
 from .initial import make_initial
 from .ivp import c2_defect_scan, solve_f, solve_g
 from .metric import Rect, curvature_field, curvature_from_samples, make_metric, validate_metric
@@ -49,11 +49,9 @@ class PipelineResult:
     pc: object
     sys_report: object
     chart: object
-    lifted: object
     composite: object
-    iso: object
     defect: object
-    dg: ScalarField2D
+    table: NodeTable
 
     @property
     def passed(self):
@@ -170,8 +168,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     s0_gate_val = max(s0_num) if chart_smooth else max(s0_num[:2])
     lift_dev = max(s0_num) if chart_smooth else s0_num[0]
 
-    lifted = lift(chart)
-    composite = compose(lifted, pc)
+    composite = compose(chart, pc)
     iso = isometry_residual(composite, gbar)
 
     curv_dev = _curvature_stencil_dev(metric, gbar)
@@ -193,9 +190,6 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     rank_frac = float(rank_and_det_ok[sys_report.mask].sum() / max(1, sys_report.mask.sum()))
     e_dev_sup = _sup_on(np.abs(sys_report.e_val.values - 1.0), sys_report.mask)
 
-    iso_e_sup, iso_f_sup, iso_g_sup = iso.sups()
-    iso_e_mean, iso_f_mean, iso_g_mean = iso.means()
-
     residuals = {
         "pde_f": ResidualStat(f_report.max_residual, f_report.mean_residual,
                               tol.residual_tol, gated=True),
@@ -213,24 +207,17 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "lift_identity": ResidualStat(lift_dev, tol=tol.lift_tol, gated=True),
         "curvature_stencil": ResidualStat(curv_dev, tol=tol.curvature_tol,
                                           gated=metric.has_analytic_curvature),
-        "isometry_e": ResidualStat(iso_e_sup, iso_e_mean, tol.e_res_tol,
-                                   gated=tol.gate_isometry),
-        "isometry_f": ResidualStat(iso_f_sup, iso_f_mean, tol.f_res_tol,
-                                   gated=tol.gate_isometry),
-        "isometry_g": ResidualStat(iso_g_sup, iso_g_mean),
+        **iso.stats(tol.e_res_tol, tol.f_res_tol, gated=tol.gate_isometry),
         "compat_dG": ResidualStat(dg_field.sup(), dg_field.mean_abs()),
     }
 
-    verdicts = {
+    checks = {
         "metric_valid": validation.ok,
         "rank_fraction": rank_frac >= tol.rank_fraction,
         "chart_injective": chart_jac_min > 0.0,
         "lift_regular": np.isfinite(reg_min) and reg_min >= 1.0 - 1e-9,
         "detector": detector_ok,
     }
-    for name, stat in residuals.items():
-        if stat.passed is not None:
-            verdicts[name] = stat.passed
 
     total = grid.nu * grid.nv
     meta = {
@@ -258,15 +245,19 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     report = VerificationReport(
         meta=meta,
         residuals=residuals,
-        verdicts=verdicts,
+        checks=checks,
         masked_count=int(total - pc.certified.sum()),
+    )
+    table = NodeTable(
+        grid=grid, f=f_report.field, g=g_report.field, jac=pc.jac,
+        e_res=iso.e_res, f_res=iso.f_res, g_res=iso.g_res,
+        aug_det=sys_report.aug_det, dg=dg_field,
     )
 
     return PipelineResult(
         config=cfg, report=report, metric=metric, grid=grid,
         f_report=f_report, g_report=g_report, pc=pc, sys_report=sys_report,
-        chart=chart, lifted=lifted, composite=composite, iso=iso, defect=defect,
-        dg=dg_field,
+        chart=chart, composite=composite, defect=defect, table=table,
     )
 
 
@@ -312,51 +303,41 @@ def _start_writer(job):
 
 
 def write_outputs(result: PipelineResult):
-    """Write report JSON, residual CSV, system CSV and optional meshes.
+    """Write report JSON, residual CSV, system CSV and optional meshes, at
+    the paths cfg.output_paths() gives; an empty out_dir is the current
+    directory.
 
     Two processes write them. A child forked here inherits the finished
-    result and writes system_s.csv and the lifted OBJ, while this process
-    writes report.json, residuals.csv and the composite OBJ and then always
-    reaps the child. Each file has the bytes the serial writers give. Where
-    os.fork does not exist, or the child would have nothing to write, the
-    writers run in turn in this process. Of several failing writers, the
-    error raised is that of the first file in the serial order: report.json,
-    residuals.csv, system_s.csv, lifted OBJ, composite OBJ; a child's error
-    is raised here with its type and message.
+    result and writes system_s.csv and the lifted OBJ, lifting the chart
+    itself, while this process writes report.json, residuals.csv and the
+    composite OBJ and then always reaps the child. Each file has the bytes
+    the serial writers give. Where os.fork does not exist, or the child
+    would have nothing to write, the writers run in turn in this process.
+    Of several failing writers, the error raised is that of the first file
+    in the serial order: report.json, residuals.csv, system_s.csv, lifted
+    OBJ, composite OBJ; a child's error is raised here with its type and
+    message.
     """
     cfg = result.config
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    json_path = os.path.join(cfg.out_dir, cfg.report_json)
-    csv_path = os.path.join(cfg.out_dir, cfg.residual_csv)
-    table = NodeTable(
-        grid=result.grid,
-        f=result.f_report.field,
-        g=result.g_report.field,
-        jac=result.pc.jac,
-        e_res=result.iso.e_res,
-        f_res=result.iso.f_res,
-        g_res=result.iso.g_res,
-        aug_det=result.sys_report.aug_det,
-        dg=result.dg,
-    )
+    paths = cfg.output_paths()
+    json_path, csv_path = paths["report_json"], paths["residual_csv"]
 
     def child_files():
         if cfg.system_csv:
-            write_system_csv(os.path.join(cfg.out_dir, cfg.system_csv),
-                             result.grid, result.sys_report)
+            write_system_csv(paths["system_csv"], result.grid, result.sys_report)
         if cfg.mesh_out:
-            export_obj(result.lifted, os.path.join(cfg.out_dir, cfg.mesh_out + "_lifted.obj"))
+            export_obj(lift(result.chart), paths["mesh_out lifted OBJ"])
 
     def composite_file():
         if cfg.mesh_out:
-            export_obj(result.composite,
-                       os.path.join(cfg.out_dir, cfg.mesh_out + "_composite.obj"))
+            export_obj(result.composite, paths["mesh_out composite OBJ"])
 
     if not hasattr(os, "fork") or not (cfg.system_csv or cfg.mesh_out):
-        write_report(result.report, json_path, csv_path, table)
+        write_report(result.report, json_path, csv_path, result.table)
         child_files()
         composite_file()
         return json_path, csv_path
@@ -364,7 +345,7 @@ def write_outputs(result: PipelineResult):
     reap = _start_writer(child_files)
     composite_error = None
     try:
-        write_report(result.report, json_path, csv_path, table)
+        write_report(result.report, json_path, csv_path, result.table)
         try:
             composite_file()
         except IoFailure as exc:  # the child's files come first

@@ -33,8 +33,18 @@ class IsometryResiduals:
     def sups(self):
         return self.e_res.sup(), self.f_res.sup(), self.g_res.sup()
 
-    def means(self):
-        return self.e_res.mean_abs(), self.f_res.mean_abs(), self.g_res.mean_abs()
+    def stats(self, e_tol=None, f_tol=None, gated=True):
+        """The isometry_e/f/g ResidualStats of a report. E and F are gated at
+        their tolerances where `gated` holds and the tolerance is given; G is
+        reported only."""
+        e, f, g = self.e_res, self.f_res, self.g_res
+        return {
+            "isometry_e": ResidualStat(e.sup(), e.mean_abs(), e_tol,
+                                       gated=gated and e_tol is not None),
+            "isometry_f": ResidualStat(f.sup(), f.mean_abs(), f_tol,
+                                       gated=gated and f_tol is not None),
+            "isometry_g": ResidualStat(g.sup(), g.mean_abs()),
+        }
 
 
 def isometry_residual(surface: EmbeddedSurface, gbar: ScalarField2D) -> IsometryResiduals:
@@ -101,22 +111,27 @@ def _num(x):
 @dataclass
 class VerificationReport:
     meta: dict
-    residuals: dict  # name -> ResidualStat | plain dict
-    verdicts: dict  # name -> bool
+    residuals: dict  # name -> ResidualStat
+    checks: dict  # name -> bool, the verdicts that no residual carries
     masked_count: int
+
+    @property
+    def verdicts(self):
+        """name -> bool: the checks, then each gated residual's verdict."""
+        out = dict(self.checks)
+        out.update((name, stat.passed) for name, stat in self.residuals.items()
+                   if stat.passed is not None)
+        return out
 
     @property
     def all_passed(self):
         return all(self.verdicts.values())
 
     def to_json_dict(self):
-        res = {}
-        for name, stat in self.residuals.items():
-            res[name] = stat.to_json() if isinstance(stat, ResidualStat) else stat
         return {
             "schema_version": "1",
             "meta": self.meta,
-            "residuals": res,
+            "residuals": {name: stat.to_json() for name, stat in self.residuals.items()},
             "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
             "masked_count": int(self.masked_count),
         }

@@ -5,23 +5,23 @@ X(u, v) = (x(u, v), y(u, v), v). Its induced first fundamental form is
 then E = 1, F = 0, G = G0 + 1, so EG - F^2 >= 1 and the lift is always an
 immersion. The height has z_u = 0 and z_v = 1 exactly, so the pipeline
 takes the lift's metric as the chart's, from its one 4th-order
-differencing (plane.chart_checks), plus dv^2; it differences neither the
-height nor the lifted surface. The lift is ruled by its u-lines, so
-for a chart with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
--B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface is the chart composed
-with a certified parameter change, X(f, g) = (c(g) + f n(g), g), evaluated
-from the chart's generator at each node's image; compose walks the new grid
-in blocks of about NODE_BLOCK nodes, so its temporaries stay bounded. The
-generator gives each image the same bits whichever block holds it (a
-fitted profile integrates c from fixed anchors), so the blocks give the
-bits of one whole-grid pass. The chart grid enters only through its
-rectangle, which bounds the images. The
+differencing (plane.chart_checks), plus dv^2; it builds the lifted surface
+only to write its OBJ. The lift is ruled by its u-lines, so for a chart
+with G0 = (A(v) + B(v) u)^2 its Gauss curvature is
+-B^2 / (1 + (A + B u)^2)^2 <= 0. A composite surface is the chart, not
+its lift, composed with a certified parameter change,
+X(f, g) = (c(g) + f n(g), g), evaluated from the chart's generator at each
+node's image; compose walks the new grid in blocks of about NODE_BLOCK
+nodes, so its temporaries stay bounded. The generator gives each image the
+same bits whichever block holds it (a fitted profile integrates c from
+fixed anchors), so the blocks give the bits of one whole-grid pass. The
+chart grid enters only through its rectangle, which bounds the images. The
 composite's metric is taken by 2nd-order finite differences on the new
 parameter grid (induced_metric).
 
 export_obj reads only its arguments and closes its file before it returns,
-so pipeline.write_outputs writes the lifted OBJ from a forked child while
-its own process writes the composite one.
+so pipeline.write_outputs lifts the chart and writes the lifted OBJ in a
+forked child while its own process writes the composite one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class EmbeddedSurface:
     position: np.ndarray  # (nu, nv, 3)
     mask: np.ndarray  # (nu, nv) bool
     provenance: str  # 'lifted' | 'composite'
-    chart: PlaneChart = None  # the generating chart, when there is one
 
     def coordinate_field(self, k) -> ScalarField2D:
         return ScalarField2D(self.grid, self.position[:, :, k].copy(), mask=self.mask.copy())
@@ -63,7 +62,7 @@ def lift(chart: PlaneChart) -> EmbeddedSurface:
     pos = np.stack([chart.x.values, chart.y.values, V], axis=2)
     return EmbeddedSurface(grid=grid, position=pos,
                            mask=np.ones((grid.nu, grid.nv), dtype=bool),
-                           provenance="lifted", chart=chart)
+                           provenance="lifted")
 
 
 def induced_metric(surface: EmbeddedSurface) -> tuple:
@@ -88,20 +87,20 @@ def induced_metric(surface: EmbeddedSurface) -> tuple:
     )
 
 
-def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
-    """The surface's chart composed with pc: X(f, g) at every certified node.
+def compose(chart: PlaneChart, pc: ParamChange) -> EmbeddedSurface:
+    """The chart composed with pc: X(f, g) at every certified node.
 
     Positions come from the chart's generator, (c(g) + f n(g), g), so they
     carry no sampling error of the chart grid. Every certified node must
-    map inside the surface's parameter rectangle, the region build_chart
-    checked for folds; offenders raise ImageOutsideChart with their indices.
+    map inside the chart's rectangle, the region build_chart checked for
+    folds; offenders raise ImageOutsideChart with their indices.
     """
     grid = pc.grid
     u_img = pc.f.values
     v_img = pc.g.values
     cert = pc.certified
 
-    sg = surface.grid
+    sg = chart.grid
     inside = (
         (u_img >= sg.u0 - 1e-12) & (u_img <= sg.u_max + 1e-12)
         & (v_img >= sg.v0 - 1e-12) & (v_img <= sg.v_max + 1e-12)
@@ -114,7 +113,7 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
             nodes=nodes,
         )
 
-    source = surface.chart.source
+    source = chart.source
     pos = np.full((grid.nu, grid.nv, 3), np.nan)
     for rows in node_blocks(grid.nu, grid.nv):
         c = cert[rows]
@@ -125,8 +124,7 @@ def compose(surface: EmbeddedSurface, pc: ParamChange) -> EmbeddedSurface:
         block[c, 0] = cx - u * ty
         block[c, 1] = cy + u * tx
         block[c, 2] = v
-    return EmbeddedSurface(grid=grid, position=pos, mask=cert.copy(),
-                           provenance="composite", chart=surface.chart)
+    return EmbeddedSurface(grid=grid, position=pos, mask=cert.copy(), provenance="composite")
 
 
 def regularity_check(e: ScalarField2D, f: ScalarField2D, g: ScalarField2D,

@@ -161,9 +161,8 @@ def test_c06_chart_and_lift():
 
 def test_c07_identity_change_control():
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 201, 201))
-    surface = lift(chart)
     pc = param_change_of(chart.grid)
-    comp = compose(surface, pc)
+    comp = compose(chart, pc)
     iso = isometry_residual(comp, ScalarField2D(comp.grid, chart.g0.values + 1.0))
     sup = max(iso.sups())
     ok = sup < 1e-10

@@ -211,15 +211,46 @@ def test_cli_config_file_with_override(cli_run, tmp_path):
 
 
 def test_cli_verify_roundtrip_idempotent(cli_run):
+    # verify at the run's gates reproduces the run's isometry entries and
+    # its per-node isometry columns exactly
     wd, _ = cli_run
-    out = run_cli(["verify", "out/mesh_composite.obj", "--metric", "flat",
-                   "--fields", "out/residuals.csv", "--report-json", "out/verify.json"],
-                  cwd=wd)
-    assert out.returncode == 0, out.stderr
     run_doc = json.loads((wd / "out" / "report.json").read_text())
+    gates = [str(run_doc["residuals"][key]["tol"]) for key in ("isometry_e", "isometry_f")]
+    out = run_cli(["verify", "out/mesh_composite.obj", "--metric", "flat",
+                   "--fields", "out/residuals.csv", "--report-json", "out/verify.json",
+                   "--residual-csv", "out/verify.csv",
+                   "--e-res-tol", gates[0], "--f-res-tol", gates[1]], cwd=wd)
+    assert out.returncode == 0, out.stderr
     ver_doc = json.loads((wd / "out" / "verify.json").read_text())
     for key in ("isometry_e", "isometry_f", "isometry_g"):
-        assert ver_doc["residuals"][key]["sup"] == run_doc["residuals"][key]["sup"]
+        assert ver_doc["residuals"][key] == run_doc["residuals"][key]
+
+    def columns(name):
+        rows = [ln.split(",") for ln in (wd / "out" / name).read_text().splitlines()]
+        keep = [rows[0].index(c) for c in ("ubar", "vbar", "f", "g", "E_res", "F_res", "G_res")]
+        return [[row[c] for c in keep] for row in rows]
+
+    assert columns("verify.csv") == columns("residuals.csv")
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--grid-n", "41", "--n-v", "21", "--chart-n", "41", "--chart-n-v", "9"],
+     (41, 21, 41, 9)),
+    (["--n-u", "21", "--grid-n", "41", "--chart-n-u", "9", "--chart-n", "41"],
+     (21, 41, 9, 41)),
+])
+def test_cli_per_axis_flags_beat_the_shorthands(tmp_path, args, want):
+    out = run_cli(["run", *args, "--system-csv", ""], cwd=tmp_path)
+    assert out.returncode in (0, 2), out.stderr
+    cfg = json.loads((tmp_path / "report.json").read_text())["meta"]["config"]
+    assert (cfg["n_u"], cfg["n_v"], cfg["chart_n_u"], cfg["chart_n_v"]) == want
+
+
+def test_cli_empty_out_dir_is_the_working_directory(tmp_path):
+    out = run_cli(["run", "--out-dir", "", *_SMALL, "--system-csv", ""], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("report: report.json\nresiduals: residuals.csv\n")
+    assert json.loads((tmp_path / "report.json").read_text())["meta"]["config"]["out_dir"] == ""
 
 
 def test_cli_verify_tampered_mesh(cli_run):

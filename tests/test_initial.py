@@ -36,12 +36,14 @@ def test_c1_not_c2_second_difference_jump():
 
 
 def test_bad_parameters():
-    with pytest.raises(BadParameter):
-        make_initial("linear_ramp", 1.5, 0.1)
-    with pytest.raises(BadParameter):
-        make_initial("linear_ramp", 0.0, 0.1)
-    with pytest.raises(BadParameter):
-        make_initial("linear_ramp", 0.1, 0.0)
+    # the slopes are judged on the grid, by check_grid
+    u = np.linspace(-0.1, 0.1, 5)
+    with pytest.raises(BadParameter, match="h' must stay in"):
+        make_initial("linear_ramp", 1.5, 0.1).check_grid(u)
+    with pytest.raises(BadParameter, match="h' must stay in"):
+        make_initial("linear_ramp", 0.0, 0.1).check_grid(u)
+    with pytest.raises(BadParameter, match="k' must be positive"):
+        make_initial("linear_ramp", 0.1, 0.0).check_grid(u)
     with pytest.raises(BadParameter):
         make_initial("not_a_family", 0.1, 0.1)
     with pytest.raises(BadParameter):
@@ -50,7 +52,6 @@ def test_bad_parameters():
 
 def test_custom_family():
     init = InitialData(
-        family="custom", epsilon=0.2, delta=0.3,
         h=lambda u: 0.2 * u, k=lambda u: 0.3 * u,
         dh=lambda u: 0.2 * np.ones_like(np.asarray(u, dtype=float)),
         dk=lambda u: 0.3 * np.ones_like(np.asarray(u, dtype=float)),

@@ -384,7 +384,6 @@ def test_validity_loss_when_slope_hits_guard():
     grid = Grid2D.centered(0.1, 0.1, 41, 41)
     slope = 1.0 - 1e-9  # inside the guard band
     init = InitialData(
-        family="steep", epsilon=slope, delta=0.1,
         h=lambda u: slope * u, k=lambda u: 0.1 * u,
         dh=lambda u: slope * np.ones_like(np.asarray(u, dtype=float)),
         dk=lambda u: 0.1 * np.ones_like(np.asarray(u, dtype=float)),

@@ -232,9 +232,9 @@ def test_isometry_e_is_the_compatibility_gap(metric):
     # negligible share of the gated E residual
     res = run_pipeline(RunConfig(metric=metric, v_half=0.03))
     gu = res.pc.derivs[2]
-    shared = res.iso.e_res.mask & res.dg.mask
-    e_sup = np.max(res.iso.e_res.values[shared])
-    gap_sup = np.max((res.dg.values * gu**2)[shared])
+    shared = res.table.e_res.mask & res.table.dg.mask
+    e_sup = np.max(res.table.e_res.values[shared])
+    gap_sup = np.max((res.table.dg.values * gu**2)[shared])
     assert e_sup == pytest.approx(gap_sup, rel=1e-4)
     assert res.report.residuals["isometry_e"].sup == e_sup
 
@@ -248,7 +248,7 @@ def test_composite_does_not_depend_on_the_chart_grid():
     assert coarse.chart.grid.nu == 101 and fine.chart.grid.nu == 401
     assert np.array_equal(coarse.composite.mask, fine.composite.mask)
     assert np.array_equal(coarse.composite.position, fine.composite.position, equal_nan=True)
-    assert np.array_equal(coarse.dg.values, fine.dg.values, equal_nan=True)
+    assert np.array_equal(coarse.table.dg.values, fine.table.dg.values, equal_nan=True)
     for name in ("isometry_e", "isometry_f", "isometry_g", "compat_dG"):
         a, b = coarse.report.residuals[name], fine.report.residuals[name]
         assert (a.sup, a.mean) == (b.sup, b.mean)

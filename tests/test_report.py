@@ -18,16 +18,16 @@ from isoembed.report import (
     isometry_residual,
     write_report,
 )
-from isoembed.surface import compose, lift
+from isoembed.surface import compose
 
 
 def test_identity_control_triple_is_tiny():
-    # lifted straight chart composed with the identity change, against the
-    # lift's metric (1, 0, G0 + 1): the residual triple vanishes to rounding
+    # straight chart composed with the identity change, which is its lift,
+    # against the lift's metric (1, 0, G0 + 1): the residual triple vanishes
+    # to rounding
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
-    s = lift(chart)
     pc = param_change_of(chart.grid)
-    comp = compose(s, pc)
+    comp = compose(chart, pc)
     iso = isometry_residual(comp, ScalarField2D(comp.grid, chart.g0.values + 1.0))
     sups = iso.sups()
     assert max(sups) < 1e-10
@@ -35,9 +35,8 @@ def test_identity_control_triple_is_tiny():
 
 def test_wrong_metric_detected():
     chart = build_chart(make_base_curve("line"), Grid2D.centered(0.1, 0.1, 101, 101))
-    s = lift(chart)
     pc = param_change_of(chart.grid)
-    comp = compose(s, pc)
+    comp = compose(chart, pc)
     cos2 = make_metric("cos2").sample(comp.grid)
     # the lift of a unit-speed chart has G = 2; against cos2's G + 1 the
     # residual is sup|cos^2(u) - 1| ~ u_max^2 over the box
@@ -87,6 +86,20 @@ def test_verdicts_monotone_in_tolerance(sup, tol, widen):
         assert loose.passed  # loosening never flips pass -> fail
 
 
+def test_report_verdicts_are_the_checks_then_each_gated_residual():
+    rep = VerificationReport(
+        meta={},
+        residuals={"a": ResidualStat(2.0, tol=1.0, gated=True),
+                   "b": ResidualStat(2.0, tol=1.0),
+                   "c": ResidualStat(0.5, tol=1.0, gated=True)},
+        checks={"detector": True},
+        masked_count=0,
+    )
+    assert list(rep.verdicts.items()) == [("detector", True), ("a", False), ("c", True)]
+    assert not rep.all_passed
+    assert rep.to_json_dict()["verdicts"] == {"detector": True, "a": False, "c": True}
+
+
 def _tiny_report(grid):
     vals = ScalarField2D.constant(grid, 0.5)
     hole = vals.mask.copy()
@@ -97,7 +110,7 @@ def _tiny_report(grid):
     rep = VerificationReport(
         meta={"case": "tiny"},
         residuals={"demo": ResidualStat(0.5, 0.5, tol=1.0, gated=True)},
-        verdicts={"demo": True},
+        checks={},
         masked_count=1,
     )
     return rep, table
@@ -139,7 +152,7 @@ def test_report_residuals_nonnegative(flat_run):
 
 
 def test_composite_pipeline_residual_fields_nonnegative(flat_run):
-    for fld in (flat_run.iso.e_res, flat_run.iso.f_res, flat_run.iso.g_res):
+    for fld in (flat_run.table.e_res, flat_run.table.f_res, flat_run.table.g_res):
         assert np.nanmin(fld.values[fld.mask]) >= 0.0
 
 

@@ -120,26 +120,25 @@ def test_lift_is_ruled_with_nonpositive_curvature(source):
 
 def test_compose_identity_is_bit_exact():
     chart = line_chart()
-    s = lift(chart)
     pc = param_change_of(chart.grid)
-    comp = compose(s, pc)
+    comp = compose(chart, pc)
     sel = comp.mask
     assert sel.sum() > 0
-    assert np.array_equal(comp.position[sel], s.position[sel])
+    assert np.array_equal(comp.position[sel], lift(chart).position[sel])
 
 
 @pytest.mark.parametrize("node_block", [None, 7 * 41 + 5])
 def test_compose_on_a_circle_chart_is_the_closed_form(node_block, monkeypatch):
-    # the lifted circle:R chart composed with a non-identity change is
+    # the circle:R chart composed with a non-identity change is
     # (R sin(g/R) - f sin(g/R), R (1 - cos(g/R)) + f cos(g/R), g), however
     # the solve grid is split into blocks
     if node_block is not None:
         monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
     r = 2.0
-    s = lift(build_chart(make_base_curve(f"circle:{r}"), Grid2D.centered(0.3, 0.3, 21, 21)))
+    chart = build_chart(make_base_curve(f"circle:{r}"), Grid2D.centered(0.3, 0.3, 21, 21))
     pc = param_change_of(Grid2D.centered(0.1, 0.1, 41, 41),
                          lambda u, v: 0.8 * u + 0.3 * v, lambda u, v: 0.2 * u - 0.9 * v)
-    comp = compose(s, pc)
+    comp = compose(chart, pc)
     assert np.array_equal(comp.mask, pc.certified) and comp.mask.sum() > 0
     f, g = pc.f.values[comp.mask], pc.g.values[comp.mask]
     want = np.stack([r * np.sin(g / r) - f * np.sin(g / r),
@@ -157,7 +156,7 @@ def test_compose_bits_do_not_depend_on_the_node_block(fixture_name, request, mon
     runs = {}
     for node_block in (1000, 32768):
         monkeypatch.setattr(fields, "NODE_BLOCK", node_block)
-        runs[node_block] = compose(run.lifted, run.pc)
+        runs[node_block] = compose(run.chart, run.pc)
     small, large = runs[1000], runs[32768]
     assert run.grid.nu * run.grid.nv > 1000 * 20  # many blocks against one or two
     assert np.array_equal(small.mask, large.mask)
@@ -167,11 +166,10 @@ def test_compose_bits_do_not_depend_on_the_node_block(fixture_name, request, mon
 
 def test_compose_outside_chart_raises():
     chart = line_chart(u_half=0.05, v_half=0.05)
-    s = lift(chart)
     big = Grid2D.centered(0.2, 0.2, 21, 21)
     pc = param_change_of(big)
     with pytest.raises(ImageOutsideChart) as err:
-        compose(s, pc)
+        compose(chart, pc)
     assert err.value.nodes
 
 

@@ -185,7 +185,7 @@ def _surface(mask):
 
 
 def _report():
-    return VerificationReport(meta={"case": "oracle"}, residuals={}, verdicts={},
+    return VerificationReport(meta={"case": "oracle"}, residuals={}, checks={},
                               masked_count=0)
 
 
