@@ -20,10 +20,10 @@ from dataclasses import fields
 import numpy as np
 
 from .config import _TOL_FIELDS, RunConfig, example_cos2_config, load_config, refuse_shared_paths
-from .errors import BadParameter, IoFailure, IsoembedError
+from .errors import BadParameter, GridTooSmall, IoFailure, IsoembedError
 from .fields import Grid2D, ScalarField2D
 from .metric import Rect, make_metric
-from .pipeline import run_pipeline, write_outputs
+from .pipeline import make_parent_dirs, run_pipeline, write_outputs
 from .report import NodeTable, VerificationReport, isometry_residual, write_report
 from .surface import EmbeddedSurface, load_obj_positions
 
@@ -135,6 +135,7 @@ def cmd_verify(args) -> int:
     )
     table = NodeTable(grid=grid, f=f_fld, g=g_fld,
                       e_res=iso.e_res, f_res=iso.f_res, g_res=iso.g_res)
+    make_parent_dirs(outputs.values())
     write_report(report, out, args.residual_csv, table if args.residual_csv else None)
     print(f"report: {out}")
     _print_report(report)
@@ -178,6 +179,8 @@ def _load_fields_csv(path):
         raise BadParameter(f"{path}: rows do not form a complete {nu}x{nv} grid")
     if not (np.array_equal(ub, np.repeat(us, nv)) and np.array_equal(vb, np.tile(vs, nu))):
         raise BadParameter(f"{path}: rows are not the {nu}x{nv} grid in row-major order")
+    if nu < 3 or nv < 3:
+        raise GridTooSmall(f"grid needs at least 3x3 nodes, got ({nu}, {nv})")
     # span-based spacing reproduces the generating grid's du = span/(n-1)
     # to the bit, so re-verification divides by identical stencil widths
     grid = Grid2D(u0=float(us[0]), v0=float(vs[0]),

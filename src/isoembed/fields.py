@@ -1,15 +1,13 @@
 """Uniform rectangular grids and masked scalar fields.
 
-Every numerical quantity in the pipeline (solution surfaces, Jacobians,
-curvatures, residuals) lives on a ScalarField2D: samples on a uniform
-grid plus a validity mask. Derivatives are 2nd-order central in the
-interior and fall back to 2nd-order one-sided stencils wherever a
-neighbor is missing (grid edge or masked node). Nodes with no usable
-stencil return NaN rather than a degraded estimate. One masked kernel
-serves every mask, fully valid or not: it takes the central stencil on
-the interior from shifted slices, and the one-sided stencils only at the
-valid nodes with no central one (the mask's edges and the grid's ends),
-gathered by one np.nonzero.
+A quantity the pipeline keeps lives on a ScalarField2D: samples on a
+uniform grid plus a validity mask. Derivatives are plain arrays, 2nd-order
+central in the interior, else 2nd-order one-sided where a neighbor is
+missing (grid edge or masked node), else NaN. One masked kernel,
+first_derivative, serves every mask: it takes the central stencil on the
+interior from shifted slices, and the one-sided stencils only at the valid
+nodes with no central one, gathered by one np.nonzero. It never reads a
+masked node, so it differences any array on a mask in place.
 
 The planar chart, whose derivatives feed tight identity checks, is
 differenced with 4th-order stencils by first_derivative_4: 5-point
@@ -148,8 +146,8 @@ def _edge_taps(v, m, inner):
     return (i, *rest), taps
 
 
-def _masked_first_derivative(values, mask, h, axis):
-    """2nd-order derivative along axis; central, else one-sided, else NaN."""
+def first_derivative(values, mask, h, axis):
+    """2nd-order derivative along axis on mask; central, else one-sided, else NaN."""
     out = np.full(values.shape, np.nan)
     o, v, m = (np.moveaxis(a, axis, 0) for a in (out, values, mask))
     inner = m[:-2] & m[1:-1] & m[2:]
@@ -234,25 +232,16 @@ class ScalarField2D:
     def constant(cls, grid, value, mask=None):
         return cls(grid, np.full((grid.nu, grid.nv), float(value)), mask=mask)
 
-    def copy(self):
-        return ScalarField2D(self.grid, self.values.copy(), self.mask.copy())
-
     def d_u(self):
-        return ScalarField2D(
-            self.grid, _masked_first_derivative(self.values, self.mask, self.grid.du, 0)
-        )
+        return first_derivative(self.values, self.mask, self.grid.du, 0)
 
     def d_v(self):
-        return ScalarField2D(
-            self.grid, _masked_first_derivative(self.values, self.mask, self.grid.dv, 1)
-        )
+        return first_derivative(self.values, self.mask, self.grid.dv, 1)
 
     def d_uu(self):
         if self.grid.nu < 5:
             raise GridTooSmall("second differences need at least 5 samples in u")
-        return ScalarField2D(
-            self.grid, _masked_second_derivative(self.values, self.mask, self.grid.du, 0)
-        )
+        return _masked_second_derivative(self.values, self.mask, self.grid.du, 0)
 
     def sup(self):
         """Max |value| over valid nodes (NaN if none)."""

@@ -249,7 +249,7 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D) -> SolveR
         raise ValidityLoss("f lost validity immediately off the initial line")
 
     f = ScalarField2D(grid, values, mask=mask)
-    fu, fv = f.d_u().values, f.d_v().values
+    fu, fv = f.d_u(), f.d_v()
     lam, _ = slope_to_lambda(fu)
     sup, mean = residual_f(gbar, f, fu, fv, lam)
     return SolveReport(field=f, max_residual=sup, mean_residual=mean, steps=steps,
@@ -290,7 +290,7 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     mask &= f_report.mask
 
     g = ScalarField2D(grid, values, mask=mask)
-    gu, gv = g.d_u().values, g.d_v().values
+    gu, gv = g.d_u(), g.d_v()
     sup, mean = residual_g(f_report.gbar, f_report.field, f_report.lam, g, gu, gv)
     return SolveReport(field=g, max_residual=sup, mean_residual=mean, steps=steps,
                        intervals=intervals, d_u=gu, d_v=gv, gbar=f_report.gbar)

@@ -176,7 +176,7 @@ def curvature_from_samples(g_field: ScalarField2D) -> ScalarField2D:
     interior[0, :] = False
     interior[-1, :] = False
     wf = ScalarField2D(grid, w, mask=g_field.mask)
-    wuu = wf.d_uu().values
+    wuu = wf.d_uu()
     k = np.where(interior, -wuu / w, np.nan)
     return ScalarField2D(grid, k, mask=interior & np.isfinite(k))
 

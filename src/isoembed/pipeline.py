@@ -302,10 +302,20 @@ def _start_writer(job):
     return reap
 
 
+def make_parent_dirs(paths):
+    """Create the directory each output path lies in, before any is written."""
+    for path in paths:
+        parent = os.path.dirname(path)
+        try:
+            os.makedirs(parent or os.curdir, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create output directory {parent}: {exc}") from exc
+
+
 def write_outputs(result: PipelineResult):
     """Write report JSON, residual CSV, system CSV and optional meshes, at
-    the paths cfg.output_paths() gives; an empty out_dir is the current
-    directory.
+    the paths cfg.output_paths() gives, creating their directories first;
+    an empty out_dir is the current directory.
 
     Two processes write them. A child forked here inherits the finished
     result and writes system_s.csv and the lifted OBJ, lifting the chart
@@ -319,11 +329,8 @@ def write_outputs(result: PipelineResult):
     message.
     """
     cfg = result.config
-    try:
-        os.makedirs(cfg.out_dir or os.curdir, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     paths = cfg.output_paths()
+    make_parent_dirs(paths.values())
     json_path, csv_path = paths["report_json"], paths["residual_csv"]
 
     def child_files():

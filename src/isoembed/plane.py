@@ -25,8 +25,9 @@ compatibility target produced by the linear system. A fitted profile's
 base point integrates its velocity A(v) (cos theta, sin theta) from a
 table at fixed anchors v_center + k H, H = v_scale / ANCHOR_CELLS, so it
 depends on the profile and v alone, never on which points are asked for
-together. `build_chart` evaluates the generator once per v-line and
-broadcasts over u.
+together. A PlaneChart is the generator on its grid and keeps no samples;
+`PlaneChart.sample` evaluates it once per v-line and broadcasts over u, for
+`chart_checks` and the written lift.
 
 `chart_checks` differences the sampled chart once with 4th-order stencils
 and computes each chart verdict's quantity once from it: the geodesic-form
@@ -47,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, FocalPoint, IoFailure
-from .fields import Grid2D, ScalarField2D, first_derivative_4
+from .fields import Grid2D, first_derivative_4
 
 # Anchors of a fitted profile's base-point table lie H = v_scale / ANCHOR_CELLS
 # apart, at most MAX_ANCHORS of them on each side of v_center
@@ -341,45 +342,43 @@ def fit_chart_profile(u_pts, v_pts, g_target, degree: int = 2,
 
 @dataclass
 class PlaneChart:
-    """Sampled planar chart and the generator it was built from."""
+    """A chart's generator on the rectangle of its grid; it keeps no samples."""
 
     grid: Grid2D
-    x: ScalarField2D
-    y: ScalarField2D
-    g0: ScalarField2D
     source: object  # BaseCurve | ChartProfile
+
+    def sample(self):
+        """(x, y, G0) on the grid: c(v) + u n(v) and (A + B u)^2."""
+        us, vs = self.grid.u_coords[:, None], self.grid.v_coords
+        cx, cy = self.source.point(vs)
+        tx, ty = self.source.tangent(vs)
+        return cx - us * ty, cy + us * tx, _ruling(self.source, us, vs) ** 2
+
+
+def _ruling(source, us, vs):
+    """A(v) + B(v) u on the broadcast (u, v) lines."""
+    return source.speed(vs) + us * source.slope(vs)
 
 
 def build_chart(source, grid: Grid2D) -> PlaneChart:
-    """Chart fields on the (u, v) grid from a BaseCurve or ChartProfile.
+    """The chart of a BaseCurve or ChartProfile on the (u, v) grid.
 
     Raises FocalPoint when the ruling factor A + B u (equivalently
     1 - u kappa for unit-speed curves) is not strictly positive on the grid.
     """
-    us = grid.u_coords[:, None]
-    vs = grid.v_coords
-    cx, cy = source.point(vs)
-    tx, ty = source.tangent(vs)
-    ruling = source.speed(vs) + us * source.slope(vs)
-
+    us, vs = grid.u_coords[:, None], grid.v_coords
+    ruling = _ruling(source, us, vs)
     if np.any(ruling <= 0.0):
         i, j = np.unravel_index(int(np.argmin(ruling)), ruling.shape)
         raise FocalPoint(
             f"chart folds at (u, v) = ({us[i, 0]:.6g}, {vs[j]:.6g}); shrink the u-range"
         )
-
-    return PlaneChart(
-        grid=grid,
-        x=ScalarField2D(grid, cx - us * ty),
-        y=ScalarField2D(grid, cy + us * tx),
-        g0=ScalarField2D(grid, ruling**2),
-        source=source,
-    )
+    return PlaneChart(grid=grid, source=source)
 
 
 def chart_checks(chart: PlaneChart) -> tuple:
     """((r1, r2, r3), jac_min, eg_f2_min) of the chart, from one 4th-order
-    differencing of its sampled fields.
+    differencing of its samples.
 
     With E = x_u^2 + y_u^2, F = x_u x_v + y_u y_v and G = x_v^2 + y_v^2:
     r1 = sup|E - 1|, r2 = sup|F|, r3 = sup|G - G0| are the geodesic-form
@@ -388,14 +387,18 @@ def chart_checks(chart: PlaneChart) -> tuple:
     of the lift X = (x, y, v), whose height adds exactly dv^2.
     """
     grid = chart.grid
-    x, y = chart.x.values, chart.y.values
-    xu, yu = first_derivative_4(x, grid.du, 0), first_derivative_4(y, grid.du, 0)
-    xv, yv = first_derivative_4(x, grid.dv, 1), first_derivative_4(y, grid.dv, 1)
+    # the run's traced peak: drop each sample once it is differenced, G0 once compared
+    x, y, g0 = chart.sample()
+    xu, xv = first_derivative_4(x, grid.du, 0), first_derivative_4(x, grid.dv, 1)
+    del x
+    yu, yv = first_derivative_4(y, grid.du, 0), first_derivative_4(y, grid.dv, 1)
+    del y
+    g = xv * xv + yv * yv
+    r3 = float(np.nanmax(np.abs(g - g0)))
+    del g0
     e = xu * xu + yu * yu
     f = xu * xv + yu * yv
-    g = xv * xv + yv * yv
     jac_min = float(np.nanmin(np.abs(xu * yv - xv * yu)))
-    residuals = (float(np.nanmax(np.abs(e - 1.0))), float(np.nanmax(np.abs(f))),
-                 float(np.nanmax(np.abs(g - chart.g0.values))))
+    residuals = (float(np.nanmax(np.abs(e - 1.0))), float(np.nanmax(np.abs(f))), r3)
     eg_f2_min = float(np.nanmin(e * (g + 1.0) - f**2))
     return residuals, jac_min, eg_f2_min

@@ -51,12 +51,12 @@ def isometry_residual(surface: EmbeddedSurface, gbar: ScalarField2D) -> Isometry
     """Per-node |E - 1|, |F|, |G_induced - Gbar| of a surface over (ubar, vbar),
     with Gbar the metric's samples on the surface's grid."""
     e, f, g = induced_metric(surface)
-    mask = e.mask
+    mask = np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
     grid = surface.grid
     return IsometryResiduals(
-        e_res=ScalarField2D(grid, np.abs(e.values - 1.0), mask=mask),
-        f_res=ScalarField2D(grid, np.abs(f.values), mask=mask),
-        g_res=ScalarField2D(grid, np.abs(g.values - gbar.values), mask=mask),
+        e_res=ScalarField2D(grid, np.abs(e - 1.0), mask=mask),
+        f_res=ScalarField2D(grid, np.abs(f), mask=mask),
+        g_res=ScalarField2D(grid, np.abs(g - gbar.values), mask=mask),
     )
 
 

@@ -16,10 +16,11 @@ nodes, so its temporaries stay bounded. The generator gives each image the
 same bits whichever block holds it (a fitted profile integrates c from
 fixed anchors), so the blocks give the bits of one whole-grid pass. The
 chart grid enters only through its rectangle, which bounds the images. The
-composite's metric is taken by 2nd-order finite differences on the new
-parameter grid (induced_metric).
+composite's metric is taken by 2nd-order finite differences of its
+positions, in place on the new parameter grid (induced_metric).
 
-export_obj reads only its arguments and closes its file before it returns,
+The lift samples the chart, which keeps no samples of its own. export_obj
+reads only its arguments and closes its file before it returns,
 so pipeline.write_outputs lifts the chart and writes the lifted OBJ in a
 forked child while its own process writes the composite one.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, ImageOutsideChart, IoFailure
-from .fields import Grid2D, ScalarField2D, node_blocks
+from .fields import Grid2D, first_derivative, node_blocks
 from .plane import PlaneChart
 from .reparam import ParamChange
 
@@ -51,40 +52,35 @@ class EmbeddedSurface:
     mask: np.ndarray  # (nu, nv) bool
     provenance: str  # 'lifted' | 'composite'
 
-    def coordinate_field(self, k) -> ScalarField2D:
-        return ScalarField2D(self.grid, self.position[:, :, k].copy(), mask=self.mask.copy())
-
 
 def lift(chart: PlaneChart) -> EmbeddedSurface:
     """X = (x, y, v): third coordinate equals the chart's v parameter exactly."""
     grid = chart.grid
+    x, y, _ = chart.sample()
     _, V = grid.meshgrid()
-    pos = np.stack([chart.x.values, chart.y.values, V], axis=2)
+    pos = np.stack([x, y, V], axis=2)
     return EmbeddedSurface(grid=grid, position=pos,
                            mask=np.ones((grid.nu, grid.nv), dtype=bool),
                            provenance="lifted")
 
 
 def induced_metric(surface: EmbeddedSurface) -> tuple:
-    """(E, F, G) fields from finite differences of the position coordinates.
+    """(E, F, G) arrays, NaN off the mask, from finite differences of the
+    position coordinates on the mask, each taken in place.
 
     The sums run one coordinate at a time, from 0 as Python's sum does, so
     only one coordinate's two derivative arrays are live at once.
     """
+    grid = surface.grid
     e = f = g = 0
     for k in range(3):
-        c = surface.coordinate_field(k)
-        xu, xv = c.d_u().values, c.d_v().values
+        c = surface.position[:, :, k]
+        xu = first_derivative(c, surface.mask, grid.du, 0)
+        xv = first_derivative(c, surface.mask, grid.dv, 1)
         e += xu * xu
         f += xu * xv
         g += xv * xv
-    mask = surface.mask & np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
-    grid = surface.grid
-    return (
-        ScalarField2D(grid, e, mask=mask),
-        ScalarField2D(grid, f, mask=mask),
-        ScalarField2D(grid, g, mask=mask),
-    )
+    return e, f, g
 
 
 def compose(chart: PlaneChart, pc: ParamChange) -> EmbeddedSurface:
@@ -127,16 +123,15 @@ def compose(chart: PlaneChart, pc: ParamChange) -> EmbeddedSurface:
     return EmbeddedSurface(grid=grid, position=pos, mask=cert.copy(), provenance="composite")
 
 
-def regularity_check(e: ScalarField2D, f: ScalarField2D, g: ScalarField2D,
-                     tol: float = 0.0) -> np.ndarray:
-    """Mask of nodes where EG - F^2 > tol (a test oracle).
+def regularity_check(e, f, g, tol: float = 0.0) -> np.ndarray:
+    """Mask of nodes where EG - F^2 of the arrays is > tol (a test oracle).
 
     The pipeline's lift_regular verdict reads the lift's min(EG - F^2)
     from plane.chart_checks instead; tests check that verdict against this
     node-wise mask.
     """
-    det = e.values * g.values - f.values**2
-    return e.mask & f.mask & g.mask & np.isfinite(det) & (det > tol)
+    det = e * g - f**2
+    return np.isfinite(det) & (det > tol)
 
 
 def _mask_runs(row):

@@ -212,16 +212,17 @@ def test_cli_config_file_with_override(cli_run, tmp_path):
 
 def test_cli_verify_roundtrip_idempotent(cli_run):
     # verify at the run's gates reproduces the run's isometry entries and
-    # its per-node isometry columns exactly
+    # its per-node isometry columns exactly; it creates the directories of
+    # its outputs
     wd, _ = cli_run
     run_doc = json.loads((wd / "out" / "report.json").read_text())
     gates = [str(run_doc["residuals"][key]["tol"]) for key in ("isometry_e", "isometry_f")]
     out = run_cli(["verify", "out/mesh_composite.obj", "--metric", "flat",
-                   "--fields", "out/residuals.csv", "--report-json", "out/verify.json",
-                   "--residual-csv", "out/verify.csv",
+                   "--fields", "out/residuals.csv", "--report-json", "out/sub/verify.json",
+                   "--residual-csv", "out/deep/verify.csv",
                    "--e-res-tol", gates[0], "--f-res-tol", gates[1]], cwd=wd)
     assert out.returncode == 0, out.stderr
-    ver_doc = json.loads((wd / "out" / "verify.json").read_text())
+    ver_doc = json.loads((wd / "out" / "sub" / "verify.json").read_text())
     for key in ("isometry_e", "isometry_f", "isometry_g"):
         assert ver_doc["residuals"][key] == run_doc["residuals"][key]
 
@@ -230,7 +231,7 @@ def test_cli_verify_roundtrip_idempotent(cli_run):
         keep = [rows[0].index(c) for c in ("ubar", "vbar", "f", "g", "E_res", "F_res", "G_res")]
         return [[row[c] for c in keep] for row in rows]
 
-    assert columns("verify.csv") == columns("residuals.csv")
+    assert columns("deep/verify.csv") == columns("residuals.csv")
 
 
 @pytest.mark.parametrize("args, want", [
@@ -373,6 +374,9 @@ def _swap_lines(text, a, b):
     (_VERIFY_FILES, _VERIFY + ["--e-res-tol", "nan"], "--e-res-tol must be a finite number: nan"),
     (_VERIFY_FILES, _VERIFY + ["--f-res-tol", "inf"], "--f-res-tol must be a finite number: inf"),
     (_VERIFY_FILES, _VERIFY + ["--e-res-tol=-inf"], "--e-res-tol must be a finite number: -inf"),
+    # one distinct vbar: refused before a spacing is computed from it
+    ({"fields.csv": "ubar,vbar,f,g\n0,0,0,0\n1,0,1,0\n2,0,2,0\n", "mesh.obj": _MESH_3X3},
+     _VERIFY, "grid needs at least 3x3 nodes, got (3, 1)"),
 ], ids=["ini_no_bracket", "tolerance_not_a_number", "tolerance_nan",
         "fields_cell_not_a_number", "fields_row_short", "fields_rows_out_of_order",
         "fields_missing", "mesh_vertex_malformed", "mesh_valid_line_without_row",
@@ -384,7 +388,7 @@ def _swap_lines(text, a, b):
         "verify_residual_csv_is_mesh", "run_report_is_config",
         "run_residual_csv_is_metric_csv", "example_mesh_is_metric_csv",
         "run_report_is_base_curve_csv", "verify_gate_nan", "verify_gate_inf",
-        "verify_gate_minus_inf"])
+        "verify_gate_minus_inf", "fields_one_vbar"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -84,10 +84,10 @@ def test_initial_slope_formulas():
     fr = solve_f(metric, init, grid)
     gr = solve_g(metric, fr, init, grid)
     j0 = grid.row_index_of_v(0.0)
-    fv = fr.field.d_v().values[:, j0]
+    fv = fr.field.d_v()[:, j0]
     sel = fr.mask[:, j0] & np.isfinite(fv)
     assert np.allclose(fv[sel], -0.8660254037844386, atol=1e-6)
-    gv = gr.field.d_v().values[:, j0]
+    gv = gr.field.d_v()[:, j0]
     lam05 = 0.5 / np.sqrt(0.75)
     sel = gr.mask[:, j0] & np.isfinite(gv)
     assert np.allclose(gv[sel], lam05 * 0.1, atol=1e-6)
@@ -97,15 +97,15 @@ def test_initial_slope_value_spec_case(flat_solved):
     # h' = k' = 0.1, G = 1: g_v(., 0) = 0.0100504
     _, _, grid, _, gr = flat_solved
     j0 = grid.row_index_of_v(0.0)
-    gv = gr.field.d_v().values[:, j0]
+    gv = gr.field.d_v()[:, j0]
     sel = gr.mask[:, j0] & np.isfinite(gv)
     assert np.allclose(gv[sel], 0.0100504, atol=1e-6)
 
 
 def test_branch_signs(flat_solved):
     _, _, _, fr, gr = flat_solved
-    fv = fr.field.d_v().values
-    gv = gr.field.d_v().values
+    fv = fr.field.d_v()
+    gv = gr.field.d_v()
     assert np.all(fv[np.isfinite(fv)] < 0.0)
     assert np.all(gv[np.isfinite(gv)] > 0.0)
 

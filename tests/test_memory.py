@@ -9,6 +9,9 @@ grid: about 40 bytes per node at 801^2. The system's result keeps 55 bytes
 per node, six fields and its mask; with its three row-residual fields it
 kept 82.
 
+The finished default run holds about 7.4 MB; with the chart's x, y and G0
+samples on its 401^2 grid it held 11.8.
+
 write_outputs forks a child for two of its files; what the child needs it
 inherits, and the lift it exports it builds itself, so the parent's peak is
 no higher than that of the inline route writing no mesh.
@@ -63,6 +66,18 @@ def test_system_solve_result_per_node(cos2_401):
         tracemalloc.stop()
     assert sr.mask.any()
     assert kept / nodes <= 60.0
+
+
+def test_finished_run_holds_no_chart_samples():
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = run_pipeline(RunConfig())
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert held <= 9e6
 
 
 def test_compose_peak_per_node(cos2_401):

@@ -7,7 +7,7 @@ import pytest
 from isoembed import fields, ivp, pipeline
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
-from isoembed.fields import ScalarField2D, first_derivative_4
+from isoembed.fields import first_derivative_4
 from isoembed.metric import GeodesicMetric2D, curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.surface import regularity_check
@@ -257,13 +257,12 @@ def test_composite_does_not_depend_on_the_chart_grid():
 @pytest.mark.parametrize("run", ["flat_run", "cos2_run"])
 def test_lift_regular_matches_the_node_mask(run, request):
     res = request.getfixturevalue(run)
-    grid, x, y = res.chart.grid, res.chart.x.values, res.chart.y.values
+    grid, (x, y, _) = res.chart.grid, res.chart.sample()
     xu, yu = first_derivative_4(x, grid.du, 0), first_derivative_4(y, grid.du, 0)
     xv, yv = first_derivative_4(x, grid.dv, 1), first_derivative_4(y, grid.dv, 1)
     e, f, g = xu * xu + yu * yu, xu * xv + yu * yv, xv * xv + yv * yv + 1.0
     assert res.report.meta["lift_eg_f2_min"] == np.min(e * g - f**2)
-    regular = regularity_check(*(ScalarField2D(res.chart.grid, a) for a in (e, f, g)),
-                               tol=1.0 - 1e-9)
+    regular = regularity_check(e, f, g, tol=1.0 - 1e-9)
     assert res.report.verdicts["lift_regular"] == bool(regular.all())
 
 
@@ -280,7 +279,7 @@ def test_each_sampled_field_is_differenced_once(monkeypatch):
     # differenced
     passes = Counter()
     chart_passes = Counter()
-    first_derivative = fields._masked_first_derivative
+    first_derivative = fields.first_derivative
     first_derivative_4 = fields.first_derivative_4
 
     def counted(values, mask, h, axis):
@@ -291,10 +290,12 @@ def test_each_sampled_field_is_differenced_once(monkeypatch):
         chart_passes[np.shape(values)] += 1
         return first_derivative_4(values, h, axis)
 
-    monkeypatch.setattr(fields, "_masked_first_derivative", counted)
     for name, module in list(sys.modules.items()):
-        if name.startswith("isoembed") and hasattr(module, "first_derivative_4"):
-            monkeypatch.setattr(module, "first_derivative_4", counted_4)
+        if not name.startswith("isoembed"):
+            continue
+        for attr, fn in (("first_derivative", counted), ("first_derivative_4", counted_4)):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, fn)
     run_pipeline(RunConfig())
     assert chart_passes == {(401, 401): 4}
     assert passes == {(201, 201): 10}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import closed_form_differences, closed_form_identities
 from isoembed.config import Tolerances
 from isoembed.errors import BadParameter, FocalPoint, IoFailure
-from isoembed.fields import Grid2D, first_derivative_4
+from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
 from isoembed.plane import (
     BaseCurve,
     ChartProfile,
@@ -26,10 +26,11 @@ def chart_grid(u_half=0.1, v_half=0.2, n=81):
 def test_line_chart_is_canonical():
     chart = build_chart(make_base_curve("line"), chart_grid())
     U, V = chart.grid.meshgrid()
+    x, y, g0 = chart.sample()
     # (x, y) = c(v) + u n(v) = (v, u)
-    assert np.allclose(chart.x.values, V, atol=1e-14)
-    assert np.allclose(chart.y.values, U, atol=1e-14)
-    assert np.allclose(chart.g0.values, 1.0, atol=1e-14)
+    assert np.allclose(x, V, atol=1e-14)
+    assert np.allclose(y, U, atol=1e-14)
+    assert np.allclose(g0, 1.0, atol=1e-14)
     r, _, _ = chart_checks(chart)
     assert max(r) < 1e-10
 
@@ -46,10 +47,9 @@ def test_chart_stencils_are_fourth_order(source):
     for nv in (21, 41, 81):
         chart = build_chart(source, Grid2D.centered(0.1, 0.5, 9, nv))
         g = chart.grid
-        got = (first_derivative_4(chart.x.values, g.du, 0),
-               first_derivative_4(chart.y.values, g.du, 0),
-               first_derivative_4(chart.x.values, g.dv, 1),
-               first_derivative_4(chart.y.values, g.dv, 1))
+        x, y, _ = chart.sample()
+        got = (first_derivative_4(x, g.du, 0), first_derivative_4(y, g.du, 0),
+               first_derivative_4(x, g.dv, 1), first_derivative_4(y, g.dv, 1))
         want = closed_form_differences(chart)
         assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], want[:2])) < 1e-13
         err = np.maximum(np.abs(got[2] - want[2]), np.abs(got[3] - want[3])).max(axis=0)
@@ -62,7 +62,7 @@ def test_circle_chart_g0():
     chart = build_chart(make_base_curve("circle:2"), chart_grid())
     # G0 = (1 - u/2)^2: at u = 0.1 this is 0.9025
     i = chart.grid.col_index_of_u(0.1)
-    assert np.allclose(chart.g0.values[i, :], 0.9025, atol=1e-12)
+    assert np.allclose(chart.sample()[2][i, :], 0.9025, atol=1e-12)
     assert max(closed_form_identities(chart)) < 1e-12
     r_num, _, _ = chart_checks(chart)
     assert max(r_num) < 1e-4
@@ -72,8 +72,9 @@ def test_circle_g0_matches_ruling_formula():
     curve = make_base_curve("circle:2")
     chart = build_chart(curve, chart_grid(u_half=0.1, v_half=0.1, n=201))
     U, V = chart.grid.meshgrid()
-    xv = chart.x.d_v().values
-    yv = chart.y.d_v().values
+    x, y, _ = chart.sample()
+    xv = ScalarField2D(chart.grid, x).d_v()
+    yv = ScalarField2D(chart.grid, y).d_v()
     g0_fd = xv**2 + yv**2
     assert np.nanmax(np.abs(g0_fd - (1.0 - U / 2.0) ** 2)) < 1e-6
 
@@ -98,7 +99,7 @@ def test_kinked_chart_curvature_jump():
     r = closed_form_identities(chart)
     assert max(r[:2]) < 1e-12  # E0, F0 identities hold across the kink
     # G0 has a kink along v = 0: one-sided v-slopes differ there
-    g0 = chart.g0.values
+    _, _, g0 = chart.sample()
     j0 = chart.grid.row_index_of_v(0.0)
     dv = chart.grid.dv
     right = (g0[:, j0 + 1] - g0[:, j0]) / dv
@@ -117,10 +118,12 @@ def test_bad_curve_specs():
             make_base_curve(spec)
 
 
-def test_perturbed_chart_fails_identities():
+def test_perturbed_chart_fails_identities(monkeypatch):
     chart = build_chart(make_base_curve("line"), chart_grid())
     rng = np.random.default_rng(3)
-    chart.y.values += 1e-3 * rng.standard_normal(chart.y.values.shape)
+    x, y, g0 = chart.sample()
+    y += 1e-3 * rng.standard_normal(y.shape)
+    monkeypatch.setattr(chart, "sample", lambda: (x, y, g0))
     (r1, r2, _), _, _ = chart_checks(chart)
     assert r1 > 1e-4 and r2 > 1e-4
 
@@ -144,7 +147,7 @@ def test_chart_jacobian_positive():
     assert jac_min > 0.9  # sqrt(G0) stays near 1 here
     # both minima have closed forms: |J| = sqrt(G0) and the lift's
     # EG - F^2 = 1 + G0
-    g0_min = chart.g0.values.min()
+    g0_min = chart.sample()[2].min()
     assert jac_min == pytest.approx(np.sqrt(g0_min), abs=1e-8)
     assert eg_f2_min == pytest.approx(1.0 + g0_min, abs=1e-8)
 
@@ -156,10 +159,11 @@ def test_profile_matches_circle():
     grid = chart_grid()
     chart_p = build_chart(prof, grid)
     chart_c = build_chart(make_base_curve(f"circle:{r}"), grid)
-    assert np.nanmax(np.abs(chart_p.g0.values - chart_c.g0.values)) < 1e-12
+    (xp, yp, g0p), (xc, yc, g0c) = chart_p.sample(), chart_c.sample()
+    assert np.nanmax(np.abs(g0p - g0c)) < 1e-12
     # positions agree up to quadrature accuracy
-    assert np.nanmax(np.abs(chart_p.x.values - chart_c.x.values)) < 1e-10
-    assert np.nanmax(np.abs(chart_p.y.values - chart_c.y.values)) < 1e-10
+    assert np.nanmax(np.abs(xp - xc)) < 1e-10
+    assert np.nanmax(np.abs(yp - yc)) < 1e-10
 
 
 @pytest.mark.parametrize("speed, slope, v_center", [(0.05, -1.0, 0.0), (2.0, 0.7, 0.0),
@@ -236,8 +240,9 @@ def test_profile_point_at_the_v_scale_floor_is_bounded():
     assert (x[0], y[0]) == (0.0, 0.0)
     with pytest.raises(BadParameter):
         prof.point(np.array([1e-6]))
+    # the chart's first sampling refuses it
     with pytest.raises(BadParameter):
-        build_chart(prof, Grid2D.centered(0.1, 1e-6, 11, 11))
+        chart_checks(build_chart(prof, Grid2D.centered(0.1, 1e-6, 11, 11)))
 
 
 def test_fit_recovers_exact_profile():

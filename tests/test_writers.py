@@ -319,15 +319,21 @@ def test_forked_writers_give_the_inline_bytes(argv, count, tmp_path, monkeypatch
     assert files[0] == files[1]
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, blocked, message", [
     # both processes fail; the lifted OBJ comes before the composite
-    (["--mesh-out", "sub/m"], "cannot write mesh out/sub/m_lifted.obj"),
-    (["--mesh-out", "m", "--residual-csv", "sub/r.csv"], "cannot write CSV out/sub/r.csv"),
-    (["--mesh-out", "m", "--system-csv", "sub/s.csv"], "cannot write CSV out/sub/s.csv"),
+    (["--mesh-out", "sub/m"], ["sub/m_lifted.obj", "sub/m_composite.obj"],
+     "cannot write mesh out/sub/m_lifted.obj"),
+    (["--mesh-out", "m", "--residual-csv", "sub/r.csv"], ["sub/r.csv"],
+     "cannot write CSV out/sub/r.csv"),
+    (["--mesh-out", "m", "--system-csv", "sub/s.csv"], ["sub/s.csv"],
+     "cannot write CSV out/sub/s.csv"),
 ], ids=["both", "parent_only", "child_only"])
-def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, message, tmp_path,
-                                                           monkeypatch, capsys):
+def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, blocked, message,
+                                                           tmp_path, monkeypatch, capsys):
+    # a directory where a writer's file goes makes that writer fail
     monkeypatch.chdir(tmp_path)
+    for path in blocked:
+        (tmp_path / "out" / path).mkdir(parents=True)
     code = cli.main(["run", *SMALL, *argv])
     err = capsys.readouterr().err
     assert code == 1
@@ -336,6 +342,15 @@ def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, message
         assert route == [1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_outputs_in_a_missing_subdirectory_are_written(route, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", *SMALL, "--mesh-out", "sub/m"]) == 0
+    files = sorted(p.relative_to(tmp_path / "out").as_posix()
+                   for p in (tmp_path / "out").rglob("*") if p.is_file())
+    assert files == ["report.json", "residuals.csv", "sub/m_composite.obj",
+                     "sub/m_lifted.obj", "system_s.csv"]
 
 
 def test_child_error_keeps_its_type_and_message(small_run, tmp_path, monkeypatch, forks):
