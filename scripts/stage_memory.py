@@ -3,7 +3,7 @@
 
 Runs run_pipeline, then write_outputs into a temporary directory, twice
 with each stage wrapped, and prints one row per call in call order; the
-write_outputs row is this process's, not its forked writer's. The first
+write_outputs row is this process's, not its forked writers'. The first
 run is traced: the stage's tracemalloc peak above its entry (numpy
 registers its array buffers with tracemalloc, so they count) and the
 process high-water mark VmHWM, read from /proc/self/status, after the
@@ -12,8 +12,14 @@ are deterministic; VmHWM also counts the interpreter, the libraries and the
 allocator's slack, and only ever rises. The second run is untraced and
 gives each stage's wall time: tracemalloc's hooks on every allocation, like
 a profiler's on every call, would inflate the stages that allocate often.
-A last line gives the traced bytes the result of run_pipeline holds once it
-returns, the heap a run carries into its writers.
+A line then gives the traced bytes the result of run_pipeline holds once
+it returns, the heap a run carries into its writers.
+
+After the untraced run's write_outputs, each file group of
+pipeline.output_writers is written again on its own, in this process, and
+timed; a last line gives RUSAGE_CHILDREN's maxrss, the peak resident set
+of the largest forked writer so far, which counts the pages it shares with
+this process. The memory the writers moved out of this process shows there.
 
 The config takes the flags of `isoembed run`; with none it is the default
 201^2 run. For the cos2 benchmark grid:
@@ -24,6 +30,7 @@ The config takes the flags of `isoembed run`; with none it is the default
 import argparse
 import dataclasses
 import functools
+import resource
 import sys
 import tempfile
 import time
@@ -55,10 +62,11 @@ def vm_hwm_mb():
     return float("nan")
 
 
-def _run_wrapped(cfg: RunConfig, wrap):
+def _run_wrapped(cfg: RunConfig, wrap, after=None):
     """Run run_pipeline on cfg once and write its outputs into a temporary
-    directory, each stage fn called through wrap(name, fn). Returns the
-    traced bytes the result holds after run_pipeline returns (0 untraced)."""
+    directory, each stage fn called through wrap(name, fn), and then call
+    after(result) there when it is given. Returns the traced bytes the
+    result holds after run_pipeline returns (0 untraced)."""
     saved = {name: getattr(pipeline, name) for name in STAGES}
     for name, fn in saved.items():
         setattr(pipeline, name, functools.wraps(fn)(wrap(name, fn)))
@@ -67,12 +75,25 @@ def _run_wrapped(cfg: RunConfig, wrap):
         result = pipeline.run_pipeline(cfg)
         held = tracemalloc.get_traced_memory()[0] - entry
         with tempfile.TemporaryDirectory() as out_dir:
-            pipeline.write_outputs(dataclasses.replace(
-                result, config=dataclasses.replace(cfg, out_dir=out_dir)))
+            result = dataclasses.replace(result, config=dataclasses.replace(cfg, out_dir=out_dir))
+            pipeline.write_outputs(result)
+            if after is not None:
+                after(result)
     finally:
         for name, fn in saved.items():
             setattr(pipeline, name, fn)
     return held
+
+
+def writer_times(result):
+    """[(file group, wall s)]: each group of pipeline.output_writers written
+    on its own in this process, in the serial order."""
+    rows = []
+    for name, job in pipeline.output_writers(result):
+        start = time.perf_counter()
+        job()
+        rows.append((name, time.perf_counter() - start))
+    return rows
 
 
 def stage_memory(cfg: RunConfig):
@@ -97,8 +118,8 @@ def stage_memory(cfg: RunConfig):
     return rows, held
 
 
-def stage_times(cfg: RunConfig):
-    """[(stage, wall s)] of one untraced run."""
+def stage_times(cfg: RunConfig, after=None):
+    """[(stage, wall s)] of one untraced run; after(result) as _run_wrapped."""
     rows = []
 
     def wrap(name, fn):
@@ -109,17 +130,22 @@ def stage_times(cfg: RunConfig):
             return out
         return stage
 
-    _run_wrapped(cfg, wrap)
+    _run_wrapped(cfg, wrap, after)
     return rows
 
 
 def stage_table(cfg: RunConfig):
     """([(stage, peak above entry MB, VmHWM after MB, wall s)], one row per
-    call, and the bytes the result holds)."""
-    (memory, held), times = stage_memory(cfg), stage_times(cfg)
+    call, the bytes the result holds, [(file group, wall s)] of the writers
+    each on its own, and RUSAGE_CHILDREN's maxrss MB after write_outputs)."""
+    memory, held = stage_memory(cfg)
+    writers = []
+    times = stage_times(cfg, after=lambda result: writers.extend(writer_times(result)))
     if [m[0] for m in memory] != [t[0] for t in times]:
         raise RuntimeError("the traced and the untraced run called different stages")
-    return [(*m, t[1]) for m, t in zip(memory, times)], held
+    # ru_maxrss is in kB: the largest child this process has reaped
+    children_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / MB
+    return [(*m, t[1]) for m, t in zip(memory, times)], held, writers, children_mb
 
 
 def main(argv=()):
@@ -132,10 +158,14 @@ def main(argv=()):
     print(f"grid {cfg.n_u}x{cfg.n_v}, metric {cfg.metric}, "
           f"chart {cfg.chart_n_u}x{cfg.chart_n_v}")
     print(f"{'stage':<24}{'peak above entry MB':>21}{'VmHWM after MB':>16}{'wall s':>10}")
-    rows, held = stage_table(cfg)
+    rows, held, writers, children_mb = stage_table(cfg)
     for name, peak, hwm, wall in rows:
         print(f"{name:<24}{peak:>21.1f}{hwm:>16.1f}{wall:>10.4f}")
     print(f"result of run_pipeline holds {held / MB:.1f} MB")
+    print(f"{'writer, on its own':<24}{'wall s':>10}")
+    for name, wall in writers:
+        print(f"{name:<24}{wall:>10.4f}")
+    print(f"forked writers' peak RSS (RUSAGE_CHILDREN maxrss) {children_mb:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ def first_derivative_4(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _masked_second_derivative(values, mask, h, axis):
+def second_derivative(values, mask, h, axis):
     """2nd-order second derivative along axis (central / one-sided / NaN)."""
     h2 = h * h
     out = np.full(values.shape, np.nan)
@@ -241,7 +241,7 @@ class ScalarField2D:
     def d_uu(self):
         if self.grid.nu < 5:
             raise GridTooSmall("second differences need at least 5 samples in u")
-        return _masked_second_derivative(self.values, self.mask, self.grid.du, 0)
+        return second_derivative(self.values, self.mask, self.grid.du, 0)
 
     def sup(self):
         """Max |value| over valid nodes (NaN if none)."""

@@ -300,18 +300,26 @@ def residual_f(gbar: ScalarField2D, f: ScalarField2D, fu, fv, lam) -> tuple:
     """(sup, mean) of the substitution residual |sqrt(G) f_u + lam f_v|
     from G's samples gbar, f's stencils fu, fv and lam = slope_to_lambda(fu)."""
     res = np.sqrt(gbar.values) * fu + lam * fv
-    valid = f.mask & np.isfinite(lam) & np.isfinite(fv)
-    fld = ScalarField2D(f.grid, np.abs(res), mask=valid & np.isfinite(res))
-    return fld.sup(), fld.mean_abs()
+    return _sup_mean_abs(res, f.mask & np.isfinite(lam) & np.isfinite(fv))
 
 
 def residual_g(gbar: ScalarField2D, f: ScalarField2D, lam, g: ScalarField2D, gu, gv) -> tuple:
     """(sup, mean) of the substitution residual |lam sqrt(G) g_u - g_v|;
     lam frozen from f's stencil (slope_to_lambda), G from its samples gbar."""
     res = lam * np.sqrt(gbar.values) * gu - gv
-    valid = g.mask & f.mask & np.isfinite(lam) & np.isfinite(gu) & np.isfinite(gv)
-    fld = ScalarField2D(g.grid, np.abs(res), mask=valid & np.isfinite(res))
-    return fld.sup(), fld.mean_abs()
+    return _sup_mean_abs(res, g.mask & f.mask & np.isfinite(lam) & np.isfinite(gu)
+                         & np.isfinite(gv))
+
+
+def _sup_mean_abs(res, valid):
+    """(sup, mean) of |res| over the valid nodes where res is finite, NaN
+    where there are none; the mean sums the whole array with 0 off those
+    nodes, so it has the bits of ScalarField2D.mean_abs's nanmean."""
+    ok = valid & np.isfinite(res)
+    if not ok.any():
+        return float("nan"), float("nan")
+    a = np.where(ok, np.abs(res), 0.0)
+    return float(a.max()), float(a.sum() / np.count_nonzero(ok))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D, ScalarField2D, second_derivative
 
 DEFAULT_HALF_WIDTH = 0.5  # domain half-width when a config omits it
 
@@ -175,8 +175,7 @@ def curvature_from_samples(g_field: ScalarField2D) -> ScalarField2D:
     interior = g_field.mask.copy()
     interior[0, :] = False
     interior[-1, :] = False
-    wf = ScalarField2D(grid, w, mask=g_field.mask)
-    wuu = wf.d_uu()
+    wuu = second_derivative(w, g_field.mask, grid.du, 0)
     k = np.where(interior, -wuu / w, np.nan)
     return ScalarField2D(grid, k, mask=interior & np.isfinite(k))
 

@@ -312,55 +312,53 @@ def make_parent_dirs(paths):
             raise IoFailure(f"cannot create output directory {parent}: {exc}") from exc
 
 
+def output_writers(result: PipelineResult):
+    """[(file group, job)] of the run's output files in the serial order:
+    report.json with residuals.csv, system_s.csv, the lifted OBJ and the
+    composite OBJ, each group present when the config asks for its files.
+    The lifted OBJ's job lifts the chart itself."""
+    cfg = result.config
+    paths = cfg.output_paths()
+    writers = [("report", lambda: write_report(result.report, paths["report_json"],
+                                                paths["residual_csv"], result.table))]
+    if cfg.system_csv:
+        writers.append(("system_s", lambda: write_system_csv(
+            paths["system_csv"], result.grid, result.sys_report)))
+    if cfg.mesh_out:
+        writers.append(("lifted_obj", lambda: export_obj(
+            lift(result.chart), paths["mesh_out lifted OBJ"])))
+        writers.append(("composite_obj", lambda: export_obj(
+            result.composite, paths["mesh_out composite OBJ"])))
+    return writers
+
+
 def write_outputs(result: PipelineResult):
     """Write report JSON, residual CSV, system CSV and optional meshes, at
     the paths cfg.output_paths() gives, creating their directories first;
     an empty out_dir is the current directory.
 
-    Two processes write them. A child forked here inherits the finished
-    result and writes system_s.csv and the lifted OBJ, lifting the chart
-    itself, while this process writes report.json, residuals.csv and the
-    composite OBJ and then always reaps the child. Each file has the bytes
-    the serial writers give. Where os.fork does not exist, or the child
-    would have nothing to write, the writers run in turn in this process.
-    Of several failing writers, the error raised is that of the first file
-    in the serial order: report.json, residuals.csv, system_s.csv, lifted
-    OBJ, composite OBJ; a child's error is raised here with its type and
-    message.
+    Each file group of output_writers is written by its own child, forked
+    here in the serial order; the children inherit the finished result,
+    so this process formats nothing, and it reaps every child before it
+    returns or raises. Each file has the bytes the serial writers give. Of
+    several failing groups, the error raised is that of the first in the
+    serial order, with the type and message its child raised. Where
+    os.fork does not exist, the groups are written in turn in this process.
     """
-    cfg = result.config
-    paths = cfg.output_paths()
+    paths = result.config.output_paths()
     make_parent_dirs(paths.values())
-    json_path, csv_path = paths["report_json"], paths["residual_csv"]
-
-    def child_files():
-        if cfg.system_csv:
-            write_system_csv(paths["system_csv"], result.grid, result.sys_report)
-        if cfg.mesh_out:
-            export_obj(lift(result.chart), paths["mesh_out lifted OBJ"])
-
-    def composite_file():
-        if cfg.mesh_out:
-            export_obj(result.composite, paths["mesh_out composite OBJ"])
-
-    if not hasattr(os, "fork") or not (cfg.system_csv or cfg.mesh_out):
-        write_report(result.report, json_path, csv_path, result.table)
-        child_files()
-        composite_file()
-        return json_path, csv_path
-
-    reap = _start_writer(child_files)
-    composite_error = None
-    try:
-        write_report(result.report, json_path, csv_path, result.table)
+    jobs = [job for _, job in output_writers(result)]
+    if not hasattr(os, "fork"):
+        for job in jobs:
+            job()
+    else:
+        reaps = []
         try:
-            composite_file()
-        except IoFailure as exc:  # the child's files come first
-            composite_error = exc
-    finally:
-        child_error = reap()
-    if child_error is not None:
-        raise child_error
-    if composite_error is not None:
-        raise composite_error
-    return json_path, csv_path
+            for job in jobs:
+                reaps.append(_start_writer(job))
+        finally:
+            errors = [reap() for reap in reaps]
+        for error in errors:
+            if error is not None:
+                raise error
+    return paths["report_json"], paths["residual_csv"]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import IoFailure
 from .fields import ScalarField2D
 from .reparam import ParamChange
-from .surface import EmbeddedSurface, induced_metric, row_blocks, write_rows
+from .surface import EmbeddedSurface, cell_texts, induced_metric, row_blocks, texts_of, write_rows
 
 CSV_COLUMNS = ("ubar", "vbar", "f", "g", "J", "E_res", "F_res", "G_res", "aug_det", "dG")
 
@@ -156,13 +156,12 @@ class NodeTable:
                 self.aug_det, self.dg)
 
 
-# per-column texts of a residual CSV line, where the cell has a value and
-# where it reads NA
-_CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 1) + ("%.17g\n",)
-_CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 1) + ("NA\n",)
-# system_s.csv: node (i;j), E, G, G closed form, two ranks, aug det
-_SYSTEM_TEXT = ("(%d;", "%d),", "%.17g,", "%.17g,", "%.17g,", "%d,", "%d,", "%.17g\n")
-_SYSTEM_NA = ("", "", "NA,", "NA,", "NA,", "NA,", "NA,", "NA\n")
+# per-column texts of a residual CSV line after ubar and vbar, where the
+# cell has a value and where it reads NA
+_CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 3) + ("%.17g\n",)
+_CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 3) + ("NA\n",)
+# the ranks a 3x2 or 3x3 system can have, as system_s.csv writes them
+_RANK_TEXT = np.array(["0,", "1,", "2,", "3,"], dtype=object)
 
 
 def _column(fld, rows, sel):
@@ -178,9 +177,23 @@ def _column(fld, rows, sel):
     return vals, fld.mask[rows][sel] & np.isfinite(vals)
 
 
-def _write_columns(fh, columns, ok_text, na_text):
-    values, ok = zip(*columns)
-    write_rows(fh, np.column_stack(values), np.column_stack(ok), ok_text, na_text)
+def _rank_cells(ranks):
+    """(texts, formatted) of a rank column: the table's text for a rank in
+    [0, 4), which equals its %d, a %-spec left for any other finite rank,
+    and NA where the rank is not finite."""
+    ok = np.isfinite(ranks)
+    known = ok & (ranks >= 0) & (ranks < 4)
+    cells = np.full(ranks.shape, "NA,", dtype=object)
+    cells[known] = _RANK_TEXT[ranks[known].astype(np.intp)]
+    cells[ok & ~known] = "%d,"
+    return cells, ok & ~known
+
+
+def _write_block(fh, n, cells, columns):
+    """Write n lines of `cells` (see write_rows), their %-specs taking the
+    values of each (values, formatted) column where formatted holds."""
+    values, formatted = (np.column_stack(a) for a in zip(*columns))
+    write_rows(fh, n, cells, values[formatted])
 
 
 def write_report(report: VerificationReport, json_path, csv_path, table: NodeTable = None):
@@ -188,7 +201,8 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
 
     The CSV is formatted and written in blocks of ROW_BLOCK u-rows, one
     %-format per block; a cell reads NA where its field is absent or
-    masked or its value is not finite.
+    masked or its value is not finite. ubar is formatted once per u-row and
+    vbar once per v-line.
     """
     try:
         with open(json_path, "w") as fh:
@@ -199,39 +213,46 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
     if csv_path is None or table is None:
         return
     grid = table.grid
-    us, vs = grid.u_coords, grid.v_coords
+    u_texts = texts_of("%.17g,", grid.u_coords)
+    v_texts = texts_of("%.17g,", grid.v_coords)
     try:
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rows in row_blocks(grid.nu):
                 n_rows = rows.stop - rows.start
                 sel = np.ones((n_rows, grid.nv), dtype=bool)
-                columns = [(np.repeat(us[rows], grid.nv), sel.ravel()),
-                           (np.tile(vs, n_rows), sel.ravel())]
-                columns += [_column(fld, rows, sel) for fld in table.fields_in_order()]
-                _write_columns(fh, columns, _CSV_TEXT, _CSV_NA)
+                columns = [_column(fld, rows, sel) for fld in table.fields_in_order()]
+                cells = [np.repeat(u_texts[rows], grid.nv), np.tile(v_texts, n_rows)]
+                cells += [cell_texts(ok, text, na)
+                          for (_, ok), text, na in zip(columns, _CSV_TEXT, _CSV_NA)]
+                _write_block(fh, sel.size, cells, columns)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {csv_path}: {exc}") from exc
 
 
 def write_system_csv(path, grid, sys_report):
     """Side table of the per-node linear-system solve: one line per node of
-    the system mask, row-major, written in blocks of ROW_BLOCK u-rows."""
+    the system mask, row-major, written in blocks of ROW_BLOCK u-rows. The
+    node's (i; and j) are formatted once per u-row and per v-line, and the
+    ranks come from a table."""
+    j_texts = texts_of("%d),", np.arange(grid.nv))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("node,E_val,G_val,G_closed_form,rank_coeff,rank_aug,aug_det\n")
             for rows in row_blocks(grid.nu):
                 sel = sys_report.mask[rows]
                 ii, jj = np.nonzero(sel)
-                every = np.ones(ii.size, dtype=bool)
-                columns = [(ii + rows.start, every), (jj, every)]
-                columns += [_column(fld, rows, sel) for fld in
-                            (sys_report.e_val, sys_report.g_val, sys_report.g_closed)]
-                # a rank reads NA only where it is not finite
-                ranks = (sys_report.rank_coeff.values[rows][sel],
-                         sys_report.rank_aug.values[rows][sel])
-                columns += [(r, np.isfinite(r)) for r in ranks]
+                columns = [_column(fld, rows, sel) for fld in
+                           (sys_report.e_val, sys_report.g_val, sys_report.g_closed)]
+                cells = [texts_of("(%d;", np.arange(rows.start, rows.stop))[ii], j_texts[jj]]
+                cells += [cell_texts(ok, "%.17g,", "NA,") for _, ok in columns]
+                for rank in (sys_report.rank_coeff, sys_report.rank_aug):
+                    r = rank.values[rows][sel]
+                    texts, formatted = _rank_cells(r)
+                    cells.append(texts)
+                    columns.append((r, formatted))
                 columns.append(_column(sys_report.aug_det, rows, sel))
-                _write_columns(fh, columns, _SYSTEM_TEXT, _SYSTEM_NA)
+                cells.append(cell_texts(columns[-1][1], "%.17g\n", "NA\n"))
+                _write_block(fh, ii.size, cells, columns)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {path}: {exc}") from exc

@@ -20,9 +20,13 @@ composite's metric is taken by 2nd-order finite differences of its
 positions, in place on the new parameter grid (induced_metric).
 
 The lift samples the chart, which keeps no samples of its own. export_obj
-reads only its arguments and closes its file before it returns,
-so pipeline.write_outputs lifts the chart and writes the lifted OBJ in a
-forked child while its own process writes the composite one.
+reads only its arguments and closes its file before it returns, so
+pipeline.write_outputs writes each OBJ in a forked child of its own, and
+the lifted OBJ's child builds the lift. The file writers here and in
+report format each distinct text once, a block of ROW_BLOCK u-rows at a
+time: write_rows joins texts formatted ahead of it with the %-specs it
+fills, so repeated values (the lift's height v on every u-row, a vertex
+index shared by six face corners) are formatted once, not per line.
 """
 
 from __future__ import annotations
@@ -38,11 +42,9 @@ from .reparam import ParamChange
 
 # u-rows the file writers format per write: bounds the text held in memory
 ROW_BLOCK = 16
-# per-column texts of an OBJ vertex line, valid and masked, and of the two
-# triangle lines of a cell
+# per-column texts of an OBJ vertex line, valid and masked
 _VERTEX = ("v %.17g", " %.17g", " %.17g\n")
 _MASKED_VERTEX = ("v 0", " 0", " 0\n")
-_FACE_PAIR = ("f %d", " %d", " %d\n", "f %d", " %d", " %d\n")
 
 
 @dataclass
@@ -151,18 +153,44 @@ def row_blocks(n):
         yield slice(start, min(start + ROW_BLOCK, n))
 
 
-def write_rows(fh, values, ok, ok_text, na_text):
-    """Write one line per row of the 2-D array `values` with a single %-format.
-
-    Column c reads ok_text[c] % value where `ok` holds and na_text[c] where
-    it does not; the texts carry their own separators and line ends.
-    """
+def cell_texts(ok, text, na_text):
+    """Per-line texts of one column: text where ok holds, na_text elsewhere;
+    a single str when every line reads the same."""
     if ok.all():
-        template = "".join(ok_text) * len(values)
+        return text
+    if not ok.any():
+        return na_text
+    return np.array([text, na_text], dtype=object)[(~ok).astype(np.intp)]
+
+
+def texts_of(fmt, values):
+    """fmt % x for each x of the 1-D array `values`, as an object array."""
+    return np.array([fmt % x for x in values.tolist()], dtype=object)
+
+
+def write_rows(fh, n, cells, values=None):
+    """Write n lines, line k joining, for each column, cells[c] where it is
+    a str (the same text on every line) or cells[c][k] where it is an array.
+
+    Texts formatted once, ahead of this call, enter as they are; %-specs
+    left in the line texts are filled from `values`, row-major, with one
+    %-format for all n lines.
+    """
+    if all(isinstance(c, str) for c in cells):
+        template = "".join(cells) * n
     else:
-        cells = np.array([ok_text, na_text])[(~ok).astype(np.intp), np.arange(len(ok_text))]
-        template = "".join(cells.ravel().tolist())
-    fh.write(template % tuple(values[ok].tolist()))
+        table = np.empty((n, len(cells)), dtype=object)
+        for c, texts in enumerate(cells):
+            table[:, c] = texts
+        template = "".join(table.ravel().tolist())
+    fh.write(template if values is None else template % tuple(values.tolist()))
+
+
+def _row_shared(coord):
+    """Whether the 2-D array holds the same bits on every u-row: compared as
+    integers, so -0.0 and 0.0 differ and NaN equals itself."""
+    bits = coord.view(np.uint64)
+    return bool((bits == bits[:1]).all())
 
 
 def export_obj(surface: EmbeddedSurface, path: str):
@@ -173,7 +201,9 @@ def export_obj(surface: EmbeddedSurface, path: str):
     lines (run-length per u-row) so re-verification sees the same node set.
     %.17g formatting keeps round-trips bit-exact. Vertices and faces are
     formatted and written in blocks of ROW_BLOCK u-rows, so memory does not
-    grow with the file.
+    grow with the file. Each text is formatted once: a coordinate with the
+    same bits on every u-row (the lift's height v) once per v-line, and
+    each vertex index once per block of faces.
     """
     grid = surface.grid
     nv = grid.nv
@@ -184,20 +214,33 @@ def export_obj(surface: EmbeddedSurface, path: str):
         runs = " ".join(f"{a}:{b}" for a, b in _mask_runs(m[i]))
         head.append(f"# valid {i} {runs}".rstrip())
     cell_ok = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
+    shared = {k: texts_of(_VERTEX[k], pos[0, :, k])
+              for k in range(3) if _row_shared(pos[:, :, k])}
+    formatted = [k for k in range(3) if k not in shared]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(head) + "\n")
             for rows in row_blocks(grid.nu):
-                xyz = pos[rows].reshape(-1, 3)
-                ok = np.repeat(m[rows].reshape(-1, 1), 3, axis=1)
-                write_rows(fh, xyz, ok, _VERTEX, _MASKED_VERTEX)
+                ok = m[rows].ravel()
+                cells = []
+                for k in range(3):
+                    if k in shared:
+                        texts = np.tile(shared[k], rows.stop - rows.start)
+                        texts[~ok] = _MASKED_VERTEX[k]
+                        cells.append(texts)
+                    else:
+                        cells.append(cell_texts(ok, _VERTEX[k], _MASKED_VERTEX[k]))
+                values = pos[rows][m[rows]][:, formatted]
+                write_rows(fh, ok.size, cells, values.ravel())
             for rows in row_blocks(grid.nu - 1):
                 ci, cj = np.nonzero(cell_ok[rows])
-                a = (ci + rows.start) * nv + cj + 1  # OBJ indices are 1-based
+                # OBJ indices are 1-based; a block's cells reach one row past it
+                index = texts_of("%d", np.arange(rows.start * nv + 1, (rows.stop + 1) * nv + 1))
+                a = ci * nv + cj
                 b = a + nv
-                corners = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1)
-                write_rows(fh, corners, np.ones(corners.shape, dtype=bool),
-                           _FACE_PAIR, _FACE_PAIR)
+                write_rows(fh, a.size, ["f ", index[a], " ", index[b], " ", index[b + 1],
+                                        "\nf ", index[a], " ", index[b + 1], " ",
+                                        index[a + 1], "\n"])
     except OSError as exc:
         raise IoFailure(f"cannot write mesh {path}: {exc}") from exc
 

@@ -1,3 +1,4 @@
+import json
 import math
 import runpy
 from pathlib import Path
@@ -6,6 +7,9 @@ import pytest
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+# arguments for a script whose default run is too long for a test: bench.py
+# on one small grid, once
+SMOKE_ARGV = {"bench.py": (["--grids", "41", "--repeats", "1"],)}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -13,26 +17,59 @@ def test_script_main_runs(script, tmp_path, monkeypatch, capsys):
     # each script's main() runs end to end against the package's current
     # API; output directories it creates land in tmp_path
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(script))["main"]()
+    runpy.run_path(str(script))["main"](*SMOKE_ARGV.get(script.name, ()))
     assert capsys.readouterr().out
+
+
+def test_bench_writes_every_stage_and_writer_per_column(tmp_path, monkeypatch, capsys):
+    # two columns of the 41^2 matrix in one file: the second run keeps the
+    # first's column, and each holds every stage and every file group
+    monkeypatch.chdir(tmp_path)
+    bench = runpy.run_path(str(SCRIPT_DIR / "bench.py"))
+    stages = runpy.run_path(str(SCRIPT_DIR / "stage_memory.py"))["STAGES"]
+    for column in ("parent", "change"):
+        bench["main"](["--grids", "41", "--repeats", "1", "--column", column,
+                       "--out", "b.json"])
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert list(doc["columns"]) == ["parent", "change"]
+    assert list(doc["runs"]) == ["flat 41", "cos2 41", "example-cos2 41"]
+    for key, run in doc["runs"].items():
+        assert list(run) == ["parent", "change"], key
+        for column in run.values():
+            assert list(column["stages"]) == list(stages), key
+            assert list(column["writers"]) == ["report", "system_s", "lifted_obj",
+                                               "composite_obj"], key
+            walls = [*column["stages"].values(), *column["writers"].values()]
+            assert all(math.isfinite(w) and w >= 0 for w in walls), key
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote b.json"
 
 
 def test_stage_memory_reports_every_stage_on_a_small_grid(capsys, tmp_path, monkeypatch):
     # one row per stage run_pipeline calls and then write_outputs, each with
-    # a finite tracemalloc peak, high-water mark and untraced wall time, and
-    # a last line with what the result holds; the outputs land in a
-    # temporary directory, not the working one
+    # a finite tracemalloc peak, high-water mark and untraced wall time, a
+    # line with what the result holds, one timed row per writer on its own,
+    # and a last line with the forked writers' peak RSS; the outputs land in
+    # a temporary directory, not the working one
     monkeypatch.chdir(tmp_path)
     script = runpy.run_path(str(SCRIPT_DIR / "stage_memory.py"))
-    script["main"](["--grid-n", "41", "--chart-n", "41"])
+    script["main"](["--grid-n", "41", "--chart-n", "41", "--mesh-out", "m"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-2:] == ["wall", "s"]
-    rows = [line.split() for line in lines[2:-1]]
+    end = next(k for k, line in enumerate(lines) if line.startswith("result of"))
+    rows = [line.split() for line in lines[2:end]]
     assert [r[0] for r in rows] == list(script["STAGES"])
     assert rows[-1][0] == "write_outputs"
     for name, *numbers in rows:
         assert len(numbers) == 3 and all(math.isfinite(float(x)) for x in numbers), name
-    held = lines[-1].split()
+    held = lines[end].split()
     assert held[:-2] == ["result", "of", "run_pipeline", "holds"] and held[-1] == "MB"
     assert float(held[-2]) > 0
+    assert lines[end + 1].split()[-2:] == ["wall", "s"]
+    writers = [line.split() for line in lines[end + 2:-1]]
+    assert [w[0] for w in writers] == ["report", "system_s", "lifted_obj", "composite_obj"]
+    assert all(len(w) == 2 and float(w[1]) > 0 for w in writers)
+    rss = lines[-1].split()
+    assert lines[-1].startswith("forked writers' peak RSS") and rss[-1] == "MB"
+    assert float(rss[-2]) > 0
     assert list(tmp_path.iterdir()) == []

@@ -1,15 +1,17 @@
 """Byte oracle for the file writers.
 
 The reference writers below format every cell on its own, node by node.
-The package's writers format blocks of ROW_BLOCK u-rows at once and must
-reproduce the reference bytes on hand-built fields that hit every
-formatting case: masked nodes, NaN and inf inside the mask, -0.0, NaN
-ranks, block boundaries, an all-masked row and a surface with no valid
-cell.
+The package's writers format blocks of ROW_BLOCK u-rows at once, and each
+repeated text (ubar, vbar, node indices, ranks, a coordinate shared by
+every u-row, vertex indices) only once; they must reproduce the reference
+bytes on hand-built fields that hit every formatting case: masked nodes,
+NaN and inf inside the mask, -0.0, NaN ranks, ranks off the table, block
+boundaries, an all-masked row, a surface with no valid cell, and a shared
+coordinate that holds -0.0 and 0.0 or misses one u-row by the last bit.
 
-write_outputs splits the files between this process and a forked child;
-its files must be the inline route's bytes, and a failing writer must give
-the serial order's one error and leave no child behind.
+write_outputs forks one writer per file group; its files must be the
+inline route's bytes, and a failing writer must give the serial order's
+one error and leave no child behind.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from isoembed.report import (
     write_report,
     write_system_csv,
 )
-from isoembed.surface import ROW_BLOCK, EmbeddedSurface, _mask_runs, export_obj
+from isoembed.surface import ROW_BLOCK, EmbeddedSurface, _mask_runs, _row_shared, export_obj, lift
 from isoembed.system_s import SystemReport
 
 # not a multiple of ROW_BLOCK, and more than two blocks
@@ -265,15 +267,80 @@ def test_pipeline_outputs_match_reference(cos2_run, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_system_csv_ranks_off_the_table(tmp_path):
+    # finite ranks outside 0..3 are formatted with %d, as int() truncates
+    rep = _system_report()
+    rep.rank_coeff.values[0, 1:5] = (5.0, -0.5, 7.9, -2.0)
+    rep.rank_aug.values[1, 2] = 3.75
+    write_system_csv(str(tmp_path / "new.csv"), _grid(), rep)
+    reference_system_csv(str(tmp_path / "ref.csv"), _grid(), rep)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert b",5," in new and b",7," in new and b",-2," in new
+
+
+def _row_shared_surface(mask):
+    """The hand-built surface with its third coordinate the same on every
+    u-row, -0.0 on one v-line and 0.0 on another."""
+    surface = _surface(mask)
+    line = np.linspace(-1.0, 2.0, NV) / 3.0
+    line[1], line[4] = -0.0, 0.0
+    surface.position[:, :, 2] = line
+    return surface
+
+
+@pytest.mark.parametrize("mask", ["masked", "full"])
+def test_obj_row_shared_coordinate_matches_reference(tmp_path, mask):
+    surface = _row_shared_surface(_mask() if mask == "masked" else np.ones((NU, NV), bool))
+    assert _row_shared(surface.position[:, :, 2])
+    export_obj(surface, str(tmp_path / "new.obj"))
+    reference_obj(surface, str(tmp_path / "ref.obj"))
+    new = (tmp_path / "new.obj").read_bytes()
+    assert new == (tmp_path / "ref.obj").read_bytes()
+    text = new.decode()
+    assert " -0\n" in text and " 0\n" in text
+
+
+@pytest.mark.parametrize("case", ["last_bit", "signed_zero"])
+def test_obj_coordinate_off_by_the_last_bit_is_formatted_per_node(tmp_path, case):
+    surface = _row_shared_surface(np.ones((NU, NV), bool))
+    z = surface.position[:, :, 2]
+    i, j = (ROW_BLOCK + 2, 3) if case == "last_bit" else (ROW_BLOCK + 2, 1)
+    # z[0, 1] is -0.0, which == 0.0 as a float but not as bits
+    z[i, j] = np.nextafter(z[0, j], np.inf) if case == "last_bit" else 0.0
+    assert not _row_shared(z)
+    export_obj(surface, str(tmp_path / "new.obj"))
+    reference_obj(surface, str(tmp_path / "ref.obj"))
+    new = (tmp_path / "new.obj").read_bytes()
+    assert new == (tmp_path / "ref.obj").read_bytes()
+    vertices = new.decode().splitlines()[NU + 1:]
+    assert vertices[i * NV + j].endswith(f" {z[i, j]:.17g}")
+
+
+def test_real_lift_and_residual_csv_match_reference(small_run, tmp_path):
+    lifted = lift(small_run.chart)
+    # the lift's height is v on every u-row: its texts are shared
+    assert _row_shared(lifted.position[:, :, 2])
+    export_obj(lifted, str(tmp_path / "new.obj"))
+    reference_obj(lifted, str(tmp_path / "ref.obj"))
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+    write_report(_report(), str(tmp_path / "r.json"), str(tmp_path / "new.csv"), small_run.table)
+    reference_residual_csv(str(tmp_path / "ref.csv"), small_run.table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_export_obj_missing_directory_is_io_failure(tmp_path):
     surface = _surface(_mask())
     with pytest.raises(IoFailure, match="cannot write mesh"):
         export_obj(surface, str(tmp_path / "no_such_dir" / "mesh.obj"))
 
 
-# ----------------------------------------------- write_outputs, two processes
+# ------------------------------------------ write_outputs, one writer a group
 
 SMALL = ["--grid-n", "41", "--chart-n", "41", "--out-dir", "out"]
+# the file groups of a run with meshes: report.json with residuals.csv,
+# system_s.csv, the lifted OBJ, the composite OBJ
+GROUPS = 4
 
 
 @pytest.fixture(params=["fork", "inline"])
@@ -300,11 +367,13 @@ def _files(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
-@pytest.mark.parametrize("argv, count", [
-    (["run", "--mesh-out", "mesh"], 5),
-    (["example-cos2"], 3),
+@pytest.mark.parametrize("argv, count, groups", [
+    (["run", "--mesh-out", "mesh"], 5, GROUPS),
+    # example-cos2 writes no mesh
+    (["example-cos2"], 3, 2),
 ], ids=["flat_meshes", "example_cos2"])
-def test_forked_writers_give_the_inline_bytes(argv, count, tmp_path, monkeypatch, forks):
+def test_forked_writers_give_the_inline_bytes(argv, count, groups, tmp_path, monkeypatch,
+                                              forks):
     codes, files = [], []
     for route in ("fork", "inline"):
         if route == "inline":
@@ -313,21 +382,26 @@ def test_forked_writers_give_the_inline_bytes(argv, count, tmp_path, monkeypatch
         monkeypatch.chdir(tmp_path / route)
         codes.append(cli.main(argv + SMALL))
         files.append(_files(tmp_path / route / "out"))
-    assert forks == [1]
+    assert forks == [1] * groups
     assert codes[0] == codes[1]
     assert len(files[0]) == count
     assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("argv, blocked, message", [
-    # both processes fail; the lifted OBJ comes before the composite
+    # both OBJs fail; the lifted one comes first
     (["--mesh-out", "sub/m"], ["sub/m_lifted.obj", "sub/m_composite.obj"],
      "cannot write mesh out/sub/m_lifted.obj"),
+    # residuals.csv alone
     (["--mesh-out", "m", "--residual-csv", "sub/r.csv"], ["sub/r.csv"],
      "cannot write CSV out/sub/r.csv"),
+    # system_s.csv alone
     (["--mesh-out", "m", "--system-csv", "sub/s.csv"], ["sub/s.csv"],
      "cannot write CSV out/sub/s.csv"),
-], ids=["both", "parent_only", "child_only"])
+    # system_s.csv comes before the composite OBJ
+    (["--mesh-out", "sub/m", "--system-csv", "sub/s.csv"],
+     ["sub/s.csv", "sub/m_composite.obj"], "cannot write CSV out/sub/s.csv"),
+], ids=["both", "parent_only", "child_only", "system_and_composite"])
 def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, blocked, message,
                                                            tmp_path, monkeypatch, capsys):
     # a directory where a writer's file goes makes that writer fail
@@ -339,7 +413,7 @@ def test_failing_writer_gives_one_error_and_leaves_no_child(route, argv, blocked
     assert code == 1
     assert err.startswith(f"error: {message}: ") and err.count("\n") == 1, err
     if route is not None:
-        assert route == [1]
+        assert route == [1] * GROUPS
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -360,9 +434,10 @@ def test_child_error_keeps_its_type_and_message(small_run, tmp_path, monkeypatch
     monkeypatch.setattr(pipeline, "write_system_csv", failing)
     with pytest.raises(ValueError, match="^no system table$"):
         pipeline.write_outputs(_written_to(small_run, tmp_path))
-    assert forks == [1]
-    # the parent's files are whole
-    assert (tmp_path / "mesh_composite.obj").read_bytes().endswith(b"\n")
+    assert forks == [1] * GROUPS
+    # the other groups' files are whole
+    for name in ("residuals.csv", "mesh_lifted.obj", "mesh_composite.obj"):
+        assert (tmp_path / name).read_bytes().endswith(b"\n"), name
 
 
 def test_child_ending_without_an_error_is_an_io_failure(small_run, tmp_path, monkeypatch,
@@ -376,6 +451,6 @@ def test_child_ending_without_an_error_is_an_io_failure(small_run, tmp_path, mon
     monkeypatch.setattr(pipeline, "write_system_csv", end_child)
     with pytest.raises(IoFailure, match="output writer process ended with exit code 3"):
         pipeline.write_outputs(_written_to(small_run, tmp_path))
-    assert forks == [1]
+    assert forks == [1] * GROUPS
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
