@@ -67,7 +67,6 @@ def main(argv=()):
     parser.add_argument("--column", default="change", help="column name for these results")
     parser.add_argument("--out", default="BENCH.json", help="JSON file to add the column to")
     parser.add_argument("--grids", default="201,401,801", help="comma-separated grid sizes")
-    parser.add_argument("--cases", default=",".join(CASES), help="comma-separated cases")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     stage_memory = runpy.run_path(str(Path(__file__).with_name("stage_memory.py")))
@@ -86,7 +85,7 @@ def main(argv=()):
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     for n in (int(g) for g in args.grids.split(",")):
-        for case in args.cases.split(","):
+        for case in CASES:
             key = f"{case} {n}"
             result = measure(config(case, n), args.repeats, stage_memory)
             doc["runs"].setdefault(key, {})[args.column] = result

@@ -302,6 +302,23 @@ def _start_writer(job):
     return reap
 
 
+def _reap_all(reaps):
+    """[error or None] of each reap() in order. Every child is reaped even
+    when reaping an earlier one raises (an interrupt during its read, an
+    error that will not unpickle); the first such exception is raised once
+    all are reaped."""
+    errors, failure = [], None
+    for reap in reaps:
+        try:
+            errors.append(reap())
+        except BaseException as exc:  # raised below, after the rest are reaped
+            if failure is None:
+                failure = exc
+    if failure is not None:
+        raise failure
+    return errors
+
+
 def make_parent_dirs(paths):
     """Create the directory each output path lies in, before any is written."""
     for path in paths:
@@ -357,7 +374,7 @@ def write_outputs(result: PipelineResult):
             for job in jobs:
                 reaps.append(_start_writer(job))
         finally:
-            errors = [reap() for reap in reaps]
+            errors = _reap_all(reaps)
         for error in errors:
             if error is not None:
                 raise error

@@ -160,8 +160,6 @@ class NodeTable:
 # cell has a value and where it reads NA
 _CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 3) + ("%.17g\n",)
 _CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 3) + ("NA\n",)
-# the ranks a 3x2 or 3x3 system can have, as system_s.csv writes them
-_RANK_TEXT = np.array(["0,", "1,", "2,", "3,"], dtype=object)
 
 
 def _column(fld, rows, sel):
@@ -175,18 +173,6 @@ def _column(fld, rows, sel):
         return np.zeros(n), np.zeros(n, dtype=bool)
     vals = fld.values[rows][sel]
     return vals, fld.mask[rows][sel] & np.isfinite(vals)
-
-
-def _rank_cells(ranks):
-    """(texts, formatted) of a rank column: the table's text for a rank in
-    [0, 4), which equals its %d, a %-spec left for any other finite rank,
-    and NA where the rank is not finite."""
-    ok = np.isfinite(ranks)
-    known = ok & (ranks >= 0) & (ranks < 4)
-    cells = np.full(ranks.shape, "NA,", dtype=object)
-    cells[known] = _RANK_TEXT[ranks[known].astype(np.intp)]
-    cells[ok & ~known] = "%d,"
-    return cells, ok & ~known
 
 
 def _write_block(fh, n, cells, columns):
@@ -233,8 +219,7 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
 def write_system_csv(path, grid, sys_report):
     """Side table of the per-node linear-system solve: one line per node of
     the system mask, row-major, written in blocks of ROW_BLOCK u-rows. The
-    node's (i; and j) are formatted once per u-row and per v-line, and the
-    ranks come from a table."""
+    node's (i; and j) are formatted once per u-row and per v-line."""
     j_texts = texts_of("%d),", np.arange(grid.nv))
     try:
         with open(path, "w", newline="") as fh:
@@ -246,11 +231,12 @@ def write_system_csv(path, grid, sys_report):
                            (sys_report.e_val, sys_report.g_val, sys_report.g_closed)]
                 cells = [texts_of("(%d;", np.arange(rows.start, rows.stop))[ii], j_texts[jj]]
                 cells += [cell_texts(ok, "%.17g,", "NA,") for _, ok in columns]
+                # a rank reads NA only where it is not finite
                 for rank in (sys_report.rank_coeff, sys_report.rank_aug):
                     r = rank.values[rows][sel]
-                    texts, formatted = _rank_cells(r)
-                    cells.append(texts)
-                    columns.append((r, formatted))
+                    ok = np.isfinite(r)
+                    cells.append(cell_texts(ok, "%d,", "NA,"))
+                    columns.append((r, ok))
                 columns.append(_column(sys_report.aug_det, rows, sel))
                 cells.append(cell_texts(columns[-1][1], "%.17g\n", "NA\n"))
                 _write_block(fh, ii.size, cells, columns)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -49,8 +50,9 @@ def test_stage_memory_reports_every_stage_on_a_small_grid(capsys, tmp_path, monk
     # one row per stage run_pipeline calls and then write_outputs, each with
     # a finite tracemalloc peak, high-water mark and untraced wall time, a
     # line with what the result holds, one timed row per writer on its own,
-    # and a last line with the forked writers' peak RSS; the outputs land in
-    # a temporary directory, not the working one
+    # a line with the peak memory of this process and its forked writers
+    # together, and a last line with the largest writer's peak RSS; the
+    # outputs land in a temporary directory, not the working one
     monkeypatch.chdir(tmp_path)
     script = runpy.run_path(str(SCRIPT_DIR / "stage_memory.py"))
     script["main"](["--grid-n", "41", "--chart-n", "41", "--mesh-out", "m"])
@@ -66,10 +68,13 @@ def test_stage_memory_reports_every_stage_on_a_small_grid(capsys, tmp_path, monk
     assert held[:-2] == ["result", "of", "run_pipeline", "holds"] and held[-1] == "MB"
     assert float(held[-2]) > 0
     assert lines[end + 1].split()[-2:] == ["wall", "s"]
-    writers = [line.split() for line in lines[end + 2:-1]]
+    writers = [line.split() for line in lines[end + 2:-2]]
     assert [w[0] for w in writers] == ["report", "system_s", "lifted_obj", "composite_obj"]
     assert all(len(w) == 2 and float(w[1]) > 0 for w in writers)
+    group = re.fullmatch(r"write_outputs: this process and its writers hold at most (\S+) MB "
+                         r"\(peak summed Pss\), this process's VmHWM (\S+) MB", lines[-2])
+    assert group and all(float(x) > 0 for x in group.groups()), lines[-2]
     rss = lines[-1].split()
-    assert lines[-1].startswith("forked writers' peak RSS") and rss[-1] == "MB"
+    assert lines[-1].startswith("largest forked writer's peak RSS") and rss[-1] == "MB"
     assert float(rss[-2]) > 0
     assert list(tmp_path.iterdir()) == []

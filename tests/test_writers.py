@@ -2,12 +2,12 @@
 
 The reference writers below format every cell on its own, node by node.
 The package's writers format blocks of ROW_BLOCK u-rows at once, and each
-repeated text (ubar, vbar, node indices, ranks, a coordinate shared by
-every u-row, vertex indices) only once; they must reproduce the reference
-bytes on hand-built fields that hit every formatting case: masked nodes,
-NaN and inf inside the mask, -0.0, NaN ranks, ranks off the table, block
-boundaries, an all-masked row, a surface with no valid cell, and a shared
-coordinate that holds -0.0 and 0.0 or misses one u-row by the last bit.
+repeated text (ubar, vbar, node indices, a coordinate shared by every
+u-row, vertex indices) only once; they must reproduce the reference bytes
+on hand-built fields that hit every formatting case: masked nodes, NaN and
+inf inside the mask, -0.0, NaN ranks, block boundaries, an all-masked row,
+a surface with no valid cell, and a shared coordinate that holds -0.0 and
+0.0 or misses one u-row by the last bit.
 
 write_outputs forks one writer per file group; its files must be the
 inline route's bytes, and a failing writer must give the serial order's
@@ -267,18 +267,6 @@ def test_pipeline_outputs_match_reference(cos2_run, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_system_csv_ranks_off_the_table(tmp_path):
-    # finite ranks outside 0..3 are formatted with %d, as int() truncates
-    rep = _system_report()
-    rep.rank_coeff.values[0, 1:5] = (5.0, -0.5, 7.9, -2.0)
-    rep.rank_aug.values[1, 2] = 3.75
-    write_system_csv(str(tmp_path / "new.csv"), _grid(), rep)
-    reference_system_csv(str(tmp_path / "ref.csv"), _grid(), rep)
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "ref.csv").read_bytes()
-    assert b",5," in new and b",7," in new and b",-2," in new
-
-
 def _row_shared_surface(mask):
     """The hand-built surface with its third coordinate the same on every
     u-row, -0.0 on one v-line and 0.0 on another."""
@@ -454,3 +442,26 @@ def test_child_ending_without_an_error_is_an_io_failure(small_run, tmp_path, mon
     assert forks == [1] * GROUPS
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but unpickling calls __init__ with one argument and fails."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def test_child_error_that_will_not_unpickle_still_reaps_every_child(small_run, tmp_path,
+                                                                    monkeypatch, forks):
+    def failing(*args):
+        raise _TwoArgError("no report", "twice")
+
+    # the first group's reap raises; the three after it must still be reaped
+    monkeypatch.setattr(pipeline, "write_report", failing)
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        pipeline.write_outputs(_written_to(small_run, tmp_path))
+    assert forks == [1] * GROUPS
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for name in ("system_s.csv", "mesh_lifted.obj", "mesh_composite.obj"):
+        assert (tmp_path / name).read_bytes().endswith(b"\n"), name
