@@ -12,6 +12,7 @@ near isometric), while the fitted speed/slope profile drives both to zero.
 import numpy as np
 
 from isoembed.config import RunConfig
+from isoembed.fields import sup_mean_abs
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.plane import build_chart, make_base_curve
 from isoembed.report import compatibility_residual, isometry_residual
@@ -32,7 +33,7 @@ def sweep(metric_name, v_half):
         iso = isometry_residual(comp, base.f_report.gbar)
         dg = compatibility_residual(base.sys_report.g_val, chart, base.pc)
         e_sup, f_sup, _ = iso.sups()
-        rows.append((spec, dg.sup(), e_sup, f_sup))
+        rows.append((spec, sup_mean_abs(dg)[0], e_sup, f_sup))
     print(f"\n=== metric {metric_name} (v half-width {v_half})")
     print(f"{'chart':<16}{'sup dG':>12}{'sup|E-1|':>12}{'sup|F|':>12}")
     for name, dg_sup, e_sup, f_sup in rows:

@@ -24,7 +24,7 @@ def main():
     write_outputs(res)
 
     print(f"flat case: {elapsed:.2f}s, certified nodes {res.pc.certified.sum()}")
-    print(f"Jacobian at center: {res.pc.jac.values[100, 100]:.10f} "
+    print(f"Jacobian at center: {res.pc.jac[100, 100]:.10f} "
           f"(closed form {0.1/np.sqrt(0.99):.10f})")
     g_c = res.report.meta["g_cramer_center"]
     print(f"solved metric coefficient at center: {g_c:.6f} (expected 99)")

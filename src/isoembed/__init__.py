@@ -8,7 +8,7 @@ residual with an explicit tolerance.
 """
 
 from .config import RunConfig, Tolerances, example_cos2_config, load_config
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D
 from .initial import InitialData, make_initial
 from .ivp import SolveReport, c2_defect_scan, solve_f, solve_g
 from .metric import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import _TOL_FIELDS, RunConfig, example_cos2_config, load_config, refuse_shared_paths
 from .errors import BadParameter, GridTooSmall, IoFailure, IsoembedError
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D
 from .metric import Rect, make_metric
 from .pipeline import make_parent_dirs, run_pipeline, write_outputs
 from .report import NodeTable, VerificationReport, isometry_residual, write_report
@@ -116,7 +116,10 @@ def cmd_verify(args) -> int:
     outputs = {"--report-json": out}
     if args.residual_csv:
         outputs["--residual-csv"] = args.residual_csv
-    refuse_shared_paths(outputs, {"MESH": args.mesh, "--fields": args.fields})
+    inputs = {"MESH": args.mesh, "--fields": args.fields}
+    if args.metric.startswith("file:"):
+        inputs["--metric"] = args.metric[len("file:"):]
+    refuse_shared_paths(outputs, inputs)
     grid, f_fld, g_fld, mask = _load_fields_csv(args.fields)
     pos, obj_mask = load_obj_positions(args.mesh, grid.nu, grid.nv)
     if obj_mask is not None:
@@ -145,8 +148,10 @@ def cmd_verify(args) -> int:
 def _load_fields_csv(path):
     """Grid, f, g and node mask from a residual CSV written by `run`.
 
-    The surface mask prefers the E_res column (the composite's actual valid
-    set) and falls back to f,g availability for hand-made field files.
+    f and g are fields (see fields), both NaN wherever either is NA or not
+    finite. The surface mask prefers the E_res column (the composite's
+    actual valid set) and falls back to f,g availability for hand-made
+    field files.
     """
     import csv as _csv
 
@@ -187,16 +192,15 @@ def _load_fields_csv(path):
                   du=float((us[-1] - us[0]) / (nu - 1)),
                   dv=float((vs[-1] - vs[0]) / (nv - 1)), nu=nu, nv=nv)
     # row-major rows: reshaping puts row i * nv + j at node (i, j)
-    fv = fv.reshape(nu, nv)
-    gv = gv.reshape(nu, nv)
-    field_mask = np.isfinite(fv) & np.isfinite(gv)
-    mask = field_mask
+    fv, gv = fv.reshape(nu, nv), gv.reshape(nu, nv)
+    mask = np.isfinite(fv) & np.isfinite(gv)
+    fv[~mask] = gv[~mask] = np.nan
     if "E_res" in header:
         col = header.index("E_res")
         surf_ok = np.array([r[col] != "NA" for r in rows]).reshape(nu, nv)
         if surf_ok.any():
             mask = surf_ok
-    return grid, ScalarField2D(grid, fv, mask=field_mask), ScalarField2D(grid, gv, mask=field_mask), mask
+    return grid, fv, gv, mask
 
 
 class _Parser(argparse.ArgumentParser):

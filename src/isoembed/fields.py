@@ -1,24 +1,30 @@
-"""Uniform rectangular grids and masked scalar fields.
+"""Uniform rectangular grids and the per-node fields on them.
 
-A quantity the pipeline keeps lives on a ScalarField2D: samples on a
-uniform grid plus a validity mask. Derivatives are plain arrays, 2nd-order
-central in the interior, else 2nd-order one-sided where a neighbor is
-missing (grid edge or masked node), else NaN. One masked kernel,
-first_derivative, serves every mask: it takes the central stencil on the
-interior from shifted slices, and the one-sided stencils only at the valid
-nodes with no central one, gathered by one np.nonzero. It never reads a
-masked node, so it differences any array on a mask in place.
+A field is a plain (nu, nv) float array on a Grid2D, NaN exactly at the
+nodes where it carries no value: the one rule every per-node quantity of a
+run keeps (the marched maps, their derivatives and Jacobian, the system's
+solution, the residuals). A field's valid set is np.isfinite of it, and
+an array formed from fields whose value overflows to +-inf gets NaN there.
+sup_mean_abs folds a field into the sup and mean a report gives.
+
+Derivatives are 2nd-order central in the interior, else 2nd-order
+one-sided where a neighbor is missing (grid edge or masked node), else
+NaN. One masked kernel, first_derivative, serves every mask: it takes the
+central stencil on the interior from shifted slices, and the one-sided
+stencils only at the valid nodes with no central one, gathered by one
+np.nonzero. It never reads a masked node, so it differences any array on
+a mask in place; a field's mask is np.isfinite of it.
 
 The planar chart, whose derivatives feed tight identity checks, is
 differenced with 4th-order stencils by first_derivative_4: 5-point
 central in the interior and 4th-order one-sided on the two edge rows at
 each end (Fornberg, Math. Comp. 51, 1988).
 
-ScalarField2D.interp samples a field bilinearly; sampled (file:) metrics
-are its one caller. It walks its flattened queries in blocks of
-NODE_BLOCK, as solve_system_grid and compose walk the solve grid, so the
-temporaries stay bounded however large the grid; every operation is per
-query, so the blocks give the same bits as one whole-grid pass.
+bilinear samples a field between its nodes; sampled (file:) metrics are
+its one caller. It walks its flattened queries in blocks of NODE_BLOCK, as
+solve_system_grid and compose walk the solve grid, so the temporaries stay
+bounded however large the grid; every operation is per query, so the
+blocks give the same bits as one whole-grid pass.
 
 Index convention: values[i, j] samples (u_i, v_j), i.e. axis 0 is the
 u direction and axis 1 the v direction.
@@ -26,7 +32,7 @@ u direction and axis 1 the v direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,117 +205,78 @@ def second_derivative(values, mask, h, axis):
     return out
 
 
-@dataclass
-class ScalarField2D:
-    """Sampled scalar function with validity mask and stencil accessors."""
+def sup_mean_abs(values):
+    """(max, mean) of |values| over its entries that are not NaN, with the
+    bits of np.nanmax and np.nanmean of np.abs(values); (NaN, NaN), without
+    their warnings, where every entry is NaN. An infinite entry counts, so
+    an infinite residual fails its gate."""
+    a = np.abs(values)
+    skip = np.isnan(a)
+    n = a.size - np.count_nonzero(skip)
+    if not n:
+        return float("nan"), float("nan")
+    a[skip] = 0.0
+    return float(a.max()), float(a.sum() / n)
 
-    grid: Grid2D
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nu, self.grid.nv):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.nu}, {self.grid.nv})"
-            )
-        if self.mask is None:
-            self.mask = np.isfinite(self.values)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.values.shape:
-                raise ValueError("mask shape does not match values")
-        # masked nodes carry no value claim
-        self.values = np.where(self.mask, self.values, np.nan)
+def bilinear(grid: Grid2D, values, u, v):
+    """Bilinear interpolation of the samples `values` on grid at the
+    broadcast queries (u, v).
 
-    @classmethod
-    def from_function(cls, grid, fn, mask=None):
-        U, V = grid.meshgrid()
-        return cls(grid, np.asarray(fn(U, V), dtype=float) * np.ones_like(U), mask=mask)
+    Returns (out, ok) in the broadcast shape: ok marks finite queries whose
+    cell corners are all inside the grid and have a value, and out is NaN
+    elsewhere. Queries within SNAP_EPS cells of a grid line snap onto it,
+    so node-exact queries read the samples bit-exactly. The queries are
+    taken NODE_BLOCK at a time.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    shape = u.shape
+    u, v = u.ravel(), v.ravel()
+    out = np.empty(u.size)
+    ok = np.empty(u.size, dtype=bool)
+    g, w = grid, values
+    for b in node_blocks(u.size):
+        finite_q = np.isfinite(u[b]) & np.isfinite(v[b])
+        su = np.where(finite_q, (u[b] - g.u0) / g.du, 0.0)
+        sv = np.where(finite_q, (v[b] - g.v0) / g.dv, 0.0)
+        iu = np.floor(su).astype(int)
+        iv = np.floor(sv).astype(int)
+        fu = su - iu
+        fv = sv - iv
 
-    @classmethod
-    def constant(cls, grid, value, mask=None):
-        return cls(grid, np.full((grid.nu, grid.nv), float(value)), mask=mask)
+        # snap to the nearest grid line
+        hi_u = fu > 1.0 - SNAP_EPS
+        iu = np.where(hi_u, iu + 1, iu)
+        fu = np.where(hi_u, 0.0, fu)
+        fu = np.where(fu < SNAP_EPS, 0.0, fu)
+        hi_v = fv > 1.0 - SNAP_EPS
+        iv = np.where(hi_v, iv + 1, iv)
+        fv = np.where(hi_v, 0.0, fv)
+        fv = np.where(fv < SNAP_EPS, 0.0, fv)
 
-    def d_u(self):
-        return first_derivative(self.values, self.mask, self.grid.du, 0)
+        on_u = fu == 0.0
+        on_v = fv == 0.0
+        iu_n = iu + np.where(on_u, 0, 1)
+        iv_n = iv + np.where(on_v, 0, 1)
+        inside = finite_q & (iu >= 0) & (iv >= 0) & (iu_n <= g.nu - 1) & (iv_n <= g.nv - 1)
+        iu, iu_n = np.clip(iu, 0, g.nu - 1), np.clip(iu_n, 0, g.nu - 1)
+        iv, iv_n = np.clip(iv, 0, g.nv - 1), np.clip(iv_n, 0, g.nv - 1)
 
-    def d_v(self):
-        return first_derivative(self.values, self.mask, self.grid.dv, 1)
-
-    def d_uu(self):
-        if self.grid.nu < 5:
-            raise GridTooSmall("second differences need at least 5 samples in u")
-        return second_derivative(self.values, self.mask, self.grid.du, 0)
-
-    def sup(self):
-        """Max |value| over valid nodes (NaN if none)."""
-        if not self.mask.any():
-            return float("nan")
-        return float(np.nanmax(np.abs(self.values)))
-
-    def mean_abs(self):
-        if not self.mask.any():
-            return float("nan")
-        return float(np.nanmean(np.abs(self.values)))
-
-    def interp(self, u, v):
-        """Bilinear interpolation at the broadcast queries (u, v).
-
-        Returns (values, ok) in the broadcast shape: ok marks finite queries
-        whose cell corners are all inside the grid and valid, and values are
-        NaN elsewhere. Queries within SNAP_EPS cells of a grid line snap onto
-        it, so node-exact queries read stored values bit-exactly. The
-        queries are taken NODE_BLOCK at a time.
-        """
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        shape = u.shape
-        u, v = u.ravel(), v.ravel()
-        out = np.empty(u.size)
-        ok = np.empty(u.size, dtype=bool)
-        g, m, w = self.grid, self.mask, self.values
-        for b in node_blocks(u.size):
-            finite_q = np.isfinite(u[b]) & np.isfinite(v[b])
-            su = np.where(finite_q, (u[b] - g.u0) / g.du, 0.0)
-            sv = np.where(finite_q, (v[b] - g.v0) / g.dv, 0.0)
-            iu = np.floor(su).astype(int)
-            iv = np.floor(sv).astype(int)
-            fu = su - iu
-            fv = sv - iv
-
-            # snap to the nearest grid line
-            hi_u = fu > 1.0 - SNAP_EPS
-            iu = np.where(hi_u, iu + 1, iu)
-            fu = np.where(hi_u, 0.0, fu)
-            fu = np.where(fu < SNAP_EPS, 0.0, fu)
-            hi_v = fv > 1.0 - SNAP_EPS
-            iv = np.where(hi_v, iv + 1, iv)
-            fv = np.where(hi_v, 0.0, fv)
-            fv = np.where(fv < SNAP_EPS, 0.0, fv)
-
-            on_u = fu == 0.0
-            on_v = fv == 0.0
-            iu_n = iu + np.where(on_u, 0, 1)
-            iv_n = iv + np.where(on_v, 0, 1)
-            inside = finite_q & (iu >= 0) & (iv >= 0) & (iu_n <= g.nu - 1) & (iv_n <= g.nv - 1)
-            iu, iu_n = np.clip(iu, 0, g.nu - 1), np.clip(iu_n, 0, g.nu - 1)
-            iv, iv_n = np.clip(iv, 0, g.nv - 1), np.clip(iv_n, 0, g.nv - 1)
-            ok[b] = inside & m[iu, iv] & m[iu_n, iv] & m[iu, iv_n] & m[iu_n, iv_n]
-
-            v00 = w[iu, iv]
-            v10 = w[iu_n, iv]
-            v01 = w[iu, iv_n]
-            v11 = w[iu_n, iv_n]
-            val = (
-                v00 * (1 - fu) * (1 - fv)
-                + v10 * fu * (1 - fv)
-                + v01 * (1 - fu) * fv
-                + v11 * fu * fv
-            )
-            # exact pass-through on snapped lines (avoids 0*nan contamination too)
-            val = np.where(on_u & on_v, v00, val)
-            val = np.where(on_u & ~on_v, v00 * (1 - fv) + v01 * fv, val)
-            val = np.where(~on_u & on_v, v00 * (1 - fu) + v10 * fu, val)
-            out[b] = np.where(ok[b], val, np.nan)
-        return out.reshape(shape), ok.reshape(shape)
+        v00 = w[iu, iv]
+        v10 = w[iu_n, iv]
+        v01 = w[iu, iv_n]
+        v11 = w[iu_n, iv_n]
+        ok[b] = (inside & np.isfinite(v00) & np.isfinite(v10) & np.isfinite(v01)
+                 & np.isfinite(v11))
+        val = (
+            v00 * (1 - fu) * (1 - fv)
+            + v10 * fu * (1 - fv)
+            + v01 * (1 - fu) * fv
+            + v11 * fu * fv
+        )
+        # exact pass-through on snapped lines (avoids 0*nan contamination too)
+        val = np.where(on_u & on_v, v00, val)
+        val = np.where(on_u & ~on_v, v00 * (1 - fv) + v01 * fv, val)
+        val = np.where(~on_u & on_v, v00 * (1 - fu) + v10 * fu, val)
+        out[b] = np.where(ok[b], val, np.nan)
+    return out.reshape(shape), ok.reshape(shape)

@@ -27,8 +27,10 @@ reads contiguous rows, not one value per row of a (nu, nv) array.
 
 The valid region shrinks laterally by the characteristic cone (the
 one-sided boundary stencils are only trustworthy inside the numerical
-domain of dependence), producing a trapezoidal mask. Nodes where f_u
-comes within GUARD of 1 are masked, never clamped.
+domain of dependence), producing a trapezoidal valid region. Nodes where
+f_u comes within GUARD of 1 are left out, never clamped. Each marched map
+is a field (see fields): NaN exactly off its valid region, which is its
+report's column intervals, level by level; g is NaN wherever f is.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BadParameter, ValidityLoss
-from .fields import Grid2D, ScalarField2D
+from .fields import Grid2D, first_derivative, sup_mean_abs
 from .initial import InitialData
 from .metric import GeodesicMetric2D
 
@@ -50,22 +52,19 @@ GUARD = 1e-6  # f_u >= 1 - GUARD is masked: lam blows up at f_u = 1
 
 @dataclass
 class SolveReport:
-    field: ScalarField2D
+    grid: Grid2D
+    field: np.ndarray  # the marched map, NaN off its valid region
     max_residual: float  # sup and mean of the substitution residual
     mean_residual: float
     steps: int
     intervals: np.ndarray  # (nv, 2) valid column interval [L, R] per level, L > R = empty
     d_u: np.ndarray  # the field's stencil derivatives, taken once here for every consumer
     d_v: np.ndarray
-    gbar: ScalarField2D  # the metric's G on the grid's nodes, sampled once by solve_f
+    gbar: np.ndarray  # the metric's G on the grid's nodes, sampled once by solve_f
     # slope_to_lambda of f's d_u, NaN where invalid: taken once by solve_f for
     # the g march and both residuals; g's report holds none, and run_pipeline
     # drops f's once g is marched
     lam: np.ndarray = None
-
-    @property
-    def mask(self):
-        return self.field.mask
 
 
 def slope_to_lambda(fu):
@@ -97,7 +96,8 @@ def _march(grid, seed_row, coeff, rhs, speed_of, guard_check=None, clamp=None):
     guard_check(seg, L, R) -> per-column bool of guard violations, or None;
     clamp -> per-level column intervals the march may not exceed (used to
     keep the transport solve inside the coefficient field's support).
-    Returns (values, mask, intervals, substep count).
+    Returns (values, intervals, substep count); values are NaN off the
+    intervals.
     """
     nu, nv = grid.nu, grid.nv
     du = grid.du
@@ -105,12 +105,10 @@ def _march(grid, seed_row, coeff, rhs, speed_of, guard_check=None, clamp=None):
     vs = grid.v_coords
     # level-major while marching: each level is one contiguous row
     values = np.full((nv, nu), np.nan)
-    mask = np.zeros((nv, nu), dtype=bool)
     intervals = np.empty((nv, 2), dtype=int)
     intervals[:, 0] = 1
     intervals[:, 1] = 0
     values[j0] = seed_row
-    mask[j0] = True
     intervals[j0] = (0, nu - 1)
     steps = 0
 
@@ -168,13 +166,12 @@ def _march(grid, seed_row, coeff, rhs, speed_of, guard_check=None, clamp=None):
                 break
             L, R = Ln, Rn
             values[jn, L : R + 1] = row[L : R + 1]
-            mask[jn, L : R + 1] = True
             intervals[jn] = (L, R)
             j = jn
-    return np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T), intervals, steps
+    return np.ascontiguousarray(values.T), intervals, steps
 
 
-def _sqrt_g_reader(metric: GeodesicMetric2D, gbar: ScalarField2D):
+def _sqrt_g_reader(metric: GeodesicMetric2D, gbar, grid: Grid2D):
     """sqrt(G) on columns L..R at v, read from the samples gbar where v is
     bitwise one of their grid levels and evaluated by the metric elsewhere.
 
@@ -182,9 +179,9 @@ def _sqrt_g_reader(metric: GeodesicMetric2D, gbar: ScalarField2D):
     and G is taken per point, so both routes give the same bits. The
     samples' roots are taken once, into a level-major table whose levels
     are contiguous rows."""
-    u = gbar.grid.u_coords
-    level = {v: j for j, v in enumerate(gbar.grid.v_coords.tolist())}
-    root = np.sqrt(np.ascontiguousarray(gbar.values.T))
+    u = grid.u_coords
+    level = {v: j for j, v in enumerate(grid.v_coords.tolist())}
+    root = np.sqrt(np.ascontiguousarray(gbar.T))
 
     def sqrt_g(v, L, R):
         j = level.get(v)
@@ -226,7 +223,7 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D) -> SolveR
     u = grid.u_coords
     init.check_grid(u)
 
-    coeff = _sqrt_g_reader(metric, gbar)
+    coeff = _sqrt_g_reader(metric, gbar, grid)
 
     def rhs(seg, sqrt_g):
         fu = _segment_slope(seg, grid.du)
@@ -242,17 +239,16 @@ def solve_f(metric: GeodesicMetric2D, init: InitialData, grid: Grid2D) -> SolveR
         fu = _segment_slope(row[L : R + 1], grid.du)
         return (fu >= 1.0 - GUARD) | (fu <= 0.0)
 
-    values, mask, intervals, steps = _march(grid, init.h(u), coeff, rhs, speed_of,
-                                            guard_check=guard_check)
+    f, intervals, steps = _march(grid, init.h(u), coeff, rhs, speed_of,
+                                 guard_check=guard_check)
 
-    if mask.sum() <= grid.nu:
+    if np.count_nonzero(~np.isnan(f)) <= grid.nu:
         raise ValidityLoss("f lost validity immediately off the initial line")
 
-    f = ScalarField2D(grid, values, mask=mask)
-    fu, fv = f.d_u(), f.d_v()
+    fu, fv = _stencils(f, grid)
     lam, _ = slope_to_lambda(fu)
-    sup, mean = residual_f(gbar, f, fu, fv, lam)
-    return SolveReport(field=f, max_residual=sup, mean_residual=mean, steps=steps,
+    sup, mean = residual_f(gbar, fu, fv, lam)
+    return SolveReport(grid=grid, field=f, max_residual=sup, mean_residual=mean, steps=steps,
                        intervals=intervals, d_u=fu, d_v=fv, gbar=gbar, lam=lam)
 
 
@@ -266,13 +262,13 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     """
     if grid.row_index_of_v(0.0) is None:
         raise BadParameter("grid must contain the initial line v = 0 as a grid row")
-    if f_report.field.grid != grid:
+    if f_report.grid != grid:
         raise BadParameter("f was solved on a different grid")
     u = grid.u_coords
     init.check_grid(u)
 
     lam_at = _lambda_reader(f_report.lam, grid)
-    sqrt_g = _sqrt_g_reader(metric, f_report.gbar)
+    sqrt_g = _sqrt_g_reader(metric, f_report.gbar, grid)
 
     def coeff(v, L, R):
         return lam_at(v, L, R) * sqrt_g(v, L, R)
@@ -283,43 +279,36 @@ def solve_g(metric: GeodesicMetric2D, f_report: SolveReport, init: InitialData,
     def speed_of(seg, c):
         return float(np.max(np.abs(np.where(np.isfinite(c), c, 0.0))))
 
-    values, mask, intervals, steps = _march(grid, init.k(u), coeff, rhs, speed_of,
-                                            clamp=f_report.intervals)
+    g, intervals, steps = _march(grid, init.k(u), coeff, rhs, speed_of,
+                                 clamp=f_report.intervals)
 
     # g carries no claim where f carries none
-    mask &= f_report.mask
+    g[np.isnan(f_report.field)] = np.nan
 
-    g = ScalarField2D(grid, values, mask=mask)
-    gu, gv = g.d_u(), g.d_v()
-    sup, mean = residual_g(f_report.gbar, f_report.field, f_report.lam, g, gu, gv)
-    return SolveReport(field=g, max_residual=sup, mean_residual=mean, steps=steps,
+    gu, gv = _stencils(g, grid)
+    sup, mean = residual_g(f_report.gbar, f_report.lam, gu, gv)
+    return SolveReport(grid=grid, field=g, max_residual=sup, mean_residual=mean, steps=steps,
                        intervals=intervals, d_u=gu, d_v=gv, gbar=f_report.gbar)
 
 
-def residual_f(gbar: ScalarField2D, f: ScalarField2D, fu, fv, lam) -> tuple:
+def _stencils(values, grid: Grid2D):
+    """(d_u, d_v) of a marched map, on its valid region."""
+    ok = np.isfinite(values)
+    return (first_derivative(values, ok, grid.du, 0),
+            first_derivative(values, ok, grid.dv, 1))
+
+
+def residual_f(gbar, fu, fv, lam) -> tuple:
     """(sup, mean) of the substitution residual |sqrt(G) f_u + lam f_v|
-    from G's samples gbar, f's stencils fu, fv and lam = slope_to_lambda(fu)."""
-    res = np.sqrt(gbar.values) * fu + lam * fv
-    return _sup_mean_abs(res, f.mask & np.isfinite(lam) & np.isfinite(fv))
+    from G's samples gbar, f's stencils fu, fv and lam = slope_to_lambda(fu);
+    a node where any of them is NaN carries none."""
+    return sup_mean_abs(np.sqrt(gbar) * fu + lam * fv)
 
 
-def residual_g(gbar: ScalarField2D, f: ScalarField2D, lam, g: ScalarField2D, gu, gv) -> tuple:
+def residual_g(gbar, lam, gu, gv) -> tuple:
     """(sup, mean) of the substitution residual |lam sqrt(G) g_u - g_v|;
     lam frozen from f's stencil (slope_to_lambda), G from its samples gbar."""
-    res = lam * np.sqrt(gbar.values) * gu - gv
-    return _sup_mean_abs(res, g.mask & f.mask & np.isfinite(lam) & np.isfinite(gu)
-                         & np.isfinite(gv))
-
-
-def _sup_mean_abs(res, valid):
-    """(sup, mean) of |res| over the valid nodes where res is finite, NaN
-    where there are none; the mean sums the whole array with 0 off those
-    nodes, so it has the bits of ScalarField2D.mean_abs's nanmean."""
-    ok = valid & np.isfinite(res)
-    if not ok.any():
-        return float("nan"), float("nan")
-    a = np.where(ok, np.abs(res), 0.0)
-    return float(a.max()), float(a.sum() / np.count_nonzero(ok))
+    return sup_mean_abs(lam * np.sqrt(gbar) * gu - gv)
 
 
 @dataclass
@@ -351,15 +340,13 @@ class DefectReport:
         return best.u
 
 
-def c2_defect_scan(f: ScalarField2D, threshold=1e-2) -> DefectReport:
+def c2_defect_scan(f, grid: Grid2D, threshold=1e-2) -> DefectReport:
     """Scan each marching level for a jump between one-sided second
     differences of f along u; per row, report the strongest super-threshold
     jump. Smooth data stays orders of magnitude below any sane threshold.
     """
-    grid = f.grid
     du2 = grid.du**2
-    vals = f.values
-    m = f.mask
+    m = np.isfinite(f)
     report = DefectReport(threshold=threshold)
     us = grid.u_coords
     vscoord = grid.v_coords
@@ -369,7 +356,7 @@ def c2_defect_scan(f: ScalarField2D, threshold=1e-2) -> DefectReport:
         if idx.size < 5:
             continue
         L, R = idx[0], idx[-1]
-        seg = vals[L : R + 1, j]
+        seg = f[L : R + 1, j]
         if not np.all(np.isfinite(seg)):
             continue
         # right- and left-sided second differences about each interior column

@@ -8,7 +8,8 @@ sampled metrics interpolate bilinearly and carry none.
 For this metric form the intrinsic (Gaussian) curvature reduces to
 K = -(sqrt(G))_uu / sqrt(G), which is what both curvature paths compute:
 curvature_field in closed form, curvature_from_samples by differences of
-samples of G.
+samples of G. Both return fields (see fields): NaN where K has no finite
+value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParameter, GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
-from .fields import Grid2D, ScalarField2D, second_derivative
+from .fields import Grid2D, bilinear, second_derivative
 
 DEFAULT_HALF_WIDTH = 0.5  # domain half-width when a config omits it
 
@@ -69,11 +70,10 @@ class GeodesicMetric2D:
     def sqrt_g(self, u, v):
         return np.sqrt(self.eval(u, v))
 
-    def sample(self, grid: Grid2D) -> ScalarField2D:
+    def sample(self, grid: Grid2D) -> np.ndarray:
         """G on every node of grid, checked as eval checks it: the one
         sampling of Gbar a run takes, which every later stage reads."""
-        U, V = grid.meshgrid()
-        return ScalarField2D(grid, self.eval(U, V))
+        return self.eval(*grid.meshgrid())
 
     @property
     def has_analytic_curvature(self):
@@ -147,10 +147,9 @@ def load_metric_csv(path: str) -> GeodesicMetric2D:
     values[i, j] = pts[:, 2]
     if np.any(values <= 0.0):
         raise NonPositiveMetric(f"{path}: sampled G must be positive everywhere")
-    fld = ScalarField2D(grid, values)
 
     def g_fn(u, v):
-        out, ok = fld.interp(u, v)
+        out, ok = bilinear(grid, values, u, v)
         if not np.all(ok):
             raise OutOfDomain("sampled metric queried outside its grid")
         return out
@@ -163,28 +162,29 @@ def load_metric_csv(path: str) -> GeodesicMetric2D:
     )
 
 
-def curvature_from_samples(g_field: ScalarField2D) -> ScalarField2D:
-    """K = -(sqrt G)_uu / sqrt G by central differences, interior nodes only."""
-    grid = g_field.grid
+def curvature_from_samples(gbar, grid: Grid2D) -> np.ndarray:
+    """K = -(sqrt G)_uu / sqrt G by differences of the samples gbar of G on
+    grid, on the nodes where G is finite and not on the first or last u-row."""
     if grid.nu < 5:
         raise GridTooSmall("curvature needs at least 3 interior samples in u")
-    vals = g_field.values
-    if np.any(vals[g_field.mask] <= 0.0):
+    ok = np.isfinite(gbar)
+    if np.any(gbar[ok] <= 0.0):
         raise NonPositiveMetric("curvature of a non-positive metric sample")
-    w = np.where(g_field.mask, np.sqrt(np.where(g_field.mask, vals, 1.0)), np.nan)
-    interior = g_field.mask.copy()
-    interior[0, :] = False
-    interior[-1, :] = False
-    wuu = second_derivative(w, g_field.mask, grid.du, 0)
-    k = np.where(interior, -wuu / w, np.nan)
-    return ScalarField2D(grid, k, mask=interior & np.isfinite(k))
+    w = np.sqrt(np.where(ok, gbar, np.nan))
+    k = -second_derivative(w, ok, grid.du, 0) / w
+    k[[0, -1]] = np.nan
+    k[np.isinf(k)] = np.nan
+    return k
 
 
-def curvature_field(m: GeodesicMetric2D, grid: Grid2D) -> ScalarField2D:
-    """The metric's closed-form curvature on a grid."""
+def curvature_field(m: GeodesicMetric2D, grid: Grid2D) -> np.ndarray:
+    """The metric's closed-form curvature on a grid, NaN where not finite."""
     if not m.has_analytic_curvature:
         raise ValueError(f"metric '{m.name}' has no analytic curvature")
-    return ScalarField2D.from_function(grid, m.curvature_fn)
+    U, V = grid.meshgrid()
+    k = np.asarray(m.curvature_fn(U, V), dtype=float) * np.ones_like(U)
+    k[np.isinf(k)] = np.nan
+    return k
 
 
 @dataclass(frozen=True)
@@ -204,23 +204,21 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_metric(gbar: ScalarField2D, tol: float = 1e-8,
+def validate_metric(gbar, grid: Grid2D, tol: float = 1e-8,
                     slope_bound: float = 1e6) -> ValidationReport:
     """Positivity floor (G > tol) and bounded-first-difference checks on
-    samples of G, as GeodesicMetric2D.sample takes them.
+    the samples gbar of G on grid, as GeodesicMetric2D.sample takes them.
 
     sample has already refused points outside the domain and G <= 0. The
     difference bound is a sampling proxy for G being C^1: violations are
     data for the report, not errors.
     """
-    grid = gbar.grid
     us, vs = grid.u_coords, grid.v_coords
-    g = gbar.values
-    su = np.abs(np.diff(g, axis=0)) / grid.du
-    sv = np.abs(np.diff(g, axis=1)) / grid.dv
+    su = np.abs(np.diff(gbar, axis=0)) / grid.du
+    sv = np.abs(np.diff(gbar, axis=1)) / grid.dv
     return ValidationReport([
         Violation(kind, (int(i), int(j)), (float(us[i]), float(vs[j])), float(vals[i, j]))
-        for kind, vals, bad in (("nonpositive", g, g <= tol),
+        for kind, vals, bad in (("nonpositive", gbar, gbar <= tol),
                                 ("first_difference", su, su >= slope_bound),
                                 ("first_difference", sv, sv >= slope_bound))
         for i, j in np.argwhere(bad)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import IoFailure, NonPositiveMetric
-from .fields import Grid2D
+from .fields import Grid2D, sup_mean_abs
 from .initial import make_initial
 from .ivp import c2_defect_scan, solve_f, solve_g
 from .metric import Rect, curvature_field, curvature_from_samples, make_metric, validate_metric
@@ -58,42 +58,30 @@ class PipelineResult:
         return self.report.all_passed
 
 
-def _interior_mask(mask, grid):
-    """Nodes of `mask` whose four first-derivative stencils are central."""
-    out = mask.copy()
+def _interior_mask(mask):
+    """Nodes of `mask` that are neither on the first or last two v-lines
+    nor among the first or last two nodes of `mask` on their v-line."""
+    before = np.cumsum(mask, axis=0)  # nodes of mask on the v-line up to here
+    after = before[-1] - before + mask  # ... and from here on
+    out = mask & (before > 2) & (after > 2)
     out[:, :2] = False
     out[:, -2:] = False
-    for j in range(grid.nv):
-        cols = np.flatnonzero(mask[:, j])
-        if cols.size:
-            out[cols[:2], j] = False
-            out[cols[-2:], j] = False
     return out
 
 
-def _sup_on(values, mask):
-    sel = np.where(mask, values, np.nan)
-    return float(np.nanmax(sel)) if mask.any() else float("nan")
-
-
-def _curvature_stencil_dev(metric, gbar):
+def _curvature_stencil_dev(metric, gbar, grid):
     """sup |K_fd - K| with K_fd from the samples gbar and K the metric's
     closed form; NaN, with nothing computed, where it has none."""
     if not metric.has_analytic_curvature:
         return float("nan")
-    k_fd = curvature_from_samples(gbar)
-    k = curvature_field(metric, gbar.grid)
-    return _sup_on(np.abs(k_fd.values - k.values), k_fd.mask & k.mask)
+    return sup_mean_abs(curvature_from_samples(gbar, grid) - curvature_field(metric, grid))[0]
 
 
 def resolve_chart_source(cfg: RunConfig, pc, sys_report):
     """Chart generator for the compose step (fitted profile or named curve)."""
     if cfg.base_curve == "auto":
-        sel = pc.certified & sys_report.g_val.mask
-        u_pts = pc.f.values[sel]
-        v_pts = pc.g.values[sel]
-        target = sys_report.g_val.values[sel]
-        return fit_chart_profile(u_pts, v_pts, target)
+        sel = pc.certified & np.isfinite(sys_report.g_val)
+        return fit_chart_profile(pc.f[sel], pc.g[sel], sys_report.g_val[sel])
     return make_base_curve(cfg.base_curve)
 
 
@@ -101,9 +89,8 @@ def chart_grid_for(pc, cfg: RunConfig) -> Grid2D:
     """Chart rectangle: bounding box of the certified image plus 10% margin,
     sampled by the configured chart_n_u x chart_n_v lines.
     """
-    sel = pc.certified
-    u_img = pc.f.values[sel]
-    v_img = pc.g.values[sel]
+    u_img = pc.f[pc.certified]
+    v_img = pc.g[pc.certified]
     u_lo, u_hi = float(u_img.min()), float(u_img.max())
     v_lo, v_hi = float(v_img.min()), float(v_img.max())
     du = u_hi - u_lo
@@ -131,7 +118,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     # solve_f samples G on the grid once; every stage below reads those samples
     f_report = solve_f(metric, init, grid)
     gbar = f_report.gbar
-    validation = validate_metric(gbar, tol=tol.positivity_floor, slope_bound=tol.slope_bound)
+    validation = validate_metric(gbar, grid, tol=tol.positivity_floor, slope_bound=tol.slope_bound)
     if any(v.kind == "nonpositive" for v in validation.violations):
         raise NonPositiveMetric(
             f"metric '{cfg.metric}' is not positive on the requested grid"
@@ -146,11 +133,11 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     j0 = grid.row_index_of_v(0.0)
     us = grid.u_coords
     cf = jacobian_initial_closed_form(init.dh(us), init.dk(us), metric.eval(us, 0.0))
-    row_ok = pc.certified[:, j0] & pc.jac.mask[:, j0]
-    oracle_rel = _sup_on(np.abs(pc.jac.values[:, j0] - cf) / np.abs(cf), row_ok)
+    rel = np.abs(pc.jac[:, j0] - cf) / np.abs(cf)
+    oracle_rel = sup_mean_abs(np.where(pc.certified[:, j0], rel, np.nan))[0]
 
     sys_report = solve_system_grid(pc, gbar)
-    interior = _interior_mask(sys_report.mask, grid)
+    interior = _interior_mask(sys_report.mask)
 
     source = resolve_chart_source(cfg, pc, sys_report)
     cgrid = chart_grid_for(pc, cfg)
@@ -171,10 +158,10 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     composite = compose(chart, pc)
     iso = isometry_residual(composite, gbar)
 
-    curv_dev = _curvature_stencil_dev(metric, gbar)
+    curv_dev = _curvature_stencil_dev(metric, gbar, grid)
     dg_field = compatibility_residual(sys_report.g_val, chart, pc)
 
-    defect = c2_defect_scan(f_report.field, threshold=tol.detector_tol)
+    defect = c2_defect_scan(f_report.field, grid, threshold=tol.detector_tol)
     expect_defect = cfg.family == "c1_not_c2"
     if expect_defect:
         near = defect.near_initial_u()
@@ -183,12 +170,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         detector_ok = not defect.found
 
     rank_and_det_ok = (
-        (sys_report.rank_coeff.values == 2)
-        & (sys_report.rank_aug.values == 2)
-        & (np.abs(sys_report.aug_det.values) < tol.aug_det_tol)
+        (sys_report.rank_coeff == 2)
+        & (sys_report.rank_aug == 2)
+        & (np.abs(sys_report.aug_det) < tol.aug_det_tol)
     )
     rank_frac = float(rank_and_det_ok[sys_report.mask].sum() / max(1, sys_report.mask.sum()))
-    e_dev_sup = _sup_on(np.abs(sys_report.e_val.values - 1.0), sys_report.mask)
+    e_dev_sup = sup_mean_abs(sys_report.e_val - 1.0)[0]
 
     residuals = {
         "pde_f": ResidualStat(f_report.max_residual, f_report.mean_residual,
@@ -196,7 +183,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "pde_g": ResidualStat(g_report.max_residual, g_report.mean_residual,
                               tol.residual_tol, gated=True),
         "jacobian_oracle_rel": ResidualStat(oracle_rel, tol=tol.jacobian_oracle_tol, gated=True),
-        "aug_det": ResidualStat(sys_report.aug_det.sup(), sys_report.aug_det.mean_abs()),
+        "aug_det": ResidualStat(*sup_mean_abs(sys_report.aug_det)),
         "pullback_rows": ResidualStat(sys_report.row_residual_sup, tol=tol.pullback_tol,
                                       gated=True),
         "e_val_dev": ResidualStat(e_dev_sup, tol=tol.e_val_tol, gated=True),
@@ -208,7 +195,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         "curvature_stencil": ResidualStat(curv_dev, tol=tol.curvature_tol,
                                           gated=metric.has_analytic_curvature),
         **iso.stats(tol.e_res_tol, tol.f_res_tol, gated=tol.gate_isometry),
-        "compat_dG": ResidualStat(dg_field.sup(), dg_field.mean_abs()),
+        "compat_dG": ResidualStat(*sup_mean_abs(dg_field)),
     }
 
     checks = {
@@ -220,6 +207,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     }
 
     total = grid.nu * grid.nv
+    g_center = sys_report.g_val[grid.nu // 2, j0]
     meta = {
         "config": cfg.to_meta(),
         "orientation": pc.orientation,
@@ -238,8 +226,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
             {"vbar": h.v, "ubar": h.u, "jump": h.jump}
             for h in defect.hits[:: max(1, len(defect.hits) // 20)]
         ],
-        "g_cramer_center": float(sys_report.g_val.values[grid.nu // 2, j0])
-        if sys_report.g_val.mask[grid.nu // 2, j0] else None,
+        "g_cramer_center": float(g_center) if np.isfinite(g_center) else None,
     }
 
     report = VerificationReport(

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, FocalPoint, IoFailure
-from .fields import Grid2D, first_derivative_4
+from .fields import Grid2D, first_derivative_4, sup_mean_abs
 
 # Anchors of a fitted profile's base-point table lie H = v_scale / ANCHOR_CELLS
 # apart, at most MAX_ANCHORS of them on each side of v_center
@@ -394,11 +394,11 @@ def chart_checks(chart: PlaneChart) -> tuple:
     yu, yv = first_derivative_4(y, grid.du, 0), first_derivative_4(y, grid.dv, 1)
     del y
     g = xv * xv + yv * yv
-    r3 = float(np.nanmax(np.abs(g - g0)))
+    r3 = sup_mean_abs(g - g0)[0]
     del g0
     e = xu * xu + yu * yu
     f = xu * xv + yu * yv
     jac_min = float(np.nanmin(np.abs(xu * yv - xv * yu)))
-    residuals = (float(np.nanmax(np.abs(e - 1.0))), float(np.nanmax(np.abs(f))), r3)
+    residuals = (sup_mean_abs(e - 1.0)[0], sup_mean_abs(f)[0], r3)
     eg_f2_min = float(np.nanmin(e * (g + 1.0) - f**2))
     return residuals, jac_min, eg_f2_min

@@ -11,6 +11,9 @@ when any of its nodes is in it. Row and column sweeps alternate until a
 pair adds no node, which yields the 4-connected component of the seed in
 a few O(N) passes.
 
+f, g and J are fields (see fields): NaN exactly where they carry no
+value, and the certificate lies inside J's finite set.
+
 Two independent routes exist for J on the initial line: the stencil value
 and a closed-form determinant in terms of (h', k', G(u,0)); their
 agreement is one of the pipeline's cross-checks.
@@ -23,30 +26,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NoCertifiedRegion
-from .fields import ScalarField2D
+from .fields import Grid2D
 
 
 @dataclass
 class ParamChange:
-    f: ScalarField2D
-    g: ScalarField2D
+    grid: Grid2D
+    f: np.ndarray
+    g: np.ndarray
     derivs: tuple  # (f_u, f_v, g_u, g_v) stencil arrays, as the solver took them
-    jac: ScalarField2D
-    certified: np.ndarray  # bool mask, subset of jac.mask
+    jac: np.ndarray
+    certified: np.ndarray  # bool mask, inside np.isfinite(jac)
     orientation: int  # sign of J on the certified region
     init_node: tuple  # (i0, j0) seed of the certificate
 
-    @property
-    def grid(self):
-        return self.f.grid
 
-
-def jacobian(f: ScalarField2D, g: ScalarField2D, derivs) -> ScalarField2D:
-    """J = f_u g_v - f_v g_u per node from derivs = (f_u, f_v, g_u, g_v)."""
+def jacobian(derivs) -> np.ndarray:
+    """J = f_u g_v - f_v g_u per node from derivs = (f_u, f_v, g_u, g_v);
+    NaN where any of them is NaN or J is not finite."""
     fu, fv, gu, gv = derivs
     jac = fu * gv - fv * gu
-    mask = f.mask & g.mask & np.isfinite(jac)
-    return ScalarField2D(f.grid, jac, mask=mask)
+    jac[np.isinf(jac)] = np.nan
+    return jac
 
 
 def jacobian_initial_closed_form(hprime, kprime, g0):
@@ -75,19 +76,18 @@ def jacobian_initial_closed_form(hprime, kprime, g0):
     return out if out.ndim else float(out)
 
 
-def certify_invertible(jac: ScalarField2D, tol: float, seed_node) -> tuple:
+def certify_invertible(jac, tol: float, seed_node) -> tuple:
     """Largest grid-connected region around seed_node with |J| > tol and
     constant sign. Returns (mask, orientation).
     """
     i0, j0 = seed_node
-    vals = jac.values
-    ok = jac.mask & np.isfinite(vals) & (np.abs(vals) > tol)
+    ok = np.isfinite(jac) & (np.abs(jac) > tol)
     if not ok[i0, j0]:
         raise NoCertifiedRegion(
-            f"|J| <= {tol} at the initial node (J = {vals[i0, j0]!r})"
+            f"|J| <= {tol} at the initial node (J = {jac[i0, j0]!r})"
         )
-    orientation = 1 if vals[i0, j0] > 0 else -1
-    ok &= np.sign(vals) == orientation
+    orientation = 1 if jac[i0, j0] > 0 else -1
+    ok &= np.sign(jac) == orientation
 
     rows, cols = _run_labels(ok), _run_labels(ok.T)
     region = np.zeros_like(ok)
@@ -118,13 +118,11 @@ def _join_runs(labels, ok, region):
 
 def build_param_change(f_report, g_report, jac_tol: float = 1e-8) -> ParamChange:
     """Assemble the certified parameter change from the two solve reports."""
-    f = f_report.field
-    g = g_report.field
-    grid = f.grid
+    grid = f_report.grid
     j0 = grid.row_index_of_v(0.0)
     i0 = grid.nu // 2
     derivs = (f_report.d_u, f_report.d_v, g_report.d_u, g_report.d_v)
-    jac = jacobian(f, g, derivs)
+    jac = jacobian(derivs)
     certified, orientation = certify_invertible(jac, jac_tol, (i0, j0))
-    return ParamChange(f=f, g=g, derivs=derivs, jac=jac, certified=certified,
-                       orientation=orientation, init_node=(i0, j0))
+    return ParamChange(grid=grid, f=f_report.field, g=g_report.field, derivs=derivs, jac=jac,
+                       certified=certified, orientation=orientation, init_node=(i0, j0))

@@ -5,8 +5,8 @@ field and folded into sup/mean summaries with explicit tolerances; a
 verdict is `value < tol` and nothing else, so loosening a tolerance can
 only flip fail -> pass. Reports serialize to one JSON document (summaries,
 verdicts, metadata) and one CSV of per-node values whose column set is
-fixed; masked cells carry the literal token NA. Identical configurations
-produce byte-identical files.
+fixed; a cell whose field is NaN there (see fields) carries the literal
+token NA. Identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure
-from .fields import ScalarField2D
+from .fields import sup_mean_abs
 from .reparam import ParamChange
 from .surface import EmbeddedSurface, cell_texts, induced_metric, row_blocks, texts_of, write_rows
 
@@ -26,54 +26,53 @@ CSV_COLUMNS = ("ubar", "vbar", "f", "g", "J", "E_res", "F_res", "G_res", "aug_de
 
 @dataclass
 class IsometryResiduals:
-    e_res: ScalarField2D
-    f_res: ScalarField2D
-    g_res: ScalarField2D
+    e_res: np.ndarray
+    f_res: np.ndarray
+    g_res: np.ndarray
 
     def sups(self):
-        return self.e_res.sup(), self.f_res.sup(), self.g_res.sup()
+        return tuple(sup_mean_abs(r)[0] for r in (self.e_res, self.f_res, self.g_res))
 
     def stats(self, e_tol=None, f_tol=None, gated=True):
         """The isometry_e/f/g ResidualStats of a report. E and F are gated at
         their tolerances where `gated` holds and the tolerance is given; G is
         reported only."""
-        e, f, g = self.e_res, self.f_res, self.g_res
         return {
-            "isometry_e": ResidualStat(e.sup(), e.mean_abs(), e_tol,
+            "isometry_e": ResidualStat(*sup_mean_abs(self.e_res), e_tol,
                                        gated=gated and e_tol is not None),
-            "isometry_f": ResidualStat(f.sup(), f.mean_abs(), f_tol,
+            "isometry_f": ResidualStat(*sup_mean_abs(self.f_res), f_tol,
                                        gated=gated and f_tol is not None),
-            "isometry_g": ResidualStat(g.sup(), g.mean_abs()),
+            "isometry_g": ResidualStat(*sup_mean_abs(self.g_res)),
         }
 
 
-def isometry_residual(surface: EmbeddedSurface, gbar: ScalarField2D) -> IsometryResiduals:
+def isometry_residual(surface: EmbeddedSurface, gbar) -> IsometryResiduals:
     """Per-node |E - 1|, |F|, |G_induced - Gbar| of a surface over (ubar, vbar),
-    with Gbar the metric's samples on the surface's grid."""
+    with Gbar the metric's samples on the surface's grid; each is NaN where
+    any of E, F, G is not finite."""
     e, f, g = induced_metric(surface)
-    mask = np.isfinite(e) & np.isfinite(f) & np.isfinite(g)
-    grid = surface.grid
-    return IsometryResiduals(
-        e_res=ScalarField2D(grid, np.abs(e - 1.0), mask=mask),
-        f_res=ScalarField2D(grid, np.abs(f), mask=mask),
-        g_res=ScalarField2D(grid, np.abs(g - gbar.values), mask=mask),
-    )
+    off = ~(np.isfinite(e) & np.isfinite(f) & np.isfinite(g))
+    res = IsometryResiduals(np.abs(e - 1.0), np.abs(f), np.abs(g - gbar))
+    for r in (res.e_res, res.f_res, res.g_res):
+        r[off] = np.nan
+    return res
 
 
-def compatibility_residual(g_cramer: ScalarField2D, chart, pc: ParamChange) -> ScalarField2D:
+def compatibility_residual(g_cramer, chart, pc: ParamChange) -> np.ndarray:
     """dG(node) = |G_cramer(node) - (G0(f, g)(node) + 1)|.
 
     Measures how far the chosen chart is from realizing the solved metric
     coefficient; the construction itself leaves this gap unconstrained.
     G0 = (A(g) + B(g) f)^2 comes from the chart's generator at each
-    certified node.
+    certified node, and dG is NaN where it is not finite.
     """
-    sel = g_cramer.mask & pc.certified
-    u, v = pc.f.values[sel], pc.g.values[sel]
+    sel = np.isfinite(g_cramer) & pc.certified
+    u, v = pc.f[sel], pc.g[sel]
     src = chart.source
     dg = np.full(sel.shape, np.nan)
-    dg[sel] = np.abs(g_cramer.values[sel] - ((src.speed(v) + src.slope(v) * u) ** 2 + 1.0))
-    return ScalarField2D(g_cramer.grid, dg, mask=sel & np.isfinite(dg))
+    dg[sel] = np.abs(g_cramer[sel] - ((src.speed(v) + src.slope(v) * u) ** 2 + 1.0))
+    dg[np.isinf(dg)] = np.nan
+    return dg
 
 
 @dataclass
@@ -142,14 +141,14 @@ class NodeTable:
     """Per-node columns of the residual CSV (None column -> all NA)."""
 
     grid: object
-    f: ScalarField2D = None
-    g: ScalarField2D = None
-    jac: ScalarField2D = None
-    e_res: ScalarField2D = None
-    f_res: ScalarField2D = None
-    g_res: ScalarField2D = None
-    aug_det: ScalarField2D = None
-    dg: ScalarField2D = None
+    f: np.ndarray = None
+    g: np.ndarray = None
+    jac: np.ndarray = None
+    e_res: np.ndarray = None
+    f_res: np.ndarray = None
+    g_res: np.ndarray = None
+    aug_det: np.ndarray = None
+    dg: np.ndarray = None
 
     def fields_in_order(self):
         return (self.f, self.g, self.jac, self.e_res, self.f_res, self.g_res,
@@ -160,19 +159,21 @@ class NodeTable:
 # cell has a value and where it reads NA
 _CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 3) + ("%.17g\n",)
 _CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 3) + ("NA\n",)
+# the same for system_s.csv after its node column; the ranks print as %d
+_SYSTEM_TEXT = ("%.17g,",) * 3 + ("%d,",) * 2 + ("%.17g\n",)
+_SYSTEM_NA = ("NA,",) * 5 + ("NA\n",)
 
 
 def _column(fld, rows, sel):
     """(values, ok) of fld at the nodes `sel` picks out of u-rows `rows`.
 
-    Row-major; ok is false for a None field, a masked node or a value that
-    is not finite.
+    Row-major; ok is false for a None field and where a value is not finite.
     """
     if fld is None:
         n = int(np.count_nonzero(sel))
         return np.zeros(n), np.zeros(n, dtype=bool)
-    vals = fld.values[rows][sel]
-    return vals, fld.mask[rows][sel] & np.isfinite(vals)
+    vals = fld[rows][sel]
+    return vals, np.isfinite(vals)
 
 
 def _write_block(fh, n, cells, columns):
@@ -186,8 +187,8 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
     """Emit the JSON verdict document and (when a table is given) the node CSV.
 
     The CSV is formatted and written in blocks of ROW_BLOCK u-rows, one
-    %-format per block; a cell reads NA where its field is absent or
-    masked or its value is not finite. ubar is formatted once per u-row and
+    %-format per block; a cell reads NA where its field is absent or its
+    value is not finite. ubar is formatted once per u-row and
     vbar once per v-line.
     """
     try:
@@ -228,17 +229,11 @@ def write_system_csv(path, grid, sys_report):
                 sel = sys_report.mask[rows]
                 ii, jj = np.nonzero(sel)
                 columns = [_column(fld, rows, sel) for fld in
-                           (sys_report.e_val, sys_report.g_val, sys_report.g_closed)]
+                           (sys_report.e_val, sys_report.g_val, sys_report.g_closed,
+                            sys_report.rank_coeff, sys_report.rank_aug, sys_report.aug_det)]
                 cells = [texts_of("(%d;", np.arange(rows.start, rows.stop))[ii], j_texts[jj]]
-                cells += [cell_texts(ok, "%.17g,", "NA,") for _, ok in columns]
-                # a rank reads NA only where it is not finite
-                for rank in (sys_report.rank_coeff, sys_report.rank_aug):
-                    r = rank.values[rows][sel]
-                    ok = np.isfinite(r)
-                    cells.append(cell_texts(ok, "%d,", "NA,"))
-                    columns.append((r, ok))
-                columns.append(_column(sys_report.aug_det, rows, sel))
-                cells.append(cell_texts(columns[-1][1], "%.17g\n", "NA\n"))
+                cells += [cell_texts(ok, text, na) for (_, ok), text, na in
+                          zip(columns, _SYSTEM_TEXT, _SYSTEM_NA)]
                 _write_block(fh, ii.size, cells, columns)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {path}: {exc}") from exc

@@ -94,8 +94,8 @@ def compose(chart: PlaneChart, pc: ParamChange) -> EmbeddedSurface:
     folds; offenders raise ImageOutsideChart with their indices.
     """
     grid = pc.grid
-    u_img = pc.f.values
-    v_img = pc.g.values
+    u_img = pc.f
+    v_img = pc.g
     cert = pc.certified
 
     sg = chart.grid

@@ -37,7 +37,8 @@ fields.NODE_BLOCK nodes, reading each block's slice of the run's Gbar
 samples: its twenty-odd node-sized temporaries stay bounded, and only the
 six result fields grow with the grid. The three row residuals fold into
 their sup block by block. Every step is per node, so the bits equal one
-whole-grid pass.
+whole-grid pass. Each result is a field (see fields): NaN off the system's
+mask, and at any node of it where its value is not finite.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, UncertifiedNode
-from .fields import ScalarField2D, node_blocks
+from .fields import node_blocks, sup_mean_abs
 from .metric import GeodesicMetric2D
 from .reparam import ParamChange
 
@@ -181,23 +182,20 @@ def _invariant_ranks(rows, minors, det):
 class SystemReport:
     """Whole-grid solve of the system on the certified region."""
 
-    e_val: ScalarField2D
-    g_val: ScalarField2D
-    g_closed: ScalarField2D
-    rank_coeff: ScalarField2D
-    rank_aug: ScalarField2D
-    aug_det: ScalarField2D
+    e_val: np.ndarray
+    g_val: np.ndarray
+    g_closed: np.ndarray
+    rank_coeff: np.ndarray
+    rank_aug: np.ndarray
+    aug_det: np.ndarray
     row_residual_sup: float  # sup over the mask of |row . (E, G) - rhs| on the three rows
     mask: np.ndarray
 
     def g_match_rel_sup(self, mask=None):
         """sup of |G_solved - G_closed| / max(1, |G_closed|) over `mask`
         (default: the whole region)."""
-        mask = self.mask if mask is None else mask
-        d = np.abs(self.g_val.values - self.g_closed.values)
-        rel = d / np.maximum(1.0, np.abs(self.g_closed.values))
-        rel = np.where(mask, rel, np.nan)
-        return float(np.nanmax(rel)) if mask.any() else float("nan")
+        rel = (self.g_val - self.g_closed) / np.maximum(1.0, np.abs(self.g_closed))
+        return sup_mean_abs(rel if mask is None else np.where(mask, rel, np.nan))[0]
 
 
 def _solve_block(fu, fv, gu, gv, gbar, mask, out):
@@ -206,8 +204,8 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
 
     Writes into the block views out = (e_val, g_val, g_closed, rank_coeff,
     rank_aug, aug_det), which arrive filled with NaN, and returns the sup
-    of the three row residuals over the block's masked nodes (-inf where
-    none is finite).
+    of the three row residuals over the block's masked nodes (NaN where
+    none has a value).
     """
     e_val, g_val, g_closed, rank_c, rank_a, aug_det = out
     A0, B0 = fu * fu, gu * gu
@@ -234,10 +232,8 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
 
     g_closed[...] = (gbar - A2) / np.where(B2 == 0.0, np.nan, B2)
 
-    sup = -np.inf
-    for A, B, r in ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2)):
-        res = np.abs(e_val * A + g_val * B - r)[mask]
-        sup = max(sup, float(res[np.isfinite(res)].max(initial=-np.inf)))
+    sup = sup_mean_abs(np.concatenate([(e_val * A + g_val * B - r)[mask] for A, B, r in
+                                       ((A0, B0, r0), (A1, B1, r1), (A2, B2, r2))]))[0]
 
     # determinants (LU) and invariant ranks on the certified nodes
     n = int(mask.sum())
@@ -254,7 +250,7 @@ def _solve_block(fu, fv, gu, gv, gbar, mask, out):
     return sup
 
 
-def solve_system_grid(pc: ParamChange, gbar: ScalarField2D) -> SystemReport:
+def solve_system_grid(pc: ParamChange, gbar) -> SystemReport:
     """Vectorized assemble + rank check + solve at every certified node,
     with Gbar read from the samples gbar on pc's grid.
 
@@ -268,13 +264,9 @@ def solve_system_grid(pc: ParamChange, gbar: ScalarField2D) -> SystemReport:
         & np.isfinite(fu) & np.isfinite(fv) & np.isfinite(gu) & np.isfinite(gv)
     )
     out = [np.full((grid.nu, grid.nv), np.nan) for _ in range(6)]
-    sup = max(_solve_block(fu[rows], fv[rows], gu[rows], gv[rows], gbar.values[rows],
-                           mask[rows], [a[rows] for a in out])
-              for rows in node_blocks(grid.nu, grid.nv))
-
-    results = []
-    while out:  # each raw array is dropped once its field holds a masked copy
-        arr = out.pop(0)
-        results.append(ScalarField2D(grid, arr, mask=mask & np.isfinite(arr)))
-    return SystemReport(*results, row_residual_sup=sup if np.isfinite(sup) else float("nan"),
-                        mask=mask)
+    sups = [_solve_block(fu[rows], fv[rows], gu[rows], gv[rows], gbar[rows],
+                         mask[rows], [a[rows] for a in out])
+            for rows in node_blocks(grid.nu, grid.nv)]
+    for arr in out:
+        arr[~mask | np.isinf(arr)] = np.nan
+    return SystemReport(*out, row_residual_sup=sup_mean_abs(np.array(sups))[0], mask=mask)

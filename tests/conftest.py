@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoembed.config import RunConfig
-from isoembed.fields import SNAP_EPS, Grid2D, ScalarField2D
+from isoembed.config import RunConfig, example_cos2_config
+from isoembed.fields import SNAP_EPS, Grid2D, first_derivative
 from isoembed.initial import make_initial
 from isoembed.ivp import solve_f, solve_g
 from isoembed.metric import make_metric
@@ -36,12 +36,23 @@ def param_change_of(grid, f_fn=lambda u, v: u, g_fn=lambda u, v: v):
     Its stencil derivatives are taken here, as solve_f and solve_g take
     them for a solved change.
     """
-    f = ScalarField2D.from_function(grid, f_fn)
-    g = ScalarField2D.from_function(grid, g_fn)
-    derivs = (f.d_u(), f.d_v(), g.d_u(), g.d_v())
-    jac = jacobian(f, g, derivs)
-    return ParamChange(f=f, g=g, derivs=derivs, jac=jac, certified=jac.mask.copy(),
+    f, g = (field_of(grid, fn) for fn in (f_fn, g_fn))
+    derivs = (*derivatives(f, grid), *derivatives(g, grid))
+    jac = jacobian(derivs)
+    return ParamChange(grid=grid, f=f, g=g, derivs=derivs, jac=jac, certified=np.isfinite(jac),
                        orientation=1, init_node=(grid.nu // 2, grid.row_index_of_v(0.0)))
+
+
+def field_of(grid, fn):
+    """fn(u, v) on every node of grid, as a (nu, nv) float array."""
+    U, V = grid.meshgrid()
+    return np.asarray(fn(U, V), dtype=float) * np.ones_like(U)
+
+
+def derivatives(values, grid):
+    """(d_u, d_v) of a field by the masked stencils, on its finite set."""
+    ok = np.isfinite(values)
+    return (first_derivative(values, ok, grid.du, 0), first_derivative(values, ok, grid.dv, 1))
 
 
 def closed_form_differences(chart):
@@ -74,6 +85,12 @@ def flat_run():
 def cos2_run():
     """Pipeline run for the curved metric on the narrow box."""
     return run_pipeline(RunConfig(metric="cos2", v_half=0.03))
+
+
+@pytest.fixture(scope="session")
+def example_cos2_run():
+    """Pipeline run of the shipped example-cos2 config."""
+    return run_pipeline(example_cos2_config())
 
 
 @pytest.fixture(scope="session")
@@ -120,12 +137,12 @@ def interior_of(mask, grid, depth=2):
     return out
 
 
-def reference_interp(fld, u, v):
-    """Bilinear interpolation as one whole-array pass: the earlier
-    ScalarField2D.interp, kept as the reference for the blocked one."""
+def reference_interp(g, w, u, v):
+    """Bilinear interpolation of the samples w on grid g as one whole-array
+    pass: the earlier unblocked interpolation, kept as the reference for
+    fields.bilinear."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = fld.grid
 
     finite_q = np.isfinite(u) & np.isfinite(v)
     su = np.where(finite_q, (u - g.u0) / g.du, 0.0)
@@ -159,10 +176,9 @@ def reference_interp(fld, u, v):
     iu_n = np.clip(iu + np.where(on_u, 0, 1), 0, g.nu - 1)
     iv_n = np.clip(iv + np.where(on_v, 0, 1), 0, g.nv - 1)
 
-    m = fld.mask
+    m = np.isfinite(w)
     ok = inside & m[iu_c, iv_c] & m[iu_n, iv_c] & m[iu_c, iv_n] & m[iu_n, iv_n]
 
-    w = fld.values
     v00 = w[iu_c, iv_c]
     v10 = w[iu_n, iv_c]
     v01 = w[iu_c, iv_n]

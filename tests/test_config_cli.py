@@ -303,6 +303,7 @@ _METRIC_CSV = "ubar,vbar,G\n" + "".join(
     for u in np.linspace(-0.4, 0.4, 41) for v in np.linspace(-0.4, 0.4, 41))
 _CURVE_CSV = "v,x,y\n" + "".join(f"{t:.17g},{t:.17g},0\n" for t in np.linspace(-1, 1, 201))
 _SMALL = ["--grid-n", "41", "--n-v", "41", "--chart-n", "41"]
+_VERIFY_SAMPLED = ["verify", "mesh.obj", "--metric", "file:g.csv", "--fields", "fields.csv"]
 
 
 def _swap_lines(text, a, b):
@@ -370,6 +371,10 @@ def _swap_lines(text, a, b):
     ({"curve.csv": _CURVE_CSV}, ["run", "--base-curve", "file:curve.csv", *_SMALL,
                                  "--report-json", "curve.csv"],
      "report_json would overwrite the input base_curve: curve.csv"),
+    ({**_VERIFY_FILES, "g.csv": _METRIC_CSV}, [*_VERIFY_SAMPLED, "--residual-csv", "g.csv"],
+     "--residual-csv would overwrite the input --metric: g.csv"),
+    ({**_VERIFY_FILES, "g.csv": _METRIC_CSV}, [*_VERIFY_SAMPLED, "--report-json", "./g.csv"],
+     "--report-json would overwrite the input --metric: g.csv"),
     # a gate that is not a finite number fails every node or none
     (_VERIFY_FILES, _VERIFY + ["--e-res-tol", "nan"], "--e-res-tol must be a finite number: nan"),
     (_VERIFY_FILES, _VERIFY + ["--f-res-tol", "inf"], "--f-res-tol must be a finite number: inf"),
@@ -387,7 +392,8 @@ def _swap_lines(text, a, b):
         "verify_default_report_is_mesh", "verify_residual_csv_is_fields",
         "verify_residual_csv_is_mesh", "run_report_is_config",
         "run_residual_csv_is_metric_csv", "example_mesh_is_metric_csv",
-        "run_report_is_base_curve_csv", "verify_gate_nan", "verify_gate_inf",
+        "run_report_is_base_curve_csv", "verify_residual_csv_is_metric_csv",
+        "verify_report_is_metric_csv", "verify_gate_nan", "verify_gate_inf",
         "verify_gate_minus_inf", "fields_one_vbar"])
 def test_cli_bad_outside_input_is_a_typed_error(tmp_path, files, args, message):
     for name, text in files.items():

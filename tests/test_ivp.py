@@ -57,23 +57,21 @@ def test_flat_closed_form_f(flat_solved):
     _, _, grid, fr, _ = flat_solved
     U, V = grid.meshgrid()
     exact = EPS * U - np.sqrt(1.0 - EPS**2) * V
-    err = np.abs(fr.field.values - exact)
-    assert np.nanmax(err[fr.mask]) < 1e-6
+    assert np.nanmax(np.abs(fr.field - exact)) < 1e-6
 
 
 def test_flat_closed_form_g(flat_solved):
     _, _, grid, _, gr = flat_solved
     U, V = grid.meshgrid()
     exact = EPS * (U + LAM * V)
-    err = np.abs(gr.field.values - exact)
-    assert np.nanmax(err[gr.mask]) < 1e-6
+    assert np.nanmax(np.abs(gr.field - exact)) < 1e-6
 
 
 def test_initial_row_exact(flat_solved):
     _, init, grid, fr, gr = flat_solved
     j0 = grid.row_index_of_v(0.0)
-    assert np.array_equal(fr.field.values[:, j0], init.h(grid.u_coords))
-    assert np.array_equal(gr.field.values[:, j0], init.k(grid.u_coords))
+    assert np.array_equal(fr.field[:, j0], init.h(grid.u_coords))
+    assert np.array_equal(gr.field[:, j0], init.k(grid.u_coords))
 
 
 def test_initial_slope_formulas():
@@ -84,12 +82,11 @@ def test_initial_slope_formulas():
     fr = solve_f(metric, init, grid)
     gr = solve_g(metric, fr, init, grid)
     j0 = grid.row_index_of_v(0.0)
-    fv = fr.field.d_v()[:, j0]
-    sel = fr.mask[:, j0] & np.isfinite(fv)
-    assert np.allclose(fv[sel], -0.8660254037844386, atol=1e-6)
-    gv = gr.field.d_v()[:, j0]
+    fv = fr.d_v[:, j0]
+    assert np.allclose(fv[np.isfinite(fv)], -0.8660254037844386, atol=1e-6)
+    gv = gr.d_v[:, j0]
     lam05 = 0.5 / np.sqrt(0.75)
-    sel = gr.mask[:, j0] & np.isfinite(gv)
+    sel = np.isfinite(gv)
     assert np.allclose(gv[sel], lam05 * 0.1, atol=1e-6)
 
 
@@ -97,15 +94,14 @@ def test_initial_slope_value_spec_case(flat_solved):
     # h' = k' = 0.1, G = 1: g_v(., 0) = 0.0100504
     _, _, grid, _, gr = flat_solved
     j0 = grid.row_index_of_v(0.0)
-    gv = gr.field.d_v()[:, j0]
-    sel = gr.mask[:, j0] & np.isfinite(gv)
-    assert np.allclose(gv[sel], 0.0100504, atol=1e-6)
+    gv = gr.d_v[:, j0]
+    assert np.allclose(gv[np.isfinite(gv)], 0.0100504, atol=1e-6)
 
 
 def test_branch_signs(flat_solved):
     _, _, _, fr, gr = flat_solved
-    fv = fr.field.d_v()
-    gv = gr.field.d_v()
+    fv = fr.d_v
+    gv = gr.d_v
     assert np.all(fv[np.isfinite(fv)] < 0.0)
     assert np.all(gv[np.isfinite(gv)] > 0.0)
 
@@ -149,7 +145,7 @@ def test_refinement_reduces_error_flat():
         fr = solve_f(metric, init, grid)
         U, V = grid.meshgrid()
         exact = EPS * U - np.sqrt(1.0 - EPS**2) * V
-        errs.append(np.nanmax(np.abs(fr.field.values - exact)[fr.mask]))
+        errs.append(np.nanmax(np.abs(fr.field - exact)))
     assert all(e < 1e-12 for e in errs) or errs[0] / errs[1] >= 3.5
 
 
@@ -174,12 +170,9 @@ def test_self_convergence_interior_order_two():
         fr, gr, grid = sols[n]
         stride = (ref_grid.nu - 1) // (grid.nu - 1)
         depth = int(round(0.25 * half / grid.du))
-        core = interior_of(
-            fr.mask & ref_f.mask[::stride, ::stride] & gr.mask
-            & ref_g.mask[::stride, ::stride], grid, depth=depth,
-        )
-        ef = np.abs(fr.field.values - ref_f.field.values[::stride, ::stride])
-        eg = np.abs(gr.field.values - ref_g.field.values[::stride, ::stride])
+        ef = np.abs(fr.field - ref_f.field[::stride, ::stride])
+        eg = np.abs(gr.field - ref_g.field[::stride, ::stride])
+        core = interior_of(np.isfinite(ef) & np.isfinite(eg), grid, depth=depth)
         errs_f.append(np.nanmax(np.where(core, ef, np.nan)))
         errs_g.append(np.nanmax(np.where(core, eg, np.nan)))
     assert errs_f[0] / errs_f[1] >= 3.5
@@ -235,9 +228,9 @@ def test_characteristic_ode_oracle_cos2():
         seed = 0.5 * (lo + hi)
         state = integrate(seed, v_t, 2000)
         assert abs(state[0] - u_t) < 1e-12  # shooting converged
-        assert abs(state[2] - fr.field.values[i, j]) < 1e-9
+        assert abs(state[2] - fr.field[i, j]) < 1e-9
         # g is carried unchanged along the characteristic from its foot
-        assert abs(float(init.k(seed)) - gr.field.values[i, j]) < 1e-8
+        assert abs(float(init.k(seed)) - gr.field[i, j]) < 1e-8
 
 
 def test_grid_must_contain_initial_line():
@@ -281,8 +274,8 @@ def test_steep_slope_forces_substepping():
     lam = 0.9 / np.sqrt(1.0 - 0.81)
     f_exact = 0.9 * U - np.sqrt(1.0 - 0.81) * V
     g_exact = 0.5 * (U + lam * V)
-    assert np.nanmax(np.abs(fr.field.values - f_exact)[fr.mask]) < 1e-9
-    assert np.nanmax(np.abs(gr.field.values - g_exact)[gr.mask]) < 1e-9
+    assert np.nanmax(np.abs(fr.field - f_exact)) < 1e-9
+    assert np.nanmax(np.abs(gr.field - g_exact)) < 1e-9
     assert fr.max_residual < 1e-6 and gr.max_residual < 1e-6
 
 
@@ -315,12 +308,11 @@ def test_march_reading_the_samples_keeps_the_per_call_bits(spec, eps, nu, nv, tm
         return fr, solve_g(metric, fr, init, grid)
 
     read = solve()
-    monkeypatch.setattr(ivp, "_sqrt_g_reader", lambda metric, gbar: (
-        lambda v, L, R: metric.sqrt_g(gbar.grid.u_coords[L : R + 1], v)))
+    monkeypatch.setattr(ivp, "_sqrt_g_reader", lambda metric, gbar, grid: (
+        lambda v, L, R: metric.sqrt_g(grid.u_coords[L : R + 1], v)))
     called = solve()
     for a, b in zip(read, called):
-        assert np.array_equal(a.mask, b.mask)
-        assert np.array_equal(a.field.values, b.field.values, equal_nan=True)
+        assert np.array_equal(a.field, b.field, equal_nan=True)
         assert a.steps == b.steps
 
 
@@ -397,7 +389,7 @@ def test_defect_scan_flags_kinked_data():
     metric = make_metric("cos2")
     init = make_initial("c1_not_c2", 0.1, 0.1)
     fr = solve_f(metric, init, grid)
-    rep = c2_defect_scan(fr.field, threshold=1e-2)
+    rep = c2_defect_scan(fr.field, grid, threshold=1e-2)
     assert rep.found
     assert abs(rep.near_initial_u()) <= 2 * grid.du
     # the defect locus follows the slope-field characteristic: it drifts
@@ -413,7 +405,7 @@ def test_defect_scan_quiet_on_smooth_data():
     metric = make_metric("cos2")
     init = make_initial("linear_ramp", 0.1, 0.1)
     fr = solve_f(metric, init, grid)
-    rep = c2_defect_scan(fr.field, threshold=1e-2)
+    rep = c2_defect_scan(fr.field, grid, threshold=1e-2)
     assert not rep.found
 
 

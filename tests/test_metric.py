@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isoembed.errors import BadParameter, GridTooSmall, IoFailure, NonPositiveMetric, OutOfDomain
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D
 from isoembed.metric import (
     GeodesicMetric2D,
     Rect,
@@ -53,19 +53,18 @@ def test_unknown_metric_name():
 def test_curvature_analytic_values():
     grid = Grid2D.centered(0.1, 0.1, 41, 41)
     k_cos = curvature_field(make_metric("cos2"), grid)
-    assert np.allclose(k_cos.values, 1.0, atol=1e-12)
+    assert np.allclose(k_cos, 1.0, atol=1e-12)
     k_flat = curvature_field(make_metric("flat"), grid)
-    assert np.allclose(k_flat.values, 0.0, atol=1e-15)
+    assert np.allclose(k_flat, 0.0, atol=1e-15)
     k_exp = curvature_field(make_metric("exp"), grid)
-    assert np.allclose(k_exp.values, -1.0, atol=1e-12)
+    assert np.allclose(k_exp, -1.0, atol=1e-12)
 
 
 def test_curvature_stencil_matches_analytic():
     grid = Grid2D.centered(0.1, 0.1, 201, 201)
     for name, target in (("cos2", 1.0), ("exp", -1.0)):
-        k = curvature_from_samples(make_metric(name).sample(grid))
-        vals = k.values[k.mask]
-        assert np.max(np.abs(vals - target)) < 1e-4
+        k = curvature_from_samples(make_metric(name).sample(grid), grid)
+        assert np.nanmax(np.abs(k - target)) < 1e-4
 
 
 @pytest.mark.parametrize("name,target", [("cos2", 1.0), ("exp", -1.0), ("flat", 0.0)])
@@ -75,8 +74,8 @@ def test_curvature_stencil_convergence_order(name, target):
     errs = []
     for n in (51, 101, 201):
         grid = Grid2D.centered(0.2, 0.2, n, n)
-        k = curvature_from_samples(make_metric(name).sample(grid))
-        errs.append(np.nanmax(np.abs(k.values - target)))
+        k = curvature_from_samples(make_metric(name).sample(grid), grid)
+        errs.append(np.nanmax(np.abs(k - target)))
     if all(e < 1e-12 for e in errs):
         return
     assert errs[0] / errs[1] >= 3.5
@@ -85,17 +84,17 @@ def test_curvature_stencil_convergence_order(name, target):
 
 def test_curvature_flat_is_zero_fd():
     grid = Grid2D.centered(0.1, 0.1, 51, 51)
-    k = curvature_from_samples(make_metric("flat").sample(grid))
-    assert np.nanmax(np.abs(k.values)) < 1e-12
+    k = curvature_from_samples(make_metric("flat").sample(grid), grid)
+    assert np.nanmax(np.abs(k)) < 1e-12
 
 
 def test_gauss_curvature_entry_points():
     grid = Grid2D.centered(0.1, 0.1, 51, 51)
     m = make_metric("cos2")
     k1 = curvature_field(m, grid)
-    assert np.allclose(k1.values, 1.0, atol=1e-12)
-    k2 = curvature_from_samples(m.sample(grid))
-    assert np.nanmax(np.abs(k2.values - 1.0)) < 1e-4
+    assert np.allclose(k1, 1.0, atol=1e-12)
+    k2 = curvature_from_samples(m.sample(grid), grid)
+    assert np.nanmax(np.abs(k2 - 1.0)) < 1e-4
 
 
 def test_curvature_rejects_nonpositive_samples():
@@ -103,25 +102,25 @@ def test_curvature_rejects_nonpositive_samples():
     vals = np.ones((11, 11))
     vals[5, 5] = -0.2
     with pytest.raises(NonPositiveMetric):
-        curvature_from_samples(ScalarField2D(grid, vals))
+        curvature_from_samples(vals, grid)
 
 
 def test_curvature_grid_too_small():
     grid = Grid2D.centered(0.1, 0.1, 4, 5)
-    fld = ScalarField2D.constant(grid, 1.0)
     with pytest.raises(GridTooSmall):
-        curvature_from_samples(fld)
+        curvature_from_samples(np.ones((4, 5)), grid)
 
 
 def test_validate_flat_empty():
-    rep = validate_metric(make_metric("flat").sample(Grid2D.centered(0.3, 0.3, 21, 21)),
-                          tol=1e-8)
+    grid = Grid2D.centered(0.3, 0.3, 21, 21)
+    rep = validate_metric(make_metric("flat").sample(grid), grid, tol=1e-8)
     assert rep.ok
 
 
 def test_validate_cos2_positive_inside():
     m = make_metric("cos2", domain=Rect(-1.5, 1.5, -1.5, 1.5))
-    rep = validate_metric(m.sample(Grid2D.centered(1.5, 1.5, 301, 11)), tol=1e-8)
+    grid = Grid2D.centered(1.5, 1.5, 301, 11)
+    rep = validate_metric(m.sample(grid), grid, tol=1e-8)
     assert rep.ok  # cos^2(1.5) ~ 0.0050 > 0
 
 
@@ -130,7 +129,7 @@ def test_validate_cos2_flags_zero_crossing():
     m = make_metric("cos2", domain=Rect(-2.0, 2.0, -1.0, 1.0))
     du = 0.03
     grid = Grid2D(u0=np.pi / 2 - 50 * du, v0=-0.1, du=du, dv=0.1, nu=60, nv=3)
-    rep = validate_metric(m.sample(grid), tol=1e-8)
+    rep = validate_metric(m.sample(grid), grid, tol=1e-8)
     kinds = {v.kind for v in rep.violations}
     assert "nonpositive" in kinds
     worst = min(rep.violations, key=lambda v: v.value)
@@ -140,8 +139,8 @@ def test_validate_cos2_flags_zero_crossing():
 def test_validate_slope_bound():
     steep = GeodesicMetric2D(name="steep", domain=Rect(-1, 1, -1, 1),
                              g_fn=lambda u, v: 1.0 + 1e7 * np.abs(u))
-    rep = validate_metric(steep.sample(Grid2D.centered(0.5, 0.5, 11, 11)), tol=1e-8,
-                          slope_bound=1e6)
+    grid = Grid2D.centered(0.5, 0.5, 11, 11)
+    rep = validate_metric(steep.sample(grid), grid, tol=1e-8, slope_bound=1e6)
     assert any(v.kind == "first_difference" for v in rep.violations)
 
 

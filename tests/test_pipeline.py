@@ -3,11 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import interior_of
 from isoembed import fields, ivp, pipeline
 from isoembed.config import RunConfig, example_cos2_config
 from isoembed.errors import NonPositiveMetric
-from isoembed.fields import first_derivative_4
+from isoembed.fields import Grid2D, first_derivative_4
 from isoembed.metric import GeodesicMetric2D, curvature_field, curvature_from_samples, make_metric
 from isoembed.pipeline import chart_grid_for, run_pipeline
 from isoembed.surface import regularity_check
@@ -100,9 +103,9 @@ def test_sampled_metric_takes_no_curvature_field(tmp_path, monkeypatch):
         calls.append("closed form")
         return curvature_field(metric, grid)
 
-    def counted_fd(gbar):
+    def counted_fd(gbar, grid):
         calls.append("fd")
-        return curvature_from_samples(gbar)
+        return curvature_from_samples(gbar, grid)
 
     monkeypatch.setattr(pipeline, "curvature_field", counted)
     monkeypatch.setattr(pipeline, "curvature_from_samples", counted_fd)
@@ -205,18 +208,18 @@ def test_nonpositive_sampled_metric_refused(tmp_path):
 def test_chart_grid_covers_certified_image(flat_run):
     grid = chart_grid_for(flat_run.pc, flat_run.config)
     sel = flat_run.pc.certified
-    u_img = flat_run.pc.f.values[sel]
-    v_img = flat_run.pc.g.values[sel]
+    u_img = flat_run.pc.f[sel]
+    v_img = flat_run.pc.g[sel]
     assert grid.u0 < u_img.min() and grid.u_max > u_img.max()
     assert grid.v0 < v_img.min() and grid.v_max > v_img.max()
 
 
-def test_example_cos2_chart_is_the_configured_grid():
+def test_example_cos2_chart_is_the_configured_grid(example_cos2_run):
     # the fitted profile of the shipped example is differenced on the
     # configured chart grid itself: no refinement, and the lift identity
     # still holds at lift_tol
     cfg = example_cos2_config()
-    res = run_pipeline(cfg)
+    res = example_cos2_run
     grid = chart_grid_for(res.pc, cfg)
     assert (grid.nu, grid.nv) == (cfg.chart_n_u, cfg.chart_n_v) == (401, 401)
     assert res.chart.grid == grid
@@ -232,9 +235,9 @@ def test_isometry_e_is_the_compatibility_gap(metric):
     # negligible share of the gated E residual
     res = run_pipeline(RunConfig(metric=metric, v_half=0.03))
     gu = res.pc.derivs[2]
-    shared = res.table.e_res.mask & res.table.dg.mask
-    e_sup = np.max(res.table.e_res.values[shared])
-    gap_sup = np.max((res.table.dg.values * gu**2)[shared])
+    shared = np.isfinite(res.table.e_res) & np.isfinite(res.table.dg)
+    e_sup = np.max(res.table.e_res[shared])
+    gap_sup = np.max((res.table.dg * gu**2)[shared])
     assert e_sup == pytest.approx(gap_sup, rel=1e-4)
     assert res.report.residuals["isometry_e"].sup == e_sup
 
@@ -248,7 +251,7 @@ def test_composite_does_not_depend_on_the_chart_grid():
     assert coarse.chart.grid.nu == 101 and fine.chart.grid.nu == 401
     assert np.array_equal(coarse.composite.mask, fine.composite.mask)
     assert np.array_equal(coarse.composite.position, fine.composite.position, equal_nan=True)
-    assert np.array_equal(coarse.table.dg.values, fine.table.dg.values, equal_nan=True)
+    assert np.array_equal(coarse.table.dg, fine.table.dg, equal_nan=True)
     for name in ("isometry_e", "isometry_f", "isometry_g", "compat_dG"):
         a, b = coarse.report.residuals[name], fine.report.residuals[name]
         assert (a.sup, a.mean) == (b.sup, b.mean)
@@ -264,6 +267,38 @@ def test_lift_regular_matches_the_node_mask(run, request):
     assert res.report.meta["lift_eg_f2_min"] == np.min(e * g - f**2)
     regular = regularity_check(e, f, g, tol=1.0 - 1e-9)
     assert res.report.verdicts["lift_regular"] == bool(regular.all())
+
+
+def _inside(intervals, nu):
+    """(nu, nv) bools: column i of level j lies in intervals[j] = [L, R]."""
+    cols = np.arange(nu)[:, None]
+    return (intervals[:, 0] <= cols) & (cols <= intervals[:, 1])
+
+
+@pytest.mark.parametrize("run", ["flat_run", "cos2_run", "example_cos2_run"])
+def test_every_field_is_nan_exactly_where_it_has_no_value(run, request):
+    res = request.getfixturevalue(run)
+    fr, gr, pc, sr = res.f_report, res.g_report, res.pc, res.sys_report
+    # the marched maps' finite sets against their column intervals, a route
+    # to the valid region that reads no value; g carries none where f has none
+    f_valid = _inside(fr.intervals, res.grid.nu)
+    assert np.array_equal(np.isfinite(fr.field), f_valid)
+    assert np.array_equal(np.isfinite(gr.field), _inside(gr.intervals, res.grid.nu) & f_valid)
+    system = (sr.e_val, sr.g_val, sr.g_closed, sr.rank_coeff, sr.rank_aug, sr.aug_det)
+    for arr in system:
+        assert np.isnan(arr[~sr.mask]).all()
+    assert not (pc.certified & ~np.isfinite(pc.jac)).any()
+    per_node = (fr.field, fr.d_u, fr.d_v, fr.gbar, gr.field, gr.d_u, gr.d_v, pc.jac,
+                *system, *(a for a in res.table.fields_in_order() if a is not None))
+    assert not any(np.isinf(a).any() for a in per_node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 12), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+def test_interior_mask_matches_the_loop_oracle(nu, nv, density, seed):
+    mask = np.random.default_rng(seed).random((nu, nv)) < density
+    grid = Grid2D.centered(0.1, 0.1, nu, nv)
+    assert np.array_equal(pipeline._interior_mask(mask), interior_of(mask, grid))
 
 
 def test_masked_count_matches_certificate(flat_run):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import closed_form_differences, closed_form_identities
 from isoembed.config import Tolerances
 from isoembed.errors import BadParameter, FocalPoint, IoFailure
-from isoembed.fields import Grid2D, ScalarField2D, first_derivative_4
+from isoembed.fields import Grid2D, first_derivative, first_derivative_4
 from isoembed.plane import (
     BaseCurve,
     ChartProfile,
@@ -73,8 +73,8 @@ def test_circle_g0_matches_ruling_formula():
     chart = build_chart(curve, chart_grid(u_half=0.1, v_half=0.1, n=201))
     U, V = chart.grid.meshgrid()
     x, y, _ = chart.sample()
-    xv = ScalarField2D(chart.grid, x).d_v()
-    yv = ScalarField2D(chart.grid, y).d_v()
+    every = np.ones(x.shape, dtype=bool)
+    xv, yv = (first_derivative(c, every, chart.grid.dv, 1) for c in (x, y))
     g0_fd = xv**2 + yv**2
     assert np.nanmax(np.abs(g0_fd - (1.0 - U / 2.0) ** 2)) < 1e-6
 
@@ -218,7 +218,7 @@ def test_fitted_profile_point_matches_a_40_digit_quadrature(fixture_name, reques
     # the chart's v-lines and every certified image in one call each, as
     # build_chart and compose ask for them; a sample of each is checked
     x, y, want = [], [], []
-    for vs, stride in ((run.chart.grid.v_coords, 29), (run.pc.g.values[run.pc.certified], 4001)):
+    for vs, stride in ((run.chart.grid.v_coords, 29), (run.pc.g[run.pc.certified], 4001)):
         px, py = prof.point(vs)
         x.append(px[::stride])
         y.append(py[::stride])

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import param_change_of
+from conftest import field_of, param_change_of
 from isoembed.errors import BadParameter, NoCertifiedRegion
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D
 from isoembed.initial import make_initial
 from isoembed.reparam import certify_invertible, jacobian, jacobian_initial_closed_form
 
@@ -16,16 +16,26 @@ J_FLAT = 0.1 / np.sqrt(0.99)  # delta / sqrt(1 - eps^2) = 0.1005037815...
 
 def test_jacobian_identity_and_swap():
     pc = param_change_of(Grid2D.centered(0.1, 0.1, 21, 21))
-    assert np.allclose(pc.jac.values[pc.jac.mask], 1.0, atol=1e-12)
+    assert np.allclose(pc.jac, 1.0, atol=1e-12)
     fu, fv, gu, gv = pc.derivs
-    jac2 = jacobian(pc.g, pc.f, (gu, gv, fu, fv))
-    assert np.allclose(jac2.values[jac2.mask], -1.0, atol=1e-12)
+    assert np.allclose(jacobian((gu, gv, fu, fv)), -1.0, atol=1e-12)
+
+
+def test_jacobian_is_nan_where_it_is_not_finite():
+    # a NaN derivative gives NaN, and so does a product that overflows
+    fu, fv, gu, gv = (np.ones(4) for _ in range(4))
+    fu[1] = np.nan
+    fu[2], gv[2] = 1e200, 1e200
+    fv[3], gu[3] = 1e200, -1e200
+    with np.errstate(over="ignore"):
+        jac = jacobian((fu, fv, gu, gv))
+    assert jac[0] == 0.0 and np.isnan(jac[1:]).all()
 
 
 def test_jacobian_flat_closed_form_value(flat_run):
     jac = flat_run.pc.jac
     sel = flat_run.pc.certified
-    assert np.allclose(jac.values[sel], J_FLAT, atol=1e-10)
+    assert np.allclose(jac[sel], J_FLAT, atol=1e-10)
     assert abs(J_FLAT - 0.1005038) < 1e-7
 
 
@@ -60,29 +70,28 @@ def test_cross_oracle_initial_row(fixture_name, request):
     j0 = grid.row_index_of_v(0.0)
     us = grid.u_coords
     cf = jacobian_initial_closed_form(init.dh(us), init.dk(us), metric.eval(us, 0.0))
-    sel = pc.certified[:, j0] & pc.jac.mask[:, j0]
-    rel = np.abs(pc.jac.values[:, j0] - cf) / np.abs(cf)
-    assert np.nanmax(rel[sel]) < 1e-4
+    rel = np.abs(pc.jac[:, j0] - cf) / np.abs(cf)
+    assert np.nanmax(rel[pc.certified[:, j0]]) < 1e-4
 
 
 def test_certify_flat_full_region(flat_run):
     pc = flat_run.pc
     assert pc.orientation == 1
     # certificate covers the whole jointly-valid solve region
-    joint = flat_run.f_report.mask & flat_run.g_report.mask
+    joint = np.isfinite(flat_run.f_report.field) & np.isfinite(flat_run.g_report.field)
     assert pc.certified.sum() >= 0.99 * joint.sum()
 
 
 def test_certify_zero_jacobian():
     grid = Grid2D.centered(0.1, 0.1, 11, 11)
-    jac = ScalarField2D.constant(grid, 0.0)
+    jac = np.zeros((grid.nu, grid.nv))
     with pytest.raises(NoCertifiedRegion):
         certify_invertible(jac, 1e-8, (5, 5))
 
 
 def test_certify_clips_before_sign_change():
     grid = Grid2D.centered(0.1, 0.1, 201, 201)
-    jac = ScalarField2D.from_function(grid, lambda u, v: 0.05 - u)
+    jac = field_of(grid, lambda u, v: 0.05 - u)
     mask, orientation = certify_invertible(jac, 1e-4, (100, 100))
     assert orientation == 1
     U, _ = grid.meshgrid()
@@ -100,8 +109,8 @@ def test_orientation_positive_with_positive_slopes(flat_run, cos2_solved_full):
 # to the admissible nodes, until a pass adds nothing.
 def dilation_fill(jac, tol, seed_node):
     i0, j0 = seed_node
-    vals = jac.values
-    ok = jac.mask & np.isfinite(vals) & (np.abs(vals) > tol)
+    vals = jac
+    ok = np.isfinite(vals) & (np.abs(vals) > tol)
     ok &= np.sign(vals) == np.sign(vals[i0, j0])
     region = np.zeros_like(ok)
     region[i0, j0] = True
@@ -117,14 +126,9 @@ def dilation_fill(jac, tol, seed_node):
     return region
 
 
-def jac_of(signs):
-    """Jacobian field with values in {-1, 0, +1}: 0 is below any tolerance."""
-    nu, nv = signs.shape
-    return ScalarField2D(Grid2D.centered(0.1, 0.1, nu, nv), signs.astype(float))
-
-
 def assert_fill_matches_reference(signs, seed):
-    jac = jac_of(signs)
+    # J in {-1, 0, +1}: 0 is below any tolerance
+    jac = signs.astype(float)
     mask, orientation = certify_invertible(jac, 0.5, seed)
     assert orientation == signs[seed]
     assert mask.flags.c_contiguous

@@ -11,6 +11,24 @@ SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 # arguments for a script whose default run is too long for a test: bench.py
 # on one small grid, once
 SMOKE_ARGV = {"bench.py": (["--grids", "41", "--repeats", "1"],)}
+# output_hashes.py's matrix on 41^2 grids: a run with meshes, one whose
+# chart folds, the sampled metric and verify of the first run's composite
+SMALL = ["--grid-n", "41", "--chart-n", "41"]
+SMALL_RUNS = (
+    ("flat", ["run", *SMALL, "--mesh-out", "m"]),
+    ("fold", ["run", "--base-curve", "circle:0.05", *SMALL]),
+    ("sampled", ["run", "--metric", "file:../g.csv", "--v-half", "0.03", *SMALL]),
+    ("verify-flat", ["verify", "../flat/m_composite.obj", "--metric", "flat",
+                     "--fields", "../flat/residuals.csv", "--residual-csv", "residuals.csv"]),
+)
+
+
+def script_main(script, monkeypatch):
+    """The script's main(), with output_hashes.py's matrix on 41^2 grids."""
+    main = runpy.run_path(str(script))["main"]
+    if script.name == "output_hashes.py":
+        monkeypatch.setitem(main.__globals__, "RUNS", SMALL_RUNS)
+    return main
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
@@ -18,8 +36,33 @@ def test_script_main_runs(script, tmp_path, monkeypatch, capsys):
     # each script's main() runs end to end against the package's current
     # API; output directories it creates land in tmp_path
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(script))["main"](*SMOKE_ARGV.get(script.name, ()))
+    script_main(script, monkeypatch)(*SMOKE_ARGV.get(script.name, ()))
     assert capsys.readouterr().out
+
+
+def test_output_hashes_prints_a_stable_line_per_output(tmp_path, monkeypatch, capsys):
+    # one sha256 line per file a run leaves, and per stdout, stderr and exit
+    # code, in run order; a second pass prints the same lines, and nothing
+    # is left in the working directory
+    monkeypatch.chdir(tmp_path)
+    main = script_main(SCRIPT_DIR / "output_hashes.py", monkeypatch)
+    main()
+    lines = capsys.readouterr().out.splitlines()
+    main()
+    assert capsys.readouterr().out.splitlines() == lines
+    rows = [re.fullmatch(r"([0-9a-f]{64})  ([\w-]+)/(.+)", line) for line in lines]
+    assert all(rows), lines
+    names = [(r[2], r[3]) for r in rows]
+    assert list(dict.fromkeys(r for r, _ in names)) == [name for name, _ in SMALL_RUNS]
+    files = {run: [f for r, f in names if r == run] for run, _ in SMALL_RUNS}
+    assert files["flat"] == ["m_composite.obj", "m_lifted.obj", "report.json", "residuals.csv",
+                             "system_s.csv", "<stdout>", "<stderr>", "<exit 0>"]
+    assert files["fold"] == ["<stdout>", "<stderr>", "<exit 1>"]
+    assert files["sampled"] == ["report.json", "residuals.csv", "system_s.csv",
+                                "<stdout>", "<stderr>", "<exit 2>"]
+    assert files["verify-flat"] == ["residuals.csv", "verify_report.json",
+                                    "<stdout>", "<stderr>", "<exit 0>"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_writes_every_stage_and_writer_per_column(tmp_path, monkeypatch, capsys):

@@ -140,7 +140,7 @@ def test_compose_on_a_circle_chart_is_the_closed_form(node_block, monkeypatch):
                          lambda u, v: 0.8 * u + 0.3 * v, lambda u, v: 0.2 * u - 0.9 * v)
     comp = compose(chart, pc)
     assert np.array_equal(comp.mask, pc.certified) and comp.mask.sum() > 0
-    f, g = pc.f.values[comp.mask], pc.g.values[comp.mask]
+    f, g = pc.f[comp.mask], pc.g[comp.mask]
     want = np.stack([r * np.sin(g / r) - f * np.sin(g / r),
                      r * (1.0 - np.cos(g / r)) + f * np.cos(g / r), g], axis=1)
     np.testing.assert_allclose(comp.position[comp.mask], want, rtol=0, atol=1e-15)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import interior_of
+from conftest import interior_of, param_change_of
 from isoembed import fields
 from isoembed.config import RunConfig
 from isoembed.errors import RankDeficient, UncertifiedNode
-from isoembed.fields import ScalarField2D
+from isoembed.fields import Grid2D, sup_mean_abs
 from isoembed.pipeline import run_pipeline
 from isoembed.system_s import (
     RANK_REL_TOL,
@@ -124,19 +124,19 @@ def test_grid_solve_theorem_identities(fixture_name, request):
     sr = solve_system_grid(pc, metric.sample(pc.grid))
     # ranks (2, 2) and small augmented determinant on >= 99% of nodes
     ok = (
-        (sr.rank_coeff.values == 2)
-        & (sr.rank_aug.values == 2)
-        & (np.abs(sr.aug_det.values) < 1e-6)
+        (sr.rank_coeff == 2)
+        & (sr.rank_aug == 2)
+        & (np.abs(sr.aug_det) < 1e-6)
     )
     assert ok[sr.mask].sum() / sr.mask.sum() >= 0.99
     # all three rows hold with the solved pair
     assert sr.row_residual_sup < 1e-4
     # the first unknown solves to 1
-    assert np.nanmax(np.abs(sr.e_val.values - 1.0)[sr.mask]) < 1e-4
+    assert np.nanmax(np.abs(sr.e_val - 1.0)) < 1e-4
     # solved G agrees with the closed form on central-stencil nodes
     interior = interior_of(sr.mask, grid)
-    rel = np.abs(sr.g_val.values - sr.g_closed.values) / np.maximum(
-        1.0, np.abs(sr.g_closed.values)
+    rel = np.abs(sr.g_val - sr.g_closed) / np.maximum(
+        1.0, np.abs(sr.g_closed)
     )
     assert np.nanmax(np.where(interior, rel, np.nan)) < 1e-6
 
@@ -156,17 +156,29 @@ def test_grid_solve_matches_the_per_node_oracle(fixture_name, request):
     for i, j in nodes:
         s = assemble(pc, metric, (i, j))
         e_val, g_val = solve_for_EG(s)
-        assert sr.e_val.values[i, j] == pytest.approx(e_val, rel=1e-12)
-        assert sr.g_val.values[i, j] == pytest.approx(g_val, rel=1e-12)
-        assert sr.g_closed.values[i, j] == pytest.approx(closed_form_G(s), rel=1e-12)
-        assert (sr.rank_coeff.values[i, j], sr.rank_aug.values[i, j]) == rank_checks(s)
-        assert sr.aug_det.values[i, j] == pytest.approx(augmented_det_residual(s),
+        assert sr.e_val[i, j] == pytest.approx(e_val, rel=1e-12)
+        assert sr.g_val[i, j] == pytest.approx(g_val, rel=1e-12)
+        assert sr.g_closed[i, j] == pytest.approx(closed_form_G(s), rel=1e-12)
+        assert (sr.rank_coeff[i, j], sr.rank_aug[i, j]) == rank_checks(s)
+        assert sr.aug_det[i, j] == pytest.approx(augmented_det_residual(s),
                                                         rel=1e-6, abs=1e-15)
+
+
+def test_grid_solve_arrays_are_nan_off_the_certified_region():
+    # derivatives are finite everywhere, but only half the grid is
+    # certified: every result array is NaN on the other half
+    grid = Grid2D.centered(0.1, 0.1, 21, 21)
+    pc = param_change_of(grid, lambda u, v: u + 0.1 * v, lambda u, v: 0.2 * u + v)
+    pc.certified[:10] = False
+    sr = solve_system_grid(pc, np.ones((grid.nu, grid.nv)))
+    assert np.array_equal(sr.mask, pc.certified)
+    for arr in (sr.e_val, sr.g_val, sr.g_closed, sr.rank_coeff, sr.rank_aug, sr.aug_det):
+        assert np.isnan(arr[:10]).all() and np.isfinite(arr[10:]).all()
 
 
 def test_grid_solve_g_positive(flat_run):
     sr = solve_system_grid(flat_run.pc, flat_run.f_report.gbar)
-    assert np.nanmin(sr.g_val.values[sr.mask]) > 0.0
+    assert np.nanmin(sr.g_val) > 0.0
 
 
 def test_cos2_g_value_on_initial_row(cos2_solved_full):
@@ -176,7 +188,7 @@ def test_cos2_g_value_on_initial_row(cos2_solved_full):
     sr = solve_system_grid(pc, metric.sample(pc.grid))
     j0 = grid.row_index_of_v(0.0)
     sel = sr.mask[:, j0]
-    vals = sr.g_val.values[sel, j0]
+    vals = sr.g_val[sel, j0]
     assert np.allclose(vals, 99.0, atol=1e-3)
 
 
@@ -284,8 +296,8 @@ def test_grid_ranks_equal_batched_svd_ranks_on_every_node(case, request):
     sr = solve_system_grid(pc, metric.sample(pc.grid))
     rank_c, rank_a = batched_svd_ranks(pc, metric, sr.mask)
     assert sr.mask.sum() > 30000
-    np.testing.assert_array_equal(sr.rank_coeff.values[sr.mask], rank_c)
-    np.testing.assert_array_equal(sr.rank_aug.values[sr.mask], rank_a)
+    np.testing.assert_array_equal(sr.rank_coeff[sr.mask], rank_c)
+    np.testing.assert_array_equal(sr.rank_aug[sr.mask], rank_a)
     if case == "delta_1e6":
         # the unequilibrated columns differ by ~1e12, so both ranks read 1
         # on every node: a false rank deficiency that the SVD shares
@@ -298,7 +310,7 @@ def test_grid_solve_calls_no_svd(cos2_solved_full, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     metric, _, _, _, _, pc = cos2_solved_full
     sr = solve_system_grid(pc, metric.sample(pc.grid))
-    assert (sr.rank_coeff.values[sr.mask] == 2).all()
+    assert (sr.rank_coeff[sr.mask] == 2).all()
     # the scalar oracle keeps its SVD
     with pytest.raises(AssertionError, match="svd called"):
         rank_checks(identity_system())
@@ -309,7 +321,7 @@ def reference_solve_system_grid(pc, metric):
     solve_system_grid, kept as the reference for the blocked one."""
     grid = pc.grid
     fu, fv, gu, gv = pc.derivs
-    gbar = metric.sample(grid).values
+    gbar = metric.sample(grid)
 
     mask = (
         pc.certified
@@ -368,7 +380,7 @@ def reference_solve_system_grid(pc, metric):
             rows, minors.reshape(3, -1)[:, idx], det)
 
     def fld(arr):
-        return ScalarField2D(grid, np.where(mask, arr, np.nan), mask=mask & np.isfinite(arr))
+        return np.where(mask & np.isfinite(arr), arr, np.nan)
 
     return SystemReport(
         e_val=fld(e_val),
@@ -377,7 +389,7 @@ def reference_solve_system_grid(pc, metric):
         rank_coeff=fld(rank_c),
         rank_aug=fld(rank_a),
         aug_det=fld(aug_det),
-        row_residual_sup=max(fld(res).sup() for res in (res0, res1, res2)),
+        row_residual_sup=sup_mean_abs(np.stack([fld(res) for res in (res0, res1, res2)]))[0],
         mask=mask,
     )
 
@@ -405,5 +417,4 @@ def test_blocked_grid_solve_matches_the_whole_grid_reference(case, node_block, r
     assert np.array_equal(sr.mask, ref.mask)
     assert sr.row_residual_sup == ref.row_residual_sup
     for got, want in zip(system_fields(sr), system_fields(ref)):
-        assert np.array_equal(got.values, want.values, equal_nan=True)
-        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -4,8 +4,8 @@ The reference writers below format every cell on its own, node by node.
 The package's writers format blocks of ROW_BLOCK u-rows at once, and each
 repeated text (ubar, vbar, node indices, a coordinate shared by every
 u-row, vertex indices) only once; they must reproduce the reference bytes
-on hand-built fields that hit every formatting case: masked nodes, NaN and
-inf inside the mask, -0.0, NaN ranks, block boundaries, an all-masked row,
+on hand-built fields that hit every formatting case: NaN holes, inf
+(which no field of a run holds), -0.0, NaN ranks, block boundaries, an all-masked row,
 a surface with no valid cell, and a shared coordinate that holds -0.0 and
 0.0 or misses one u-row by the last bit.
 
@@ -23,7 +23,7 @@ import pytest
 from isoembed import cli, pipeline
 from isoembed.config import RunConfig
 from isoembed.errors import IoFailure
-from isoembed.fields import Grid2D, ScalarField2D
+from isoembed.fields import Grid2D
 from isoembed.report import (
     CSV_COLUMNS,
     NodeTable,
@@ -42,12 +42,9 @@ NU, NV = 2 * ROW_BLOCK + 5, 7
 
 
 def _cell(fld, i, j):
-    if fld is None or not fld.mask[i, j]:
+    if fld is None or not np.isfinite(fld[i, j]):
         return "NA"
-    v = fld.values[i, j]
-    if not np.isfinite(v):
-        return "NA"
-    return f"{v:.17g}"
+    return f"{fld[i, j]:.17g}"
 
 
 def reference_residual_csv(path, table):
@@ -76,8 +73,8 @@ def reference_system_csv(path, grid, sys_report):
                     _cell(sys_report.g_val, i, j),
                     _cell(sys_report.g_closed, i, j),
                 ]
-                rc = sys_report.rank_coeff.values[i, j]
-                ra = sys_report.rank_aug.values[i, j]
+                rc = sys_report.rank_coeff[i, j]
+                ra = sys_report.rank_aug[i, j]
                 cells.append("NA" if not np.isfinite(rc) else str(int(rc)))
                 cells.append("NA" if not np.isfinite(ra) else str(int(ra)))
                 cells.append(_cell(sys_report.aug_det, i, j))
@@ -140,11 +137,9 @@ def _values(seed, nu=NU, nv=NV):
 
 
 def _field(seed, mask=None):
-    grid = _grid()
-    m = _mask() if mask is None else mask
-    # ScalarField2D would mark non-finite nodes invalid; keep them inside
-    # the mask so the writers' own finiteness test is exercised
-    return ScalarField2D(grid, _values(seed), mask=m)
+    """_values NaN off the mask; its infinities stay, so the writers' own
+    finiteness test is exercised."""
+    return np.where(_mask() if mask is None else mask, _values(seed), np.nan)
 
 
 def _table():
@@ -163,7 +158,7 @@ def _ranks(seed):
     r[2, 2] = np.nan
     r[ROW_BLOCK, 3] = np.nan
     r[ROW_BLOCK + 1, :] = np.nan
-    return ScalarField2D(_grid(), r, mask=np.ones((NU, NV), dtype=bool))
+    return r
 
 
 def _system_report():
@@ -207,8 +202,8 @@ def test_residual_csv_matches_reference(tmp_path):
 
 def test_residual_csv_single_partial_block(tmp_path):
     grid = _grid(nu=3, nv=3)
-    fld = ScalarField2D(grid, np.array([[0.5, -0.0, np.nan]] * 3),
-                        mask=np.array([[True, True, True], [False] * 3, [True, False, True]]))
+    fld = np.array([[0.5, -0.0, np.nan]] * 3)
+    fld[1] = fld[2, 1] = np.nan
     table = NodeTable(grid=grid, f=fld, g=fld)
     write_report(_report(), str(tmp_path / "r.json"), str(tmp_path / "new.csv"), table)
     reference_residual_csv(str(tmp_path / "ref.csv"), table)
