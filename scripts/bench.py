@@ -8,7 +8,10 @@ process, waiting on its forked writers) and of each file group of
 pipeline.output_writers written again on its own in this process;
 scripts/stage_memory.py times them. The least, not the median: the host's
 speed drifts for longer than a config's runs, and the fastest run is the
-one it disturbed least. The results go under one column name of the JSON
+one it disturbed least. Before each config, perfbench's speed probe
+(perfbench/speed.py, measure()) is timed once and stored with the config's
+results as speed_probe_s, so a config run in one of the host's slow
+stretches shows as one. The results go under one column name of the JSON
 file --out, and the columns it already holds are kept: run it in two
 checkouts, each with its own --column, to set a parent and a change side
 by side.
@@ -70,6 +73,7 @@ def main(argv=()):
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     stage_memory = runpy.run_path(str(Path(__file__).with_name("stage_memory.py")))
+    probe = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "speed.py"))["measure"]
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {
         "about": __doc__.splitlines()[0],
@@ -87,10 +91,13 @@ def main(argv=()):
     for n in (int(g) for g in args.grids.split(",")):
         for case in CASES:
             key = f"{case} {n}"
+            speed_probe_s = round(probe(), 4)
             result = measure(config(case, n), args.repeats, stage_memory)
+            result["speed_probe_s"] = speed_probe_s
             doc["runs"].setdefault(key, {})[args.column] = result
             print(f"{key}: write_outputs {result['stages']['write_outputs']:.3f} s, "
-                  f"writers {sum(result['writers'].values()):.3f} s on their own")
+                  f"writers {sum(result['writers'].values()):.3f} s on their own, "
+                  f"speed probe {speed_probe_s:.3f} s")
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out}")
 

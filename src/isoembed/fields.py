@@ -73,12 +73,11 @@ class Grid2D:
             raise GridTooSmall(f"grid needs at least 3x3 nodes, got ({self.nu}, {self.nv})")
 
     @classmethod
-    def centered(cls, u_half, v_half, nu, nv, center=(0.0, 0.0)):
-        """Grid spanning center +- (u_half, v_half) inclusive."""
-        cu, cv = center
+    def centered(cls, u_half, v_half, nu, nv):
+        """Grid spanning +- (u_half, v_half) about the origin, inclusive."""
         return cls(
-            u0=cu - u_half,
-            v0=cv - v_half,
+            u0=-u_half,
+            v0=-v_half,
             du=2.0 * u_half / (nu - 1),
             dv=2.0 * v_half / (nv - 1),
             nu=nu,

@@ -54,6 +54,9 @@ from .fields import Grid2D, first_derivative_4, sup_mean_abs
 # apart, at most MAX_ANCHORS of them on each side of v_center
 ANCHOR_CELLS = 1024
 MAX_ANCHORS = 64 * ANCHOR_CELLS
+# fit_chart_profile's polynomial degree in v, and its floor on G - 1
+FIT_DEGREE = 2
+FIT_FLOOR = 1e-12
 
 # Gauss-Legendre nodes/weights (5-point) on [-1, 1] for the anchor cells
 _GL_X = np.array([
@@ -310,9 +313,9 @@ class ChartProfile:
         return cls(a_coeffs=np.array([float(speed)]), b_coeffs=np.array([float(slope)]))
 
 
-def fit_chart_profile(u_pts, v_pts, g_target, degree: int = 2,
-                      floor: float = 1e-12) -> ChartProfile:
-    """Least-squares fit of sqrt(max(g_target - 1, floor)) by A(v) + B(v) u.
+def fit_chart_profile(u_pts, v_pts, g_target) -> ChartProfile:
+    """Least-squares fit of sqrt(max(g_target - 1, FIT_FLOOR)) by A(v) + B(v) u,
+    A and B polynomials of degree FIT_DEGREE.
 
     The -1 accounts for the vertical lift component added later; targets
     dipping below 1 are floored (no planar chart can reach them) and show
@@ -320,21 +323,21 @@ def fit_chart_profile(u_pts, v_pts, g_target, degree: int = 2,
     """
     u = np.asarray(u_pts, dtype=float).ravel()
     v = np.asarray(v_pts, dtype=float).ravel()
-    w = np.sqrt(np.maximum(np.asarray(g_target, dtype=float).ravel() - 1.0, floor))
-    if u.size < 2 * (degree + 1):
+    w = np.sqrt(np.maximum(np.asarray(g_target, dtype=float).ravel() - 1.0, FIT_FLOOR))
+    if u.size < 2 * (FIT_DEGREE + 1):
         raise BadParameter("not enough sample points to fit a chart profile")
     v_center = float(v.mean())
     v_scale = float(max(np.max(np.abs(v - v_center)), 1e-30))
     vt = (v - v_center) / v_scale
     # the design matrix is filled in place: columns vt^k, then u vt^k
-    M = np.empty((u.size, 2 * (degree + 1)))
-    for k in range(degree + 1):
+    M = np.empty((u.size, 2 * (FIT_DEGREE + 1)))
+    for k in range(FIT_DEGREE + 1):
         M[:, k] = vt**k
-        M[:, degree + 1 + k] = u * vt**k
+        M[:, FIT_DEGREE + 1 + k] = u * vt**k
     sol, *_ = np.linalg.lstsq(M, w, rcond=None)
     return ChartProfile(
-        a_coeffs=sol[: degree + 1],
-        b_coeffs=sol[degree + 1 :],
+        a_coeffs=sol[: FIT_DEGREE + 1],
+        b_coeffs=sol[FIT_DEGREE + 1 :],
         v_center=v_center,
         v_scale=v_scale,
     )

@@ -6,7 +6,8 @@ verdict is `value < tol` and nothing else, so loosening a tolerance can
 only flip fail -> pass. Reports serialize to one JSON document (summaries,
 verdicts, metadata) and one CSV of per-node values whose column set is
 fixed; a cell whose field is NaN there (see fields) carries the literal
-token NA. Identical configurations produce byte-identical files.
+token NA. Its lines and those of system_s.csv are written by
+surface.write_table. Identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import IoFailure
 from .fields import sup_mean_abs
 from .reparam import ParamChange
-from .surface import EmbeddedSurface, cell_texts, induced_metric, row_blocks, texts_of, write_rows
+from .surface import EmbeddedSurface, induced_metric, write_table
 
 CSV_COLUMNS = ("ubar", "vbar", "f", "g", "J", "E_res", "F_res", "G_res", "aug_det", "dG")
 
@@ -155,42 +156,18 @@ class NodeTable:
                 self.aug_det, self.dg)
 
 
-# per-column texts of a residual CSV line after ubar and vbar, where the
-# cell has a value and where it reads NA
-_CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 3) + ("%.17g\n",)
-_CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 3) + ("NA\n",)
-# the same for system_s.csv after its node column; the ranks print as %d
-_SYSTEM_TEXT = ("%.17g,",) * 3 + ("%d,",) * 2 + ("%.17g\n",)
-_SYSTEM_NA = ("NA,",) * 5 + ("NA\n",)
-
-
-def _column(fld, rows, sel):
-    """(values, ok) of fld at the nodes `sel` picks out of u-rows `rows`.
-
-    Row-major; ok is false for a None field and where a value is not finite.
-    """
-    if fld is None:
-        n = int(np.count_nonzero(sel))
-        return np.zeros(n), np.zeros(n, dtype=bool)
-    vals = fld[rows][sel]
-    return vals, np.isfinite(vals)
-
-
-def _write_block(fh, n, cells, columns):
-    """Write n lines of `cells` (see write_rows), their %-specs taking the
-    values of each (values, formatted) column where formatted holds."""
-    values, formatted = (np.column_stack(a) for a in zip(*columns))
-    write_rows(fh, n, cells, values[formatted])
+# per-column texts of a residual CSV line, where the cell has a value and
+# where it reads NA
+_CSV_TEXT = ("%.17g,",) * (len(CSV_COLUMNS) - 1) + ("%.17g\n",)
+_CSV_NA = ("NA,",) * (len(CSV_COLUMNS) - 1) + ("NA\n",)
+# the same for system_s.csv, its node column as (i;j); the ranks print as %d
+_SYSTEM_TEXT = ("(%d;", "%d),") + ("%.17g,",) * 3 + ("%d,",) * 2 + ("%.17g\n",)
+_SYSTEM_NA = ("NA,",) * (len(_SYSTEM_TEXT) - 1) + ("NA\n",)
 
 
 def write_report(report: VerificationReport, json_path, csv_path, table: NodeTable = None):
-    """Emit the JSON verdict document and (when a table is given) the node CSV.
-
-    The CSV is formatted and written in blocks of ROW_BLOCK u-rows, one
-    %-format per block; a cell reads NA where its field is absent or its
-    value is not finite. ubar is formatted once per u-row and
-    vbar once per v-line.
-    """
+    """Emit the JSON verdict document and (when a table is given) the node CSV,
+    whose cell reads NA where its field is absent or its value not finite."""
     try:
         with open(json_path, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -200,40 +177,30 @@ def write_report(report: VerificationReport, json_path, csv_path, table: NodeTab
     if csv_path is None or table is None:
         return
     grid = table.grid
-    u_texts = texts_of("%.17g,", grid.u_coords)
-    v_texts = texts_of("%.17g,", grid.v_coords)
+    shape = (grid.nu, grid.nv)
+    fields = [np.broadcast_to(grid.u_coords[:, None], shape),
+              np.broadcast_to(grid.v_coords, shape)]
+    fields += [np.broadcast_to(np.nan, shape) if fld is None else fld
+               for fld in table.fields_in_order()]
     try:
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rows in row_blocks(grid.nu):
-                n_rows = rows.stop - rows.start
-                sel = np.ones((n_rows, grid.nv), dtype=bool)
-                columns = [_column(fld, rows, sel) for fld in table.fields_in_order()]
-                cells = [np.repeat(u_texts[rows], grid.nv), np.tile(v_texts, n_rows)]
-                cells += [cell_texts(ok, text, na)
-                          for (_, ok), text, na in zip(columns, _CSV_TEXT, _CSV_NA)]
-                _write_block(fh, sel.size, cells, columns)
+            write_table(fh, list(zip(fields, _CSV_TEXT, _CSV_NA)))
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {csv_path}: {exc}") from exc
 
 
 def write_system_csv(path, grid, sys_report):
     """Side table of the per-node linear-system solve: one line per node of
-    the system mask, row-major, written in blocks of ROW_BLOCK u-rows. The
-    node's (i; and j) are formatted once per u-row and per v-line."""
-    j_texts = texts_of("%d),", np.arange(grid.nv))
+    the system mask, row-major, written by write_table."""
+    shape = (grid.nu, grid.nv)
+    fields = [np.broadcast_to(np.arange(grid.nu)[:, None], shape),
+              np.broadcast_to(np.arange(grid.nv), shape),
+              sys_report.e_val, sys_report.g_val, sys_report.g_closed,
+              sys_report.rank_coeff, sys_report.rank_aug, sys_report.aug_det]
     try:
         with open(path, "w", newline="") as fh:
             fh.write("node,E_val,G_val,G_closed_form,rank_coeff,rank_aug,aug_det\n")
-            for rows in row_blocks(grid.nu):
-                sel = sys_report.mask[rows]
-                ii, jj = np.nonzero(sel)
-                columns = [_column(fld, rows, sel) for fld in
-                           (sys_report.e_val, sys_report.g_val, sys_report.g_closed,
-                            sys_report.rank_coeff, sys_report.rank_aug, sys_report.aug_det)]
-                cells = [texts_of("(%d;", np.arange(rows.start, rows.stop))[ii], j_texts[jj]]
-                cells += [cell_texts(ok, text, na) for (_, ok), text, na in
-                          zip(columns, _SYSTEM_TEXT, _SYSTEM_NA)]
-                _write_block(fh, ii.size, cells, columns)
+            write_table(fh, list(zip(fields, _SYSTEM_TEXT, _SYSTEM_NA)), sel=sys_report.mask)
     except OSError as exc:
         raise IoFailure(f"cannot write CSV {path}: {exc}") from exc

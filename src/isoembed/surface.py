@@ -22,11 +22,13 @@ positions, in place on the new parameter grid (induced_metric).
 The lift samples the chart, which keeps no samples of its own. export_obj
 reads only its arguments and closes its file before it returns, so
 pipeline.write_outputs writes each OBJ in a forked child of its own, and
-the lifted OBJ's child builds the lift. The file writers here and in
-report format each distinct text once, a block of ROW_BLOCK u-rows at a
-time: write_rows joins texts formatted ahead of it with the %-specs it
-fills, so repeated values (the lift's height v on every u-row, a vertex
-index shared by six face corners) are formatted once, not per line.
+the lifted OBJ's child builds the lift. Every per-node line of the files,
+residuals.csv, system_s.csv and the OBJ vertices, is written by
+write_table, a block of ROW_BLOCK u-rows at a time. It formats each text
+once by one rule: a column finite everywhere whose bits are the same on
+every u-row is formatted once per v-line, one whose bits are the same on
+every v-line once per u-row, and any other column once per cell. The OBJ
+faces format each vertex index once per block.
 """
 
 from __future__ import annotations
@@ -153,16 +155,6 @@ def row_blocks(n):
         yield slice(start, min(start + ROW_BLOCK, n))
 
 
-def cell_texts(ok, text, na_text):
-    """Per-line texts of one column: text where ok holds, na_text elsewhere;
-    a single str when every line reads the same."""
-    if ok.all():
-        return text
-    if not ok.any():
-        return na_text
-    return np.array([text, na_text], dtype=object)[(~ok).astype(np.intp)]
-
-
 def texts_of(fmt, values):
     """fmt % x for each x of the 1-D array `values`, as an object array."""
     return np.array([fmt % x for x in values.tolist()], dtype=object)
@@ -186,11 +178,59 @@ def write_rows(fh, n, cells, values=None):
     fh.write(template if values is None else template % tuple(values.tolist()))
 
 
-def _row_shared(coord):
-    """Whether the 2-D array holds the same bits on every u-row: compared as
-    integers, so -0.0 and 0.0 differ and NaN equals itself."""
-    bits = coord.view(np.uint64)
-    return bool((bits == bits[:1]).all())
+def _shared_texts(values, text):
+    """The (nu, nv) texts of a column finite everywhere whose bits are the
+    same on every u-row, formatted once per v-line, or on every v-line,
+    formatted once per u-row; None for any other column. Bits compare as
+    integers, so -0.0 and 0.0 differ."""
+    if not np.isfinite(values).all():
+        return None
+    bits = values.view(f"u{values.itemsize}")
+    if (bits == bits[:1]).all():
+        texts = texts_of(text, values[0])[None, :]
+    elif (bits == bits[:, :1]).all():
+        texts = texts_of(text, values[:, 0])[:, None]
+    else:
+        return None
+    return np.broadcast_to(texts, values.shape)
+
+
+def write_table(fh, columns, sel=None, ok=None):
+    """Write one line per node of the bool array `sel`, or of every node when
+    it is None, row-major, ROW_BLOCK u-rows at a time.
+
+    `columns` is [(values, text, na)], each values an (nu, nv) array. A cell
+    reads text % value where `ok` holds, np.isfinite(values) unless given,
+    and na elsewhere; see _shared_texts for the columns formatted once per
+    v-line or u-row, not once per cell.
+    """
+    nu, nv = columns[0][0].shape
+    shared = [_shared_texts(values, text) for values, text, _ in columns]
+    for rows in row_blocks(nu):
+        take = np.ones((rows.stop - rows.start, nv), dtype=bool) if sel is None else sel[rows]
+        given = None if ok is None else ok[rows][take]
+        cells, picked = [], []
+        for (values, text, na), texts in zip(columns, shared):
+            if texts is not None:
+                texts = texts[rows][take]
+                if given is not None:
+                    texts[~given] = na
+                cells.append(texts)
+                continue
+            vals = values[rows][take]
+            good = np.isfinite(vals) if given is None else given
+            picked.append((vals, good))
+            if good.all():
+                cells.append(text)
+            elif not good.any():
+                cells.append(na)
+            else:
+                cells.append(np.array([text, na], dtype=object)[(~good).astype(np.intp)])
+        filled = None
+        if picked:
+            vals, good = (np.column_stack(a) for a in zip(*picked))
+            filled = vals[good]
+        write_rows(fh, int(np.count_nonzero(take)), cells, filled)
 
 
 def export_obj(surface: EmbeddedSurface, path: str):
@@ -201,37 +241,22 @@ def export_obj(surface: EmbeddedSurface, path: str):
     lines (run-length per u-row) so re-verification sees the same node set.
     %.17g formatting keeps round-trips bit-exact. Vertices and faces are
     formatted and written in blocks of ROW_BLOCK u-rows, so memory does not
-    grow with the file. Each text is formatted once: a coordinate with the
-    same bits on every u-row (the lift's height v) once per v-line, and
-    each vertex index once per block of faces.
+    grow with the file: the vertex lines by write_table, and the faces
+    with each vertex index formatted once per block.
     """
     grid = surface.grid
     nv = grid.nv
-    pos = surface.position
     m = surface.mask
     head = [f"# isoembed surface provenance={surface.provenance} nu={grid.nu} nv={grid.nv}"]
     for i in range(grid.nu):
         runs = " ".join(f"{a}:{b}" for a, b in _mask_runs(m[i]))
         head.append(f"# valid {i} {runs}".rstrip())
     cell_ok = m[:-1, :-1] & m[1:, :-1] & m[:-1, 1:] & m[1:, 1:]
-    shared = {k: texts_of(_VERTEX[k], pos[0, :, k])
-              for k in range(3) if _row_shared(pos[:, :, k])}
-    formatted = [k for k in range(3) if k not in shared]
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(head) + "\n")
-            for rows in row_blocks(grid.nu):
-                ok = m[rows].ravel()
-                cells = []
-                for k in range(3):
-                    if k in shared:
-                        texts = np.tile(shared[k], rows.stop - rows.start)
-                        texts[~ok] = _MASKED_VERTEX[k]
-                        cells.append(texts)
-                    else:
-                        cells.append(cell_texts(ok, _VERTEX[k], _MASKED_VERTEX[k]))
-                values = pos[rows][m[rows]][:, formatted]
-                write_rows(fh, ok.size, cells, values.ravel())
+            write_table(fh, [(surface.position[:, :, k], _VERTEX[k], _MASKED_VERTEX[k])
+                             for k in range(3)], ok=m)
             for rows in row_blocks(grid.nu - 1):
                 ci, cj = np.nonzero(cell_ok[rows])
                 # OBJ indices are 1-based; a block's cells reach one row past it

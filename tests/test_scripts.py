@@ -67,7 +67,8 @@ def test_output_hashes_prints_a_stable_line_per_output(tmp_path, monkeypatch, ca
 
 def test_bench_writes_every_stage_and_writer_per_column(tmp_path, monkeypatch, capsys):
     # two columns of the 41^2 matrix in one file: the second run keeps the
-    # first's column, and each holds every stage and every file group
+    # first's column, and each holds every stage and every file group, and
+    # the time of the speed probe taken before the config
     monkeypatch.chdir(tmp_path)
     bench = runpy.run_path(str(SCRIPT_DIR / "bench.py"))
     stages = runpy.run_path(str(SCRIPT_DIR / "stage_memory.py"))["STAGES"]
@@ -85,6 +86,7 @@ def test_bench_writes_every_stage_and_writer_per_column(tmp_path, monkeypatch, c
                                                "composite_obj"], key
             walls = [*column["stages"].values(), *column["writers"].values()]
             assert all(math.isfinite(w) and w >= 0 for w in walls), key
+            assert math.isfinite(column["speed_probe_s"]) and column["speed_probe_s"] > 0, key
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
     assert capsys.readouterr().out.splitlines()[-1] == "wrote b.json"
 

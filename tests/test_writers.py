@@ -1,13 +1,15 @@
 """Byte oracle for the file writers.
 
 The reference writers below format every cell on its own, node by node.
-The package's writers format blocks of ROW_BLOCK u-rows at once, and each
-repeated text (ubar, vbar, node indices, a coordinate shared by every
-u-row, vertex indices) only once; they must reproduce the reference bytes
-on hand-built fields that hit every formatting case: NaN holes, inf
-(which no field of a run holds), -0.0, NaN ranks, block boundaries, an all-masked row,
-a surface with no valid cell, and a shared coordinate that holds -0.0 and
-0.0 or misses one u-row by the last bit.
+The package's writers format blocks of ROW_BLOCK u-rows at once; a column
+finite everywhere whose bits are the same on every u-row (or v-line) is
+formatted once per v-line (or u-row), and each vertex index of the faces
+once per block. They must reproduce the reference bytes on hand-built
+fields that hit every formatting case: NaN holes, inf (which no field of a
+run holds), -0.0, NaN ranks, a rank column NaN on every node, block
+boundaries, an all-masked row, a surface with no valid cell, and shared
+columns that hold -0.0 and 0.0 on one line or miss sharing by the last
+bit, by the sign of a zero or by one NaN.
 
 write_outputs forks one writer per file group; its files must be the
 inline route's bytes, and a failing writer must give the serial order's
@@ -20,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from isoembed import cli, pipeline
+from isoembed import cli, pipeline, surface as surface_mod
 from isoembed.config import RunConfig
 from isoembed.errors import IoFailure
 from isoembed.fields import Grid2D
@@ -31,7 +33,7 @@ from isoembed.report import (
     write_report,
     write_system_csv,
 )
-from isoembed.surface import ROW_BLOCK, EmbeddedSurface, _mask_runs, _row_shared, export_obj, lift
+from isoembed.surface import ROW_BLOCK, EmbeddedSurface, _mask_runs, export_obj, lift
 from isoembed.system_s import SystemReport
 
 # not a multiple of ROW_BLOCK, and more than two blocks
@@ -186,6 +188,43 @@ def _report():
                               masked_count=0)
 
 
+def _same_bits_on_every_u_row(a):
+    """Whether the 2-D array holds the same bits on every u-row, compared as
+    integers, so -0.0 and 0.0 differ."""
+    bits = a.view(np.uint64)
+    return bool((bits == bits[:1]).all())
+
+
+def _line():
+    """A v-line's values with -0.0 and 0.0 on it."""
+    line = np.linspace(-1.0, 2.0, NV) / 3.0
+    line[1], line[4] = -0.0, 0.0
+    return line
+
+
+def _shared_columns():
+    """(by_v, by_u): a column the same on every u-row and one the same on
+    every v-line."""
+    by_v = np.tile(_line(), (NU, 1))
+    by_u = np.repeat((np.arange(NU) - 3.0)[:, None] / 7.0, NV, axis=1)
+    return by_v, by_u
+
+
+@pytest.fixture
+def formatted_once(monkeypatch):
+    """(format, count) of each text array the writers format ahead of their
+    lines, in call order."""
+    calls = []
+    texts_of = surface_mod.texts_of
+
+    def spy(fmt, values):
+        calls.append((fmt, values.size))
+        return texts_of(fmt, values)
+
+    monkeypatch.setattr(surface_mod, "texts_of", spy)
+    return calls
+
+
 # ------------------------------------------------------------------- tests
 
 
@@ -219,6 +258,63 @@ def test_system_csv_matches_reference(tmp_path):
     # the all-masked row has no line, NaN ranks read NA
     assert f"({ROW_BLOCK + 4};" not in new.decode()
     assert ",NA,NA," in new.decode()
+
+
+def _shared_table_and_system(by_v, by_u):
+    table = NodeTable(grid=_grid(), f=by_v, g=by_u, jac=_field(3))
+    rep = _system_report()
+    rep.e_val, rep.g_val = by_v, by_u
+    # a rank the same on every node, formatted once per v-line, and one NaN
+    # on every node, which must read NA and never reach a "%d," format
+    rep.rank_coeff = np.full((NU, NV), 2.0)
+    rep.rank_aug = np.full((NU, NV), np.nan)
+    return table, rep
+
+
+def _write_both_csvs(tmp_path, table, rep):
+    """The package's and the reference bytes of both CSVs."""
+    write_report(_report(), str(tmp_path / "r.json"), str(tmp_path / "new.csv"), table)
+    reference_residual_csv(str(tmp_path / "ref.csv"), table)
+    write_system_csv(str(tmp_path / "new_s.csv"), _grid(), rep)
+    reference_system_csv(str(tmp_path / "ref_s.csv"), _grid(), rep)
+    return [((tmp_path / new).read_bytes(), (tmp_path / ref).read_bytes())
+            for new, ref in (("new.csv", "ref.csv"), ("new_s.csv", "ref_s.csv"))]
+
+
+def test_csv_shared_value_columns_match_reference(tmp_path, formatted_once):
+    by_v, by_u = _shared_columns()
+    assert _same_bits_on_every_u_row(by_v) and _same_bits_on_every_u_row(by_u.T)
+    table, rep = _shared_table_and_system(by_v, by_u)
+    (new, ref), (new_s, ref_s) = _write_both_csvs(tmp_path, table, rep)
+    assert new == ref and new_s == ref_s
+    # residuals.csv: ubar, vbar, f and g once per line each; system_s.csv:
+    # (i; and j), E_val, G_val and rank_coeff; the NaN ranks never
+    assert formatted_once == [("%.17g,", NU), ("%.17g,", NV), ("%.17g,", NV), ("%.17g,", NU),
+                              ("(%d;", NU), ("%d),", NV), ("%.17g,", NV), ("%.17g,", NU),
+                              ("%d,", NV)]
+    lines = new_s.decode().splitlines()[1:]
+    assert all(line.split(",")[5] == "NA" for line in lines)
+    assert all(line.split(",")[4] == "2" for line in lines)
+    text = new.decode()
+    assert ",-0," in text and ",0," in text
+
+
+@pytest.mark.parametrize("case", ["last_bit", "signed_zero", "nan"])
+def test_csv_column_that_misses_sharing_is_formatted_per_node(tmp_path, formatted_once, case):
+    by_v, by_u = _shared_columns()
+    i, j = ROW_BLOCK + 2, 1
+    # by_v[0, 1] is -0.0, which == 0.0 as a float but not as bits
+    by_v[i, j] = {"last_bit": np.nextafter(by_v[0, j], np.inf), "signed_zero": 0.0,
+                  "nan": np.nan}[case]
+    assert not _same_bits_on_every_u_row(by_v)
+    table, rep = _shared_table_and_system(by_v, by_u)
+    (new, ref), (new_s, ref_s) = _write_both_csvs(tmp_path, table, rep)
+    assert new == ref and new_s == ref_s
+    # f and E_val are no longer formatted ahead of their lines
+    assert formatted_once == [("%.17g,", NU), ("%.17g,", NV), ("%.17g,", NU),
+                              ("(%d;", NU), ("%d),", NV), ("%.17g,", NU), ("%d,", NV)]
+    cell = "NA" if case == "nan" else f"{by_v[i, j]:.17g}"
+    assert new.decode().splitlines()[1 + i * NV + j].split(",")[2] == cell
 
 
 def test_system_csv_empty_mask(tmp_path):
@@ -266,16 +362,14 @@ def _row_shared_surface(mask):
     """The hand-built surface with its third coordinate the same on every
     u-row, -0.0 on one v-line and 0.0 on another."""
     surface = _surface(mask)
-    line = np.linspace(-1.0, 2.0, NV) / 3.0
-    line[1], line[4] = -0.0, 0.0
-    surface.position[:, :, 2] = line
+    surface.position[:, :, 2] = _line()
     return surface
 
 
 @pytest.mark.parametrize("mask", ["masked", "full"])
 def test_obj_row_shared_coordinate_matches_reference(tmp_path, mask):
     surface = _row_shared_surface(_mask() if mask == "masked" else np.ones((NU, NV), bool))
-    assert _row_shared(surface.position[:, :, 2])
+    assert _same_bits_on_every_u_row(surface.position[:, :, 2])
     export_obj(surface, str(tmp_path / "new.obj"))
     reference_obj(surface, str(tmp_path / "ref.obj"))
     new = (tmp_path / "new.obj").read_bytes()
@@ -291,7 +385,7 @@ def test_obj_coordinate_off_by_the_last_bit_is_formatted_per_node(tmp_path, case
     i, j = (ROW_BLOCK + 2, 3) if case == "last_bit" else (ROW_BLOCK + 2, 1)
     # z[0, 1] is -0.0, which == 0.0 as a float but not as bits
     z[i, j] = np.nextafter(z[0, j], np.inf) if case == "last_bit" else 0.0
-    assert not _row_shared(z)
+    assert not _same_bits_on_every_u_row(z)
     export_obj(surface, str(tmp_path / "new.obj"))
     reference_obj(surface, str(tmp_path / "ref.obj"))
     new = (tmp_path / "new.obj").read_bytes()
@@ -303,7 +397,7 @@ def test_obj_coordinate_off_by_the_last_bit_is_formatted_per_node(tmp_path, case
 def test_real_lift_and_residual_csv_match_reference(small_run, tmp_path):
     lifted = lift(small_run.chart)
     # the lift's height is v on every u-row: its texts are shared
-    assert _row_shared(lifted.position[:, :, 2])
+    assert _same_bits_on_every_u_row(lifted.position[:, :, 2])
     export_obj(lifted, str(tmp_path / "new.obj"))
     reference_obj(lifted, str(tmp_path / "ref.obj"))
     assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
